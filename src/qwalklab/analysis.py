@@ -22,6 +22,7 @@ from .kspace import (
     _asymptotic_kernels,
     _coin_matrix,
     coin_tag,
+    moments_from_kernels,
 )
 from .lattice import Gaussian, InitialProfile, Rectangular, evolve_basis, sigma_to_a
 
@@ -121,14 +122,8 @@ def sweep_asymptotic(
 ) -> SweepResult:
     """Asymptotic entropy at every grid point via the k-space kernels."""
     kernels = _asymptotic_kernels(coin_tag(coin), profile, quad)
-    ka1, ka2, ka4, kb1, kb2, kb3, kb4 = kernels
-    cu, cd = _spin_amplitude_grid(grid)
-    pu = np.abs(cu) ** 2
-    pd = np.abs(cd) ** 2
-    cross = cu * np.conj(cd)
-    a_bar = (ka1 * pu + ka4 * pd).real + 2.0 * np.real(ka2 * cross)
-    b_bar = kb1 * pu + kb4 * pd + kb2 * cross + kb3 * np.conj(cross)
-    return _finalize_sweep(grid, _entropy_from_ab(a_bar, b_bar))
+    moments = moments_from_kernels(kernels, *_spin_amplitude_grid(grid))
+    return _finalize_sweep(grid, _entropy_from_ab(moments.A_bar, moments.B_bar))
 
 
 def sweep_simulated(
@@ -145,10 +140,10 @@ def sweep_simulated(
     """
     if steps < 0:
         raise DomainError(f"steps must be >= 0, got {steps}")
-    basis = evolve_basis(profile, _coin_matrix(coin_tag(coin)), steps)
+    basis = evolve_basis(profile, _coin_matrix(coin_tag(coin)), steps, times=[steps])
     cu, cd = _spin_amplitude_grid(grid)
     a_vals, b_vals = basis.moments_arrays(cu, cd)
-    return _finalize_sweep(grid, _entropy_from_ab(a_vals[..., -1], b_vals[..., -1]))
+    return _finalize_sweep(grid, _entropy_from_ab(a_vals[..., 0], b_vals[..., 0]))
 
 
 def average_trace(

@@ -12,14 +12,12 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 from . import analysis
 from .core import (
     BlochAngles,
     entropy_from_delta,
-    entropy_from_moments,
     fourier_coin,
     hadamard_coin,
     spin_from_angles,
@@ -40,16 +38,7 @@ from .kspace import (
     closed_delta,
     extract_f,
 )
-from .lattice import (
-    DEFAULT_MAX_SITES,
-    Gaussian,
-    Local,
-    Rectangular,
-    build_initial,
-    coin_moments,
-    position_distribution,
-    step as walk_step,
-)
+from .lattice import Gaussian, Local, Rectangular, position_distribution, walk
 
 
 class ConfigError(Exception):
@@ -115,7 +104,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--quad-points", dest="quad_points", type=int)
         p.add_argument("--quad-tol", dest="quad_tol", type=float)
         p.add_argument("--max-window", dest="max_window", type=int)
-        p.add_argument("--threads", type=int, help="overrides QWALK_THREADS")
         p.add_argument("--degrees", action="store_const", const=True, default=None,
                        help="interpret --alpha/--beta in degrees")
 
@@ -144,7 +132,7 @@ def effective_config(args: argparse.Namespace) -> dict:
         cfg.update(loaded)
     for key in ("coin", "profile", "sigma", "a", "alpha", "beta", "steps",
                 "grid_step", "mode", "sigmas", "quantity", "out", "format",
-                "quad_points", "quad_tol", "max_window", "threads", "degrees"):
+                "quad_points", "quad_tol", "max_window", "degrees"):
         value = getattr(args, key, None)
         if value is not None:
             cfg[key] = value
@@ -152,11 +140,6 @@ def effective_config(args: argparse.Namespace) -> dict:
     if cfg.get("degrees"):
         cfg["alpha"] = math.radians(cfg["alpha"])
         cfg["beta"] = math.radians(cfg["beta"])
-    if cfg.get("threads") is None and os.environ.get("QWALK_THREADS"):
-        try:
-            cfg["threads"] = int(os.environ["QWALK_THREADS"])
-        except ValueError:
-            raise ConfigError("QWALK_THREADS must be an integer")
     return cfg
 
 
@@ -209,23 +192,17 @@ def cmd_evolve(cfg: dict) -> int:
     coin = hadamard_coin() if cfg["coin"] == "hadamard" else fourier_coin()
     profile = _profile(cfg)
     spin = spin_from_angles(_angles(cfg))
-    max_sites = cfg.get("max_window")
-    if max_sites is None:
-        max_sites = DEFAULT_MAX_SITES + 2 * steps + 2
-
-    state = build_initial(profile, spin)
-    lines = ["t,A,B_re,B_im,entropy"]
-    for _ in range(steps + 1):
-        m = coin_moments(state)
-        s = entropy_from_moments(m)
-        lines.append(
-            f"{state.t},{_fmt(m.A)},{_fmt(m.B.real)},{_fmt(m.B.imag)},{_fmt(s)}"
-        )
-        if state.t < steps:
-            state = walk_step(state, coin, max_sites=int(max_sites))
+    max_window = cfg.get("max_window")
+    run = walk(profile, (spin,), coin, steps,
+               max_sites=None if max_window is None else int(max_window))
+    lines = ["t,A,B_re,B_im,entropy"] + [
+        f"{r.t},{_fmt(r.moments.A)},{_fmt(r.moments.B.real)},"
+        f"{_fmt(r.moments.B.imag)},{_fmt(r.entropy)}"
+        for r in run.records()
+    ]
     _write_text(cfg["out"], "\n".join(lines) + "\n")
 
-    dist = position_distribution(state)
+    dist = position_distribution(run.final[0])
     dlines = ["j,prob"] + [f"{j},{_fmt(p)}" for j, p in dist]
     _write_text(cfg["out"] + ".dist", "\n".join(dlines) + "\n")
     return 0

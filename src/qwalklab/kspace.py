@@ -286,10 +286,14 @@ def coin_spectrum(coin, k: float) -> CoinSpectrum:
 
 @dataclass(frozen=True)
 class AsymptoticMoments:
-    """Time-averaged moments (A_bar, B_bar) of the reduced coin state."""
+    """Time-averaged moments (A_bar, B_bar) of the reduced coin state.
 
-    A_bar: float
-    B_bar: complex
+    Scalars for one spin state; arrays over a spin grid when
+    moments_from_kernels is given arrays of amplitudes.
+    """
+
+    A_bar: float | NDArray[np.float64]
+    B_bar: complex | NDArray[np.complex128]
 
 
 @dataclass(frozen=True)
@@ -376,15 +380,22 @@ def _asymptotic_kernels(tag: str, profile: InitialProfile, quad: QuadratureSpec)
     return vals
 
 
-def moments_from_kernels(kernels, up: complex, down: complex) -> AsymptoticMoments:
-    """Combine the kernel integrals with spin amplitudes (vectorizable)."""
+def moments_from_kernels(kernels, up, down) -> AsymptoticMoments:
+    """Combine the kernel integrals with spin amplitudes `up`, `down`.
+
+    Scalar amplitudes give a float A_bar and a complex B_bar; arrays give
+    arrays of their broadcast shape.
+    """
     ka1, ka2, ka4, kb1, kb2, kb3, kb4 = kernels
+    # builtin abs: on a Python complex np.abs can differ in the last bit
     pu = abs(up) ** 2
     pd = abs(down) ** 2
     cross = up * np.conj(down)
     a_bar = (ka1 * pu + ka4 * pd).real + 2.0 * (ka2 * cross).real
     b_bar = kb1 * pu + kb4 * pd + kb2 * cross + kb3 * np.conj(cross)
-    return AsymptoticMoments(A_bar=float(a_bar), B_bar=complex(b_bar))
+    if np.ndim(a_bar) == 0:
+        return AsymptoticMoments(A_bar=float(a_bar), B_bar=complex(b_bar))
+    return AsymptoticMoments(A_bar=a_bar, B_bar=b_bar)
 
 
 def asymptotic_moments(

@@ -1,15 +1,20 @@
 """Position-space evolution of the discrete-time quantum walk on a 1D lattice.
 
 Each step applies the coin to every site spinor and then shifts up-amplitudes
-one site right and down-amplitudes one site left.  Amplitudes are stored as two
-complex arrays indexed by lattice site; the window keeps a one-site zero guard
-band on each side and grows by one site per step.
+one site right and down-amplitudes one site left.  All walks run through one
+loop, `walk`: the amplitudes of every initial spin state of one profile are
+stacked in a (spin states, 2, sites) buffer that is allocated once at its final
+width, n0 + 2 * steps sites, and evolved in place.  At time t the walk occupies
+the window of n0 + 2t sites centred in the buffer, a one-site zero guard band
+included; each step reads that window and writes the one a site wider on each
+side.  Moments are recorded only at the times the caller asks for.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from numpy.typing import NDArray
@@ -17,11 +22,17 @@ from numpy.typing import NDArray
 from .core import CoinMoments, CoinOperator, Spinor, entropy_from_moments
 from .errors import CapacityError, DomainError
 
-#: Gaussian profiles are truncated at |j| <= max(GAUSS_TRUNC, ceil(8 sigma0)).
-GAUSS_TRUNC = 1000
-
 #: Default ceiling on the number of lattice sites in a walker window.
 DEFAULT_MAX_SITES = 2_000_000
+
+#: exp(-x) is 0.0 in double precision for every x above about 745.13.
+_EXP_UNDERFLOW = 746.0
+
+#: Gaussian weights are normalised on at least |j| <= 1000.  The normalising
+#: sum is pairwise, so its rounding depends on how far the zero tail reaches;
+#: this grid keeps every kept weight bit-identical to the weights earlier
+#: versions computed on it.
+_GAUSS_NORM_HALF_WIDTH = 1000
 
 
 @dataclass(frozen=True)
@@ -107,14 +118,23 @@ def sigma_to_a(sigma0: float) -> int:
 
 
 def profile_weights(profile: InitialProfile) -> tuple[int, NDArray[np.float64]]:
-    """Real position weights (j_min, w) of a profile, normalized to sum(w^2) = 1."""
+    """Real position weights (j_min, w) of a profile, normalized to sum(w^2) = 1.
+
+    A Gaussian keeps exactly the sites whose normalised weight is nonzero in
+    double precision: its first and last weights are nonzero, and the weight of
+    the next site out on either side underflows to 0.
+    """
     if isinstance(profile, Local):
         return 0, np.array([1.0])
     if isinstance(profile, Gaussian):
-        jmax = max(GAUSS_TRUNC, math.ceil(8.0 * profile.sigma0))
-        j = np.arange(-jmax, jmax + 1, dtype=float)
-        w = np.exp(-(j**2) / (4.0 * profile.sigma0**2))
-        return -jmax, w / math.sqrt(float(np.sum(w**2)))
+        s2 = 4.0 * profile.sigma0**2
+        half = max(_GAUSS_NORM_HALF_WIDTH, math.ceil(math.sqrt(s2 * _EXP_UNDERFLOW)))
+        j = np.arange(-half, half + 1, dtype=float)
+        w = np.exp(-(j**2) / s2)
+        w = w / math.sqrt(float(np.sum(w**2)))
+        nonzero = np.flatnonzero(w)
+        first, last = int(nonzero[0]), int(nonzero[-1])
+        return first - half, w[first : last + 1]
     if isinstance(profile, Rectangular):
         n = 2 * profile.a + 1
         return -profile.a, np.full(n, 1.0 / math.sqrt(n))
@@ -134,8 +154,43 @@ def build_initial(profile: InitialProfile, spin: Spinor) -> WalkerState:
     return WalkerState(j_min=j_min - 1, a=a, b=b, t=0)
 
 
+def _check_capacity(sites: int, max_sites: int | None) -> None:
+    """The capacity rule: no window may hold more than max_sites sites
+    (DEFAULT_MAX_SITES when None)."""
+    limit = DEFAULT_MAX_SITES if max_sites is None else max_sites
+    if sites > limit:
+        raise CapacityError(f"window of {sites} sites exceeds max_sites={limit}")
+
+
+def _coin_shift(
+    psi: NDArray[np.complex128],
+    lo: int,
+    hi: int,
+    coin: CoinOperator,
+    scratch: NDArray[np.complex128],
+) -> None:
+    """One walk step, in place, on the window [lo, hi) of psi (states x 2 x sites).
+
+    The window becomes [lo - 1, hi + 1); psi must be zero on those two new
+    sites.  scratch is a (2, states, 2, >= hi - lo) work buffer.
+    """
+    n = hi - lo
+    a = psi[:, 0, lo:hi]
+    b = psi[:, 1, lo:hi]
+    up = scratch[0, :, :, :n]
+    down = scratch[1, :, :, :n]
+    np.multiply(coin[0, 0], a, out=up[:, 0])
+    np.multiply(coin[0, 1], b, out=up[:, 1])
+    np.multiply(coin[1, 0], a, out=down[:, 0])
+    np.multiply(coin[1, 1], b, out=down[:, 1])
+    np.add(up[:, 0], up[:, 1], out=psi[:, 0, lo + 1 : hi + 1])  # up-amplitude: j -> j+1
+    np.add(down[:, 0], down[:, 1], out=psi[:, 1, lo - 1 : hi - 1])  # down: j -> j-1
+    psi[:, 0, lo] = 0.0
+    psi[:, 1, hi - 1] = 0.0
+
+
 def step(
-    state: WalkerState, coin: CoinOperator, max_sites: int = DEFAULT_MAX_SITES
+    state: WalkerState, coin: CoinOperator, max_sites: int | None = None
 ) -> WalkerState:
     """One walk step: coin on every site spinor, then the conditional shift.
 
@@ -143,15 +198,12 @@ def step(
     would exceed max_sites.
     """
     n = state.n_sites
-    if n + 2 > max_sites:
-        raise CapacityError(f"window of {n + 2} sites exceeds max_sites={max_sites}")
-    ca = coin[0, 0] * state.a + coin[0, 1] * state.b
-    cb = coin[1, 0] * state.a + coin[1, 1] * state.b
-    a = np.zeros(n + 2, dtype=np.complex128)
-    b = np.zeros(n + 2, dtype=np.complex128)
-    a[2:] = ca  # up-amplitude moves j -> j+1
-    b[:-2] = cb  # down-amplitude moves j -> j-1
-    return WalkerState(j_min=state.j_min - 1, a=a, b=b, t=state.t + 1)
+    _check_capacity(n + 2, max_sites)
+    psi = np.zeros((1, 2, n + 2), dtype=np.complex128)
+    psi[0, 0, 1:-1] = state.a
+    psi[0, 1, 1:-1] = state.b
+    _coin_shift(psi, 1, n + 1, coin, np.empty((2, 1, 2, n), dtype=np.complex128))
+    return WalkerState(j_min=state.j_min - 1, a=psi[0, 0], b=psi[0, 1], t=state.t + 1)
 
 
 def coin_moments(state: WalkerState) -> CoinMoments:
@@ -162,6 +214,101 @@ def coin_moments(state: WalkerState) -> CoinMoments:
     )
 
 
+class Walk(NamedTuple):
+    """Cross sums of the walks of several initial spins of one profile.
+
+    For spin states i, k and the recorded time times[n]:
+        cross_a[i, k, n] = sum_j a_i(j) conj(a_k(j)),
+        cross_b[i, k, n] = sum_j a_i(j) conj(b_k(j)),
+    so cross_a[i, i] holds the moment A and cross_b[i, i] the moment B of
+    spin state i.  `final` holds every walker after the last step.
+    """
+
+    times: tuple[int, ...]
+    cross_a: NDArray[np.complex128]
+    cross_b: NDArray[np.complex128]
+    final: tuple[WalkerState, ...]
+
+    def records(self) -> list[EntanglementRecord]:
+        """Moments and entropy of the first spin state at every recorded time."""
+        out = []
+        for t, a, b in zip(self.times, self.cross_a[0, 0].real, self.cross_b[0, 0]):
+            m = CoinMoments(A=float(a), B=complex(b))
+            out.append(EntanglementRecord(t=t, moments=m, entropy=entropy_from_moments(m)))
+        return out
+
+
+def _recorded_times(steps: int, times) -> tuple[int, ...]:
+    if times is None:
+        return tuple(range(steps + 1))
+    if len(times) == 0 or any(int(t) != t or not 0 <= t <= steps for t in times):
+        raise DomainError(f"times must be integers in [0, {steps}], got {times!r}")
+    return tuple(sorted({int(t) for t in times}))
+
+
+def _record(psi, lo, hi, cross_a, cross_b, squares) -> None:
+    """Store the cross sums of the window [lo, hi) in cross_a, cross_b (states x states)."""
+    a = psi[:, 0, lo:hi]
+    b = psi[:, 1, lo:hi]
+    sq = squares[:, : hi - lo]
+    np.square(np.abs(a, out=sq), out=sq)
+    sums = np.add.reduce(sq, axis=-1)
+    for i, a_i in enumerate(a):
+        cross_a[i, i] = sums[i]
+        for k, b_k in enumerate(b):
+            cross_b[i, k] = np.vdot(b_k, a_i)
+        for k in range(i + 1, len(a)):
+            cross_a[i, k] = np.vdot(a[k], a_i)
+            cross_a[k, i] = np.conj(cross_a[i, k])
+
+
+def walk(
+    profile: InitialProfile,
+    spins,
+    coin: CoinOperator,
+    steps: int,
+    times=None,
+    max_sites: int | None = None,
+) -> Walk:
+    """Walk every spin state in `spins` from `profile` for `steps` steps.
+
+    The one walk loop of the package.  Cross sums are recorded at `times`
+    (every t in [0, steps] when None).  The final window, n0 + 2 * steps
+    sites, is checked against max_sites before the walk buffer is allocated.
+    """
+    if steps < 0:
+        raise DomainError(f"steps must be >= 0, got {steps}")
+    times = _recorded_times(steps, times)
+    initial = [build_initial(profile, spin) for spin in spins]
+    n0 = initial[0].n_sites
+    width = n0 + 2 * steps
+    _check_capacity(width, max_sites)
+
+    n_states = len(initial)
+    psi = np.zeros((n_states, 2, width), dtype=np.complex128)
+    for s, state in enumerate(initial):
+        psi[s, 0, steps : steps + n0] = state.a
+        psi[s, 1, steps : steps + n0] = state.b
+    scratch = np.empty((2, n_states, 2, width), dtype=np.complex128)
+    squares = np.empty((n_states, width))
+    cross_a = np.zeros((n_states, n_states, len(times)), dtype=np.complex128)
+    cross_b = np.zeros((n_states, n_states, len(times)), dtype=np.complex128)
+
+    k = 0
+    for t in range(steps + 1):
+        lo, hi = steps - t, steps + n0 + t
+        if k < len(times) and times[k] == t:
+            _record(psi, lo, hi, cross_a[..., k], cross_b[..., k], squares)
+            k += 1
+        if t < steps:
+            _coin_shift(psi, lo, hi, coin, scratch)
+
+    j_min = initial[0].j_min - steps
+    final = tuple(WalkerState(j_min=j_min, a=psi[s, 0], b=psi[s, 1], t=steps)
+                  for s in range(n_states))
+    return Walk(times=times, cross_a=cross_a, cross_b=cross_b, final=final)
+
+
 def evolve(
     profile: InitialProfile,
     spin: Spinor,
@@ -170,18 +317,7 @@ def evolve(
     max_sites: int | None = None,
 ) -> list[EntanglementRecord]:
     """Walk for `steps` steps, recording moments and entropy at every t."""
-    if steps < 0:
-        raise DomainError(f"steps must be >= 0, got {steps}")
-    state = build_initial(profile, spin)
-    if max_sites is None:
-        max_sites = max(DEFAULT_MAX_SITES, state.n_sites + 2 * steps + 2)
-    records = []
-    for _ in range(steps + 1):
-        m = coin_moments(state)
-        records.append(EntanglementRecord(t=state.t, moments=m, entropy=entropy_from_moments(m)))
-        if state.t < steps:
-            state = step(state, coin, max_sites=max_sites)
-    return records
+    return walk(profile, (spin,), coin, steps, max_sites=max_sites).records()
 
 
 def position_distribution(state: WalkerState) -> list[tuple[int, float]]:
@@ -192,29 +328,30 @@ def position_distribution(state: WalkerState) -> list[tuple[int, float]]:
     return [(int(jj), float(pp)) for jj, pp in zip(j[keep], p[keep])]
 
 
-@dataclass
+@dataclass(frozen=True)
 class BasisEvolution:
-    """Per-step cross moments of the two spin-basis evolutions of one profile.
+    """Cross moments of the two spin-basis evolutions of one profile.
 
     The walk is linear in the initial spin, so the state from spin (cu, cd) is
-    cu * (state from spin up) + cd * (state from spin down).  Storing the seven
-    quadratic cross sums per step lets the moments of every initial spin state
-    be recovered without re-simulating.
+    cu * (state from spin up) + cd * (state from spin down).  The seven
+    quadratic cross sums at each recorded time in `times` give the moments of
+    every initial spin state without re-simulating.
     """
 
     steps: int
-    auu: NDArray[np.float64] = field(repr=False, default=None)
-    add: NDArray[np.float64] = field(repr=False, default=None)
-    aud: NDArray[np.complex128] = field(repr=False, default=None)
-    buu: NDArray[np.complex128] = field(repr=False, default=None)
-    bud: NDArray[np.complex128] = field(repr=False, default=None)
-    bdu: NDArray[np.complex128] = field(repr=False, default=None)
-    bdd: NDArray[np.complex128] = field(repr=False, default=None)
+    times: tuple[int, ...]
+    auu: NDArray[np.float64] = field(repr=False)
+    add: NDArray[np.float64] = field(repr=False)
+    aud: NDArray[np.complex128] = field(repr=False)
+    buu: NDArray[np.complex128] = field(repr=False)
+    bud: NDArray[np.complex128] = field(repr=False)
+    bdu: NDArray[np.complex128] = field(repr=False)
+    bdd: NDArray[np.complex128] = field(repr=False)
 
     def moments_arrays(self, up, down):
         """Moments (A, B) for spin amplitudes `up`, `down` (scalars or arrays).
 
-        Broadcast shape is spin_shape + (steps + 1,); A is real, B complex.
+        Broadcast shape is spin_shape + (len(times),); A is real, B complex.
         """
         cu = np.asarray(up, dtype=np.complex128)[..., None]
         cd = np.asarray(down, dtype=np.complex128)[..., None]
@@ -231,31 +368,18 @@ def evolve_basis(
     coin: CoinOperator,
     steps: int,
     max_sites: int | None = None,
+    times=None,
 ) -> BasisEvolution:
     """Evolve the spin-up and spin-down basis states of a profile together.
 
-    Records the quadratic cross sums needed by BasisEvolution.moments_arrays.
+    Records the quadratic cross sums needed by BasisEvolution.moments_arrays
+    at `times` (every t in [0, steps] when None).
     """
-    if steps < 0:
-        raise DomainError(f"steps must be >= 0, got {steps}")
-    su = build_initial(profile, Spinor(1.0, 0.0))
-    sd = build_initial(profile, Spinor(0.0, 1.0))
-    if max_sites is None:
-        max_sites = max(DEFAULT_MAX_SITES, su.n_sites + 2 * steps + 2)
-    out = BasisEvolution(steps=steps)
-    out.auu = np.empty(steps + 1)
-    out.add = np.empty(steps + 1)
-    for name in ("aud", "buu", "bud", "bdu", "bdd"):
-        setattr(out, name, np.empty(steps + 1, dtype=np.complex128))
-    for i in range(steps + 1):
-        out.auu[i] = np.sum(np.abs(su.a) ** 2)
-        out.add[i] = np.sum(np.abs(sd.a) ** 2)
-        out.aud[i] = np.vdot(sd.a, su.a)
-        out.buu[i] = np.vdot(su.b, su.a)
-        out.bud[i] = np.vdot(sd.b, su.a)
-        out.bdu[i] = np.vdot(su.b, sd.a)
-        out.bdd[i] = np.vdot(sd.b, sd.a)
-        if i < steps:
-            su = step(su, coin, max_sites=max_sites)
-            sd = step(sd, coin, max_sites=max_sites)
-    return out
+    run = walk(profile, (Spinor(1.0, 0.0), Spinor(0.0, 1.0)), coin, steps,
+               times=times, max_sites=max_sites)
+    a, b = run.cross_a, run.cross_b
+    return BasisEvolution(
+        steps=steps, times=run.times,
+        auu=a[0, 0].real.copy(), add=a[1, 1].real.copy(), aud=a[0, 1],
+        buu=b[0, 0], bud=b[0, 1], bdu=b[1, 0], bdd=b[1, 1],
+    )

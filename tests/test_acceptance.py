@@ -38,7 +38,7 @@ from qwalklab import (
     step,
     sweep_asymptotic,
 )
-from qwalklab.kspace import DEFAULT_QUAD, LOCAL_F, _asymptotic_kernels
+from qwalklab.kspace import DEFAULT_QUAD, LOCAL_F, _asymptotic_kernels, moments_from_kernels
 
 SQRT2 = math.sqrt(2.0)
 RESULTS: list[str] = []
@@ -67,17 +67,13 @@ def _entropy_quad(coin, profile, alpha, beta):
 
 def _delta_grid(coin, profile, grid, beta_shift=0.0):
     """Characteristic function over a grid via the quadrature kernels."""
-    ka1, ka2, ka4, kb1, kb2, kb3, kb4 = _asymptotic_kernels(coin, profile, DEFAULT_QUAD)
+    kernels = _asymptotic_kernels(coin, profile, DEFAULT_QUAD)
     alphas = grid.alphas[:, None]
     betas = grid.betas[None, :] + beta_shift
     cu = np.cos(alphas / 2.0) * np.ones_like(betas) + 0j
     cd = np.exp(1j * betas) * np.sin(alphas / 2.0)
-    pu = np.abs(cu) ** 2
-    pd = np.abs(cd) ** 2
-    cross = cu * np.conj(cd)
-    a_bar = (ka1 * pu + ka4 * pd).real + 2.0 * np.real(ka2 * cross)
-    b_bar = kb1 * pu + kb4 * pd + kb2 * cross + kb3 * np.conj(cross)
-    return 4.0 * ((a_bar - 0.5) ** 2 + np.abs(b_bar) ** 2)
+    m = moments_from_kernels(kernels, cu, cd)
+    return 4.0 * ((m.A_bar - 0.5) ** 2 + np.abs(m.B_bar) ** 2)
 
 
 def test_criterion_01_local_hadamard_extrema():

@@ -68,13 +68,18 @@ class TestSweeps:
         assert np.max(np.abs(res.values)) < 1e-12
 
     def test_simulated_matches_single_evolution(self):
+        # linearity in the spin: one basis-pair walk recorded at t = steps
+        # gives every grid point's entropy of its own walk
         grid = grid_from_step(1.0)
         steps = 25
-        res = sweep_simulated("fourier", Rectangular(1), grid, steps)
-        i, j = 2, 3
-        spin = spin_from_angles(BlochAngles(float(grid.alphas[i]), float(grid.betas[j])))
-        recs = evolve(Rectangular(1), spin, fourier_coin(), steps)
-        assert res.values[i, j] == pytest.approx(recs[-1].entropy, abs=1e-12)
+        for coin, matrix in (("fourier", fourier_coin()), ("hadamard", hadamard_coin())):
+            for profile in (Rectangular(1), Gaussian(1.5), Local()):
+                res = sweep_simulated(coin, profile, grid, steps)
+                for i, alpha in enumerate(grid.alphas):
+                    for j, beta in enumerate(grid.betas):
+                        spin = spin_from_angles(BlochAngles(float(alpha), float(beta)))
+                        recs = evolve(profile, spin, matrix, steps)
+                        assert res.values[i, j] == pytest.approx(recs[-1].entropy, abs=1e-12)
 
     def test_deterministic_statistics(self):
         a = sweep_asymptotic("hadamard", Gaussian(1.0), grid_from_step(0.5))

@@ -54,6 +54,20 @@ class TestEvolve:
         assert code == 2
         assert "--sigma" in err
 
+    def test_window_capacity_is_a_numerical_error(self, tmp_path, capsys):
+        out = tmp_path / "cap.csv"
+        code, _, err = run(
+            ["evolve", "--max-window", "4", "--steps", "10", "--out", str(out)], capsys
+        )
+        assert code == 3
+        assert "numerical error:" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_threads_flag_removed(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["evolve", "--threads", "2", "--out", str(tmp_path / "t.csv")])
+        assert exc.value.code == 2
+
     def test_missing_out_rejected(self, capsys):
         code, _, _ = run(["evolve", "--steps", "5"], capsys)
         assert code == 2

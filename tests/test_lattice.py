@@ -1,7 +1,9 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies
 
 from qwalklab import (
     BlochAngles,
@@ -18,6 +20,7 @@ from qwalklab import (
     fourier_coin,
     hadamard_coin,
     position_distribution,
+    profile_weights,
     sigma_to_a,
     spin_from_angles,
     step,
@@ -40,6 +43,19 @@ class TestProfiles:
         with pytest.raises(DomainError):
             Rectangular(1.5)
         assert Rectangular(0).a == 0
+
+
+class TestGaussianSupport:
+    @settings(max_examples=60, deadline=None)
+    @given(strategies.floats(min_value=0.1, max_value=50.0))
+    def test_weights_span_exactly_the_nonzero_support(self, sigma0):
+        j_min, w = profile_weights(Gaussian(sigma0))
+        assert w[0] > 0.0 and w[-1] > 0.0
+        # the next site out on each side: its unnormalised weight, scaled by
+        # the peak weight 1/norm, underflows to 0
+        j_out = np.array([j_min - 1, j_min + w.size], dtype=float)
+        assert np.all(np.exp(-(j_out**2) / (4.0 * sigma0**2)) * w.max() == 0.0)
+        assert abs(math.fsum(w**2) - 1.0) <= 1e-15
 
 
 class TestSigmaToA:
@@ -119,6 +135,16 @@ class TestStep:
         st = build_initial(Local(), UP)
         with pytest.raises(CapacityError):
             step(st, hadamard_coin(), max_sites=4)
+
+    @pytest.mark.parametrize("coin", [hadamard_coin(), fourier_coin()])
+    def test_step_chain_matches_walk_bit_for_bit(self, coin):
+        spin = spin_from_angles(BlochAngles(1.3, -0.4))
+        st = build_initial(Rectangular(2), spin)
+        moments = [coin_moments(st)]
+        for _ in range(30):
+            st = step(st, coin)
+            moments.append(coin_moments(st))
+        assert [r.moments for r in evolve(Rectangular(2), spin, coin, 30)] == moments
 
 
 class TestEvolve:
@@ -200,6 +226,35 @@ class TestBasisEvolution:
         for t, rec in enumerate(recs):
             assert a_vals[t] == pytest.approx(rec.moments.A, abs=1e-12)
             assert b_vals[t] == pytest.approx(rec.moments.B, abs=1e-12)
+
+    @pytest.mark.parametrize("coin", [hadamard_coin(), fourier_coin()])
+    @pytest.mark.parametrize("profile", [Local(), Rectangular(3), Gaussian(1.5)])
+    def test_recorded_times_match_the_all_times_run(self, profile, coin):
+        steps = 40
+        full = evolve_basis(profile, coin, steps)
+        for times in ([steps], [0, 7, steps]):
+            part = evolve_basis(profile, coin, steps, times=times)
+            assert part.times == tuple(times)
+            for name in ("auu", "add", "aud", "buu", "bud", "bdu", "bdd"):
+                assert getattr(part, name).tobytes() == getattr(full, name)[times].tobytes()
+
+    def test_rejects_times_outside_the_walk(self):
+        for times in ([], [-1], [11], [2.5]):
+            with pytest.raises(DomainError):
+                evolve_basis(Local(), hadamard_coin(), 10, times=times)
+
+    def test_capacity_checked_before_walking(self):
+        # Local: 3 sites with the guard band, 23 after 10 steps
+        with pytest.raises(CapacityError):
+            evolve_basis(Local(), hadamard_coin(), 10, max_sites=22)
+        with pytest.raises(CapacityError):
+            evolve(Local(), UP, hadamard_coin(), 10, max_sites=22)
+        assert len(evolve(Local(), UP, hadamard_coin(), 10, max_sites=23)) == 11
+
+    def test_is_frozen(self):
+        basis = evolve_basis(Local(), hadamard_coin(), 3)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            basis.auu = None
 
     def test_broadcasts_over_spin_grids(self):
         basis = evolve_basis(Local(), fourier_coin(), 5)
