@@ -78,6 +78,41 @@ _DEFAULTS = {
 }
 
 
+#: Numeric configuration keys and their types.  A config file may hold any
+#: JSON value, so effective_config converts these once, for every command.
+_NUMERIC = {
+    "sigma": float,
+    "a": int,
+    "alpha": float,
+    "beta": float,
+    "steps": int,
+    "grid_step": float,
+    "quad_points": int,
+    "quad_tol": float,
+    "max_window": int,
+}
+
+
+def _number(key: str, kind, value):
+    """`value` as a `kind` (int or float), or ConfigError naming `key`.
+
+    Booleans, infinities, NaN and, for an int key, floats with a fractional
+    part are rejected rather than silently converted."""
+    try:
+        number = kind(value)
+    except (TypeError, ValueError, OverflowError):
+        number = None
+    if (
+        number is None
+        or isinstance(value, bool)
+        or not math.isfinite(number)
+        or (isinstance(value, float) and number != value)
+    ):
+        expected = "an integer" if kind is int else "a finite number"
+        raise ConfigError(f"{key}: expected {expected}, got {value!r}")
+    return number
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qwalk",
@@ -136,6 +171,10 @@ def effective_config(args: argparse.Namespace) -> dict:
         value = getattr(args, key, None)
         if value is not None:
             cfg[key] = value
+    for key, kind in _NUMERIC.items():
+        # max_window alone has no default: absent or null means the library's
+        if key in _DEFAULTS or cfg.get(key) is not None:
+            cfg[key] = _number(key, kind, cfg.get(key))
     cfg["command"] = args.command
     if cfg.get("degrees"):
         cfg["alpha"] = math.radians(cfg["alpha"])
@@ -146,8 +185,8 @@ def effective_config(args: argparse.Namespace) -> dict:
 def _quad_spec(cfg: dict) -> QuadratureSpec:
     try:
         return QuadratureSpec(
-            initial_points=int(cfg["quad_points"]),
-            rel_tolerance=float(cfg["quad_tol"]),
+            initial_points=cfg["quad_points"],
+            rel_tolerance=cfg["quad_tol"],
         )
     except DomainError as exc:
         raise ConfigError(f"--quad-points/--quad-tol: {exc}")
@@ -159,9 +198,9 @@ def _profile(cfg: dict):
         if kind == "local":
             return Local()
         if kind == "gaussian":
-            return Gaussian(float(cfg["sigma"]))
+            return Gaussian(cfg["sigma"])
         if kind == "rect":
-            return Rectangular(int(cfg["a"]))
+            return Rectangular(cfg["a"])
     except DomainError as exc:
         flag = "--sigma" if kind == "gaussian" else "--a"
         raise ConfigError(f"{flag}: {exc}")
@@ -170,7 +209,7 @@ def _profile(cfg: dict):
 
 def _angles(cfg: dict) -> BlochAngles:
     try:
-        return BlochAngles(float(cfg["alpha"]), float(cfg["beta"]))
+        return BlochAngles(cfg["alpha"], cfg["beta"])
     except DomainError as exc:
         raise ConfigError(f"--alpha/--beta: {exc}")
 
@@ -184,7 +223,7 @@ def _write_text(path: str | None, text: str) -> None:
 
 
 def cmd_evolve(cfg: dict) -> int:
-    steps = int(cfg["steps"])
+    steps = cfg["steps"]
     if steps < 0:
         raise ConfigError(f"--steps must be >= 0, got {steps}")
     if not cfg.get("out"):
@@ -192,9 +231,7 @@ def cmd_evolve(cfg: dict) -> int:
     coin = hadamard_coin() if cfg["coin"] == "hadamard" else fourier_coin()
     profile = _profile(cfg)
     spin = spin_from_angles(_angles(cfg))
-    max_window = cfg.get("max_window")
-    run = walk(profile, (spin,), coin, steps,
-               max_sites=None if max_window is None else int(max_window))
+    run = walk(profile, (spin,), coin, steps, max_sites=cfg.get("max_window"))
     lines = ["t,A,B_re,B_im,entropy"] + [
         f"{r.t},{_fmt(r.moments.A)},{_fmt(r.moments.B.real)},"
         f"{_fmt(r.moments.B.imag)},{_fmt(r.entropy)}"
@@ -243,7 +280,7 @@ def cmd_asymptotic(cfg: dict) -> int:
 
 def _grid(cfg: dict) -> analysis.SweepGrid:
     try:
-        return analysis.grid_from_step(float(cfg["grid_step"]))
+        return analysis.grid_from_step(cfg["grid_step"])
     except DomainError as exc:
         raise ConfigError(f"--grid-step: {exc}")
 
@@ -269,7 +306,7 @@ def cmd_sweep(cfg: dict) -> int:
     else:
         if cfg["steps"] < 0:
             raise ConfigError(f"--steps must be >= 0, got {cfg['steps']}")
-        result = analysis.sweep_simulated(cfg["coin"], profile, grid, int(cfg["steps"]))
+        result = analysis.sweep_simulated(cfg["coin"], profile, grid, cfg["steps"])
     _write_text(cfg.get("out"), _sweep_csv(result))
     return 0
 
@@ -284,7 +321,7 @@ def cmd_compare(cfg: dict) -> int:
     if cfg["steps"] < 1:
         raise ConfigError(f"--steps must be >= 1, got {cfg['steps']}")
     reports = analysis.compare(
-        cfg["coin"], cfg["profile"], sigmas, _grid(cfg), int(cfg["steps"]),
+        cfg["coin"], cfg["profile"], sigmas, _grid(cfg), cfg["steps"],
         _quad_spec(cfg),
     )
     lines = ["sigma0,mean_sim,mean_asym,delta_pct"]

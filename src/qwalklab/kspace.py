@@ -1,8 +1,17 @@
 """Momentum-space engine: k-amplitudes, coin spectra, and asymptotic moments.
 
 All integrals are over k in [-pi, pi] with measure dk/2pi, evaluated by a
-uniform trapezoidal rule on the periodic interval (spectrally accurate for the
-smooth periodic integrands here) with node doubling until convergence.
+uniform trapezoidal rule on the periodic interval with node doubling until
+convergence.
+
+Every initial profile enters only through its lattice weights w_j
+(`lattice.profile_weights`): the k-space amplitudes are g(k) * spin with the
+envelope g(k) = sum_j w_j e^{-ikj}, the exact discrete-time Fourier transform
+of the state the lattice walk starts from.  g is a trigonometric polynomial,
+and the periodic trapezoid rule integrates trigonometric polynomials of degree
+below the node count exactly (Trefethen & Weideman, SIAM Rev. 56 (2014)), so
+the quadrature error comes from the smooth coin spectrum alone and the two
+engines agree for every profile.
 
 The time-averaged asymptotic moments are obtained by spectral projection: with
 c_pm = <Phi_pm_k | Phi_k(0)>, the oscillatory cross terms average to zero and
@@ -34,7 +43,7 @@ from .core import (
     hadamard_coin,
 )
 from .errors import ConvergenceError, DomainError, NumericalError
-from .lattice import Gaussian, InitialProfile, Local, Rectangular
+from .lattice import InitialProfile, profile_weights
 
 SQRT2 = math.sqrt(2.0)
 
@@ -131,48 +140,28 @@ def quadrature(integrand, spec: QuadratureSpec = DEFAULT_QUAD) -> complex:
 # ---------------------------------------------------------------------------
 
 
-def _profile_key(profile: InitialProfile):
-    if isinstance(profile, Local):
-        return ("local",)
-    if isinstance(profile, Gaussian):
-        return ("gauss", float(profile.sigma0))
-    if isinstance(profile, Rectangular):
-        return ("rect", profile.a)
-    raise DomainError(f"unknown profile {profile!r}")
+def profile_envelope(profile: InitialProfile, k) -> NDArray[np.complex128]:
+    """Envelope g(k) = sum_j w_j e^{-ikj}, with (a_k, b_k) = g(k) * (spin up, spin down).
 
-
-def dirichlet_envelope(k, a) -> NDArray[np.float64]:
-    """Normalized Dirichlet kernel sin((2a+1)k/2) / sin(k/2) / sqrt(2a+1).
-
-    The removable singularity at k = 0 is replaced by its limit sqrt(2a+1).
-    Accepts a non-integer half-width a for formula evaluation.
+    w_j are the lattice weights of `lattice.profile_weights`, so g is the exact
+    discrete-time Fourier transform of the state the lattice walk starts from:
+    a trigonometric polynomial, for every profile alike.  Evaluated here as the
+    direct sum at any k; the quadratures evaluate it on their nodes by FFT.
     """
-    k = np.asarray(k, dtype=float)
-    m = 2.0 * a + 1.0
-    den = np.sin(k / 2.0)
-    small = np.abs(k) < 1e-8
-    num = np.sin(m * k / 2.0)
-    out = np.where(small, m, num / np.where(small, 1.0, den))
-    return out / math.sqrt(m)
+    j_min, w = profile_weights(profile)
+    j = np.arange(j_min, j_min + w.shape[0])
+    return np.exp(-1j * np.multiply.outer(np.asarray(k, dtype=float), j)) @ w
 
 
-def profile_envelope(profile: InitialProfile, k) -> NDArray[np.float64]:
-    """Real scalar envelope g(k) with (a_k, b_k) = g(k) * (spin up, spin down).
+def _node_envelope(j_min: int, w: NDArray[np.float64], n: int) -> NDArray[np.complex128]:
+    """g at the n quadrature nodes k_m = -pi + 2 pi m / n, by one FFT.
 
-    Gaussian profiles use the continuum-integral closed form with the Erf
-    renormalization applied for all sigma0 (the factor is 1 to within 1e-9 for
-    sigma0 >= 1, so a single code path serves the whole range).
+    g(k_m) = sum_j (-1)^j w_j e^{-2 pi i m j / n}.  The exponential has period
+    n in j, so wrapping the signed weights modulo n is exact for any support.
     """
-    k = np.asarray(k, dtype=float)
-    if isinstance(profile, Local):
-        return np.ones_like(k)
-    if isinstance(profile, Gaussian):
-        s = profile.sigma0
-        norm = (8.0 * math.pi * s**2) ** 0.25 / math.sqrt(math.erf(SQRT2 * math.pi * s))
-        return norm * np.exp(-(k**2) * s**2)
-    if isinstance(profile, Rectangular):
-        return dirichlet_envelope(k, profile.a)
-    raise DomainError(f"unknown profile {profile!r}")
+    j = np.arange(j_min, j_min + w.shape[0])
+    signed = np.where(j % 2 == 0, w, -w)
+    return np.fft.fft(np.bincount(j % n, weights=signed, minlength=n))
 
 
 @dataclass(frozen=True)
@@ -182,7 +171,7 @@ class KAmplitudes:
     profile: InitialProfile
     spin: Spinor
 
-    def envelope(self, k) -> NDArray[np.float64]:
+    def envelope(self, k) -> NDArray[np.complex128]:
         return profile_envelope(self.profile, k)
 
     def __call__(self, k):
@@ -195,17 +184,6 @@ def k_amplitudes(profile: InitialProfile, spin: Spinor) -> KAmplitudes:
     if not spin.is_normalized():
         raise DomainError(f"spin must be normalized, |spin|^2 = {spin.norm_sq()}")
     return KAmplitudes(profile=profile, spin=spin)
-
-
-def _profile_initial_points(profile: InitialProfile, spec: QuadratureSpec) -> int:
-    """Starting node count; rectangular integrands oscillate with period
-    ~2pi/(2a+1), so resolve them from the first pass."""
-    n = spec.initial_points
-    if isinstance(profile, Rectangular):
-        need = 128 * (2 * profile.a + 1)
-        while n < need and n < spec.max_points:
-            n *= 2
-    return n
 
 
 # ---------------------------------------------------------------------------
@@ -318,12 +296,14 @@ def evolve_k_moments(
     """
     if t < 0:
         raise DomainError(f"t must be >= 0, got {t}")
+    if not spin.is_normalized():
+        raise DomainError(f"spin must be normalized, |spin|^2 = {spin.norm_sq()}")
     tag = coin_tag(coin)
-    amps = k_amplitudes(profile, spin)
+    j_min, w = profile_weights(profile)
 
     def evaluate(k):
         evals, evecs = _spectrum_cached(tag, k.shape[0])
-        g = amps.envelope(k)
+        g = _node_envelope(j_min, w, k.shape[0])
         up = evecs[:, 0, :]
         dn = evecs[:, 1, :]
         c = g[:, None] * (np.conj(up) * spin.up + np.conj(dn) * spin.down)
@@ -333,7 +313,7 @@ def evolve_k_moments(
         return np.stack([np.abs(a_t) ** 2 + 0j, a_t * np.conj(b_t)])
 
     # resolve the e^{+-i omega t} oscillations from the first pass
-    n0 = _profile_initial_points(profile, quad)
+    n0 = quad.initial_points
     while n0 < min(8 * (t + 1), quad.max_points):
         n0 *= 2
     a_val, b_val = _adaptive_means(evaluate, quad, n_start=n0)
@@ -350,14 +330,15 @@ def _asymptotic_kernels(tag: str, profile: InitialProfile, quad: QuadratureSpec)
         A_bar = ka1 |cu|^2 + ka4 |cd|^2 + 2 Re(ka2 cu cd*)
         B_bar = kb1 |cu|^2 + kb4 |cd|^2 + kb2 cu cd* + kb3 cu* cd
     """
-    key = (tag, _profile_key(profile), quad)
+    key = (tag, profile, quad)
     hit = _KERNEL_CACHE.get(key)
     if hit is not None:
         return hit
+    j_min, w = profile_weights(profile)
 
     def evaluate(k):
         evals, evecs = _spectrum_cached(tag, k.shape[0])
-        w = profile_envelope(profile, k) ** 2
+        g2 = np.abs(_node_envelope(j_min, w, k.shape[0])) ** 2
         up = evecs[:, 0, :]
         dn = evecs[:, 1, :]
         pu = np.abs(up) ** 2
@@ -373,9 +354,9 @@ def _asymptotic_kernels(tag: str, profile: InitialProfile, quad: QuadratureSpec)
             np.sum(nb * nb, axis=-1),
             np.sum(pd * nb, axis=-1),
         ]
-        return w * np.stack(rows)
+        return g2 * np.stack(rows)
 
-    vals = tuple(_adaptive_means(evaluate, quad, _profile_initial_points(profile, quad)))
+    vals = tuple(_adaptive_means(evaluate, quad))
     _KERNEL_CACHE[key] = vals
     return vals
 

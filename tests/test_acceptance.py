@@ -276,11 +276,12 @@ def test_criterion_08_f_interpolation_limits():
         "arctan interpolation of f matches local limit and extraction",
         checks,
         note=(
-            f"{UNSETTLED}. The extracted f is exact: the lattice gives "
-            "f(0.75) = 0.054271, and the exact lattice (DTFT) envelope in place of "
-            "the continuum one changes f(0.75) by 1.2e-7. The arctan fit misses "
+            f"{UNSETTLED}. The extracted f is exact: k-space integrates the exact "
+            "DTFT of the lattice weights, and the lattice gives f(0.75) = 0.054271. "
+            "The continuum envelope gave f(0.75) = 0.0542706 and f(0.5) = 0.08726; "
+            "the exact one gives 0.0542705 and 0.08714. The arctan fit misses "
             "only at sigma0 = 0.75 (0.06443 vs 0.05427); at 0.5 and 1.0 it is "
-            "within 2.0% and 0.7%."
+            "within 2.2% and 0.7%."
         ),
     )
 

@@ -224,6 +224,38 @@ class TestConfigHandling:
         code, _, _ = run(["asymptotic", "--config", str(cfg)], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "key",
+        ["sigma", "a", "alpha", "beta", "steps", "grid_step", "quad_points",
+         "quad_tol", "max_window"],
+    )
+    def test_non_numeric_config_value_is_a_config_error(self, key, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: "abc"}))
+        out = tmp_path / "run.csv"
+        code, _, err = run(["evolve", "--config", str(cfg), "--out", str(out)], capsys)
+        assert code == 2
+        assert f"error: {key}:" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--profile", "gaussian", "--sigma", "inf"],
+         ["--profile", "gaussian", "--sigma", "nan"],
+         ["--beta", "inf"]],
+    )
+    def test_non_finite_value_is_a_config_error(self, argv, capsys):
+        code, out, err = run(["asymptotic", *argv], capsys)
+        assert code == 2 and out == ""
+        assert "error:" in err and "Traceback" not in err
+
+    def test_fractional_integer_config_value_is_a_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"profile": "rect", "a": 1.5}))
+        code, out, err = run(["asymptotic", "--config", str(cfg)], capsys)
+        assert code == 2 and out == ""
+        assert "error: a:" in err
+
     def test_degrees_flag_converts(self, capsys):
         _, out_deg, _ = run(
             ["asymptotic", "--alpha", "135", "--beta", "0", "--degrees"], capsys

@@ -1,8 +1,10 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies
 
 from qwalklab import (
     AsymptoticMoments,
@@ -30,7 +32,16 @@ from qwalklab import (
     quadrature,
     spin_from_angles,
 )
-from qwalklab.kspace import LOCAL_F, dirichlet_envelope, profile_envelope
+from qwalklab.core import fourier_coin, hadamard_coin
+from qwalklab.kspace import (
+    DEFAULT_QUAD,
+    LOCAL_F,
+    _asymptotic_kernels,
+    _node_envelope,
+    _nodes,
+    profile_envelope,
+)
+from qwalklab.lattice import profile_weights, walk
 
 SQRT2 = math.sqrt(2.0)
 UP = Spinor(1.0, 0.0)
@@ -66,8 +77,9 @@ class TestKAmplitudes:
     def test_gaussian_peak_value(self):
         amps = k_amplitudes(Gaussian(1.0), UP)
         a, _ = amps(np.array([0.0]))
-        expected = (8 * math.pi) ** 0.25 / math.sqrt(math.erf(SQRT2 * math.pi))
-        assert a[0] == pytest.approx(expected, rel=1e-12)
+        # g(0) is the sum of the lattice weights; the continuum transform
+        # (8 pi)^(1/4) differs from it by 2.8e-9 relative (Poisson summation)
+        assert a[0] == pytest.approx(2.2390302638504442, abs=1e-14)
         assert a[0] == pytest.approx(2.2392, abs=1e-3)
 
     def test_rectangular_zero_width_is_local(self):
@@ -92,7 +104,7 @@ class TestKAmplitudes:
             k = float(rng.uniform(-math.pi, math.pi))
             direct = sum(cmath.exp(-1j * k * j) for j in range(-a, a + 1))
             direct = direct.real / math.sqrt(2 * a + 1)
-            assert dirichlet_envelope(k, a) == pytest.approx(direct, abs=1e-12)
+            assert profile_envelope(Rectangular(a), k) == pytest.approx(direct, abs=1e-12)
 
     def test_rejects_unnormalized_spin(self):
         with pytest.raises(DomainError):
@@ -173,6 +185,75 @@ class TestEvolveKMoments:
     def test_rejects_negative_time(self):
         with pytest.raises(DomainError):
             evolve_k_moments(Local(), UP, "hadamard", -1)
+
+
+class TestExactEnvelope:
+    """The k-space engine is exact for the lattice walk's own initial state."""
+
+    @pytest.mark.parametrize("coin", ["hadamard", "fourier"])
+    @pytest.mark.parametrize(
+        "profile",
+        [Gaussian(0.3), Gaussian(0.5), Gaussian(0.75), Rectangular(17)],
+        ids=str,
+    )
+    def test_lattice_oracle_below_unit_dispersion(self, profile, coin):
+        times = (0, 1, 64, 1000)
+        spin = spin_from_angles(BlochAngles(0.7, 1.1))
+        coin_op = hadamard_coin() if coin == "hadamard" else fourier_coin()
+        run = walk(profile, (spin,), coin_op, 1000, times=times)
+        for n, t in enumerate(times):
+            mk = evolve_k_moments(profile, spin, coin, t)
+            assert abs(mk.A - run.cross_a[0, 0, n].real) <= 1e-10
+            assert abs(mk.B - run.cross_b[0, 0, n]) <= 1e-10
+
+    @pytest.mark.parametrize("n", [1024, 2048])
+    @pytest.mark.parametrize(
+        "profile", [Local(), Gaussian(0.5), Gaussian(10.0), Rectangular(17)], ids=str
+    )
+    def test_node_fft_matches_direct_sum(self, profile, n):
+        j_min, w = profile_weights(profile)
+        fft = _node_envelope(j_min, w, n)
+        direct = profile_envelope(profile, _nodes(n))
+        assert np.max(np.abs(fft - direct)) <= 1e-13
+
+    def test_kernel_against_mpmath(self):
+        # ka1 = int dk/2pi |g|^2 sum_pm |<up|Phi_pm>|^4, integrated by mpmath
+        # at 30 digits with mpmath's own eigenvectors
+        j_min, w = profile_weights(Gaussian(0.5))
+        terms = [(j_min + i, mpmath.mpf(float(x))) for i, x in enumerate(w)]
+        c = [[mpmath.mpf(float(x.real)) for x in row] for row in hadamard_coin()]
+
+        def integrand(k):
+            g = mpmath.fsum(x * mpmath.expj(-k * j) for j, x in terms)
+            e = mpmath.expj(-k)
+            u = mpmath.matrix([[e * c[0][0], e * c[0][1]], [c[1][0] / e, c[1][1] / e]])
+            _, vecs = mpmath.eig(u)
+            total = 0
+            for col in range(2):
+                up, dn = abs(vecs[0, col]) ** 2, abs(vecs[1, col]) ** 2
+                total += (up / (up + dn)) ** 2
+            return abs(g) ** 2 * total
+
+        with mpmath.workdps(30):
+            exact = mpmath.quad(integrand, [-mpmath.pi, mpmath.pi]) / (2 * mpmath.pi)
+        ka1 = _asymptotic_kernels("hadamard", Gaussian(0.5), DEFAULT_QUAD)[0]
+        assert abs(ka1 - float(exact)) <= 1e-13
+
+
+class TestPhysicalBounds:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        strategies.floats(min_value=0.2, max_value=20.0),
+        strategies.floats(min_value=0.0, max_value=math.pi),
+        strategies.floats(min_value=-math.pi, max_value=math.pi),
+        strategies.sampled_from(["hadamard", "fourier"]),
+    )
+    def test_asymptotic_moments_are_a_density_matrix(self, sigma0, alpha, beta, coin):
+        profile = Gaussian(sigma0)
+        m = asymptotic_moments(profile, spin_from_angles(BlochAngles(alpha, beta)), coin)
+        assert 0.0 <= m.A_bar <= 1.0
+        assert abs(m.B_bar) ** 2 <= m.A_bar * (1.0 - m.A_bar) + 1e-12
+        assert 0.0 <= extract_f(coin, profile).f <= 0.25
 
 
 class TestAsymptoticMoments:
