@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .core import binary_entropy
+from .core import CoinMoments, binary_entropy, entropy_from_moments, spin_moments
 from .errors import DomainError, FitError
 from .kspace import (
     DEFAULT_QUAD,
@@ -22,7 +22,6 @@ from .kspace import (
     _asymptotic_kernels,
     _coin_matrix,
     coin_tag,
-    moments_from_kernels,
 )
 from .lattice import Gaussian, InitialProfile, Rectangular, evolve_basis, sigma_to_a
 
@@ -105,15 +104,6 @@ def _spin_amplitude_grid(grid: SweepGrid):
     return cu.astype(np.complex128), cd
 
 
-def _entropy_from_ab(a_vals, b_vals):
-    """Vectorized entropy from moment arrays A (real) and B (complex)."""
-    disc = (np.real(a_vals) - 0.5) ** 2 + np.abs(b_vals) ** 2
-    lam = 0.5 + np.sqrt(disc)
-    if np.max(lam) > 1.0 + 1e-9:
-        raise DomainError(f"inconsistent moments: lambda_plus up to {np.max(lam)}")
-    return binary_entropy(np.minimum(lam, 1.0))
-
-
 def sweep_asymptotic(
     coin,
     profile: InitialProfile,
@@ -122,8 +112,8 @@ def sweep_asymptotic(
 ) -> SweepResult:
     """Asymptotic entropy at every grid point via the k-space kernels."""
     kernels = _asymptotic_kernels(coin_tag(coin), profile, quad)
-    moments = moments_from_kernels(kernels, *_spin_amplitude_grid(grid))
-    return _finalize_sweep(grid, _entropy_from_ab(moments.A_bar, moments.B_bar))
+    a_vals, b_vals = spin_moments(kernels, *_spin_amplitude_grid(grid))
+    return _finalize_sweep(grid, entropy_from_moments(CoinMoments(a_vals, b_vals)))
 
 
 def sweep_simulated(
@@ -143,7 +133,8 @@ def sweep_simulated(
     basis = evolve_basis(profile, _coin_matrix(coin_tag(coin)), steps, times=[steps])
     cu, cd = _spin_amplitude_grid(grid)
     a_vals, b_vals = basis.moments_arrays(cu, cd)
-    return _finalize_sweep(grid, _entropy_from_ab(a_vals[..., 0], b_vals[..., 0]))
+    moments = CoinMoments(a_vals[..., 0], b_vals[..., 0])
+    return _finalize_sweep(grid, entropy_from_moments(moments))
 
 
 def average_trace(
@@ -158,7 +149,7 @@ def average_trace(
     basis = evolve_basis(profile, _coin_matrix(coin_tag(coin)), steps)
     cu, cd = _spin_amplitude_grid(grid)
     a_vals, b_vals = basis.moments_arrays(cu, cd)
-    entropies = _entropy_from_ab(a_vals, b_vals)  # (na, nb, steps+1)
+    entropies = entropy_from_moments(CoinMoments(a_vals, b_vals))  # (na, nb, steps+1)
     means = entropies.reshape(-1, steps + 1).mean(axis=0)
     return [(t, float(means[t])) for t in range(steps + 1)]
 

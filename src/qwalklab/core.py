@@ -67,8 +67,9 @@ CoinOperator = NDArray[np.complex128]
 class CoinMoments:
     """The two moments (A, B) that determine the reduced coin state.
 
-    Physical moments satisfy 0 <= A <= 1 and |B|^2 <= A(1-A) (positivity and
-    trace-1 of the reduced density operator).
+    Scalars for one state, or arrays over many states or times.  Physical
+    moments satisfy 0 <= A <= 1 and |B|^2 <= A(1-A) (positivity and trace-1 of
+    the reduced density operator).
     """
 
     A: float
@@ -114,23 +115,45 @@ def binary_entropy(lam):
     return h
 
 
-def entropy_from_moments(m: CoinMoments) -> float:
+def spin_moments(sums, up, down):
+    """Moments (A, B) of the initial spin (up, down) from the seven basis sums.
+
+    The walk is linear in the initial spin, so the moments are a quadratic form
+    in its amplitudes.  `sums` = (auu, aud, add, buu, bud, bdu, bdd) are the
+    cross sums of the walks from spin up (u) and spin down (d): with a_s, b_s
+    the up and down amplitudes of the walk from spin s, a_sr = sum_j a_s a_r*
+    and b_sr = sum_j a_s b_r*.  They may be taken at one time, at several (a
+    trailing time axis), or averaged over time:
+        A = auu |up|^2 + add |down|^2 + 2 Re(aud up down*)
+        B = buu |up|^2 + bdd |down|^2 + bud up down* + bdu up* down
+    Scalars give scalars; arrays broadcast against each other and the sums.
+    """
+    auu, aud, add, buu, bud, bdu, bdd = sums
+    # builtin abs: on a Python complex np.abs can differ in the last bit
+    pu = abs(up) ** 2
+    pd = abs(down) ** 2
+    cross = up * np.conj(down)
+    a = (auu * pu + add * pd).real + 2.0 * (aud * cross).real
+    b = buu * pu + bdd * pd + bud * cross + bdu * np.conj(cross)
+    return a, b
+
+
+def entropy_from_moments(m: CoinMoments):
     """Entanglement entropy of the reduced coin state with moments (A, B).
 
-    The eigenvalues lambda_pm = 1/2 +- sqrt((A - 1/2)^2 + |B|^2) are clamped
-    to [0, 1]; a pre-clamp violation above CLAMP_TOL (inconsistent moments,
-    i.e. |B|^2 exceeding A(1-A)) raises DomainError.
+    A and B may be scalars (a float is returned) or arrays (an array is).  The
+    eigenvalues lambda_pm = 1/2 +- sqrt((A - 1/2)^2 + |B|^2) are clamped to
+    [0, 1]; a pre-clamp violation above CLAMP_TOL (inconsistent moments, i.e.
+    |B|^2 exceeding A(1-A)) raises DomainError.
     """
-    a = float(m.A)
-    disc = (a - 0.5) ** 2 + abs(m.B) ** 2
-    root = math.sqrt(disc)
-    lam_plus = 0.5 + root
-    if lam_plus > 1.0 + CLAMP_TOL or a < -CLAMP_TOL or a > 1.0 + CLAMP_TOL:
+    a = np.real(m.A)
+    lam_plus = 0.5 + np.sqrt((a - 0.5) ** 2 + np.abs(m.B) ** 2)
+    if np.any((lam_plus > 1.0 + CLAMP_TOL) | (a < -CLAMP_TOL) | (a > 1.0 + CLAMP_TOL)):
         raise DomainError(
-            f"inconsistent coin moments: A={a}, |B|={abs(m.B)} "
-            f"(lambda_plus={lam_plus})"
+            f"inconsistent coin moments: A in [{np.min(a)}, {np.max(a)}], "
+            f"lambda_plus up to {np.max(lam_plus)}"
         )
-    return binary_entropy(min(lam_plus, 1.0))
+    return binary_entropy(np.minimum(lam_plus, 1.0))
 
 
 def entropy_from_delta(delta: float) -> float:

@@ -1,4 +1,4 @@
-"""Momentum-space engine: k-amplitudes, coin spectra, and asymptotic moments.
+"""Momentum-space engine: coin spectra, basis sums, and asymptotic moments.
 
 All integrals are over k in [-pi, pi] with measure dk/2pi, evaluated by a
 uniform trapezoidal rule on the periodic interval with node doubling until
@@ -7,21 +7,24 @@ convergence.
 Every initial profile enters only through its lattice weights w_j
 (`lattice.profile_weights`): the k-space amplitudes are g(k) * spin with the
 envelope g(k) = sum_j w_j e^{-ikj}, the exact discrete-time Fourier transform
-of the state the lattice walk starts from.  g is a trigonometric polynomial,
-and the periodic trapezoid rule integrates trigonometric polynomials of degree
-below the node count exactly (Trefethen & Weideman, SIAM Rev. 56 (2014)), so
-the quadrature error comes from the smooth coin spectrum alone and the two
-engines agree for every profile.
+of the state the lattice walk starts from.
 
-The time-averaged asymptotic moments are obtained by spectral projection: with
-c_pm = <Phi_pm_k | Phi_k(0)>, the oscillatory cross terms average to zero and
+The walk is linear in the initial spin, so the moments A, B of every spin are
+one quadratic form (`core.spin_moments`) in its amplitudes, with seven
+coefficients: the basis sums auu, aud, add, buu, bud, bdu, bdd of the walks
+from spin up and spin down.  `_basis_sums` is the one integrand.  With the
+eigenpairs (lambda_pm, Phi_pm) of the k-space step operator U_k, each sum is
+the integral of |g|^2 times a product of two entries of
+U_k^t = sum_pm lambda_pm^t |Phi_pm><Phi_pm|.
 
-    A_bar = int dk/2pi sum_pm |c_pm|^2 |Phi_pm_up|^2,
-    B_bar = int dk/2pi sum_pm |c_pm|^2 Phi_pm_up conj(Phi_pm_down).
-
-Both integrands are quadratic forms in the initial spin amplitudes, so the
-spin-independent kernel integrals are computed once per (coin, profile) and
-reused across Bloch-sphere sweeps.
+At time t that integrand is a trigonometric polynomial of degree below
+L + 2t, L = len(w), and the periodic trapezoid rule is exact for it at more
+than L + 2t nodes (Trefethen & Weideman, SIAM Rev. 56 (2014)); the quadrature
+starts there, and one doubling confirms it.  The time averages
+(`_asymptotic_kernels`) drop the oscillating cross terms between the two
+branches, so each product is taken within one branch; that integrand is smooth
+but not a polynomial and converges by doubling.  They are computed once per
+(coin, profile) and reused across Bloch-sphere sweeps.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ from .core import (
     entropy_from_delta,
     fourier_coin,
     hadamard_coin,
+    spin_moments,
 )
 from .errors import ConvergenceError, DomainError, NumericalError
 from .lattice import InitialProfile, profile_weights
@@ -164,28 +168,6 @@ def _node_envelope(j_min: int, w: NDArray[np.float64], n: int) -> NDArray[np.com
     return np.fft.fft(np.bincount(j % n, weights=signed, minlength=n))
 
 
-@dataclass(frozen=True)
-class KAmplitudes:
-    """Initial k-space spinor amplitudes of a (profile, spin) product state."""
-
-    profile: InitialProfile
-    spin: Spinor
-
-    def envelope(self, k) -> NDArray[np.complex128]:
-        return profile_envelope(self.profile, k)
-
-    def __call__(self, k):
-        g = self.envelope(k)
-        return g * self.spin.up, g * self.spin.down
-
-
-def k_amplitudes(profile: InitialProfile, spin: Spinor) -> KAmplitudes:
-    """k-space amplitudes (a_k, b_k) of the product state profile x spin."""
-    if not spin.is_normalized():
-        raise DomainError(f"spin must be normalized, |spin|^2 = {spin.norm_sq()}")
-    return KAmplitudes(profile=profile, spin=spin)
-
-
 # ---------------------------------------------------------------------------
 # Coin spectrum
 # ---------------------------------------------------------------------------
@@ -262,16 +244,53 @@ def coin_spectrum(coin, k: float) -> CoinSpectrum:
 # ---------------------------------------------------------------------------
 
 
+#: Index pairs (x, s), (y, r) of the seven basis sums auu, aud, add, buu, bud,
+#: bdu, bdd: each is the integral of |g|^2 U^t[x, s] conj(U^t[y, r]) (0 = up,
+#: 1 = down; x, y the component, s, r the initial spin).
+_LEFT = (np.zeros(7, dtype=int), np.array([0, 0, 1, 0, 0, 1, 1]))
+_RIGHT = (np.array([0, 0, 0, 1, 1, 1, 1]), np.array([0, 1, 1, 0, 1, 0, 1]))
+
+
+def _basis_sums(tag: str, profile: InitialProfile, t: int | None, quad: QuadratureSpec):
+    """The seven basis sums (auu, aud, add, buu, bud, bdu, bdd) of `core.spin_moments`.
+
+    At each node the branch parts P_pm[x, s] = <x|Phi_pm><Phi_pm|s> give
+    U^t = sum_pm lambda_pm^t P_pm.  At time t the sums integrate |g|^2 times
+    products of entries of U^t, a trigonometric polynomial of degree below
+    len(w) + 2t, so the first pass at more than that many nodes is exact.  With
+    t = None they are the time averages: the cross terms of the two branches
+    average to zero, so each product is taken within a branch.
+    """
+    j_min, w = profile_weights(profile)
+
+    def evaluate(k):
+        n = k.shape[0]
+        evals, evecs = _spectrum_cached(tag, n)
+        g2 = np.abs(_node_envelope(j_min, w, n)) ** 2
+        vec = evecs.transpose(1, 0, 2)  # [component, node, branch]
+        parts = vec[:, None] * np.conj(vec[None, :])  # [x, s, node, branch]
+        if t is None:
+            r = parts[_LEFT] * np.conj(parts[_RIGHT])
+            return g2 * (r[..., 0] + r[..., 1])
+        lam_t = evals**t
+        u_t = parts[..., 0] * lam_t[:, 0] + parts[..., 1] * lam_t[:, 1]
+        return g2 * (u_t[_LEFT] * np.conj(u_t[_RIGHT]))
+
+    n0 = quad.initial_points
+    while t is not None and n0 <= w.shape[0] + 2 * t and n0 < quad.max_points:
+        n0 *= 2
+    return tuple(_adaptive_means(evaluate, quad, n_start=n0))
+
+
 @dataclass(frozen=True)
 class AsymptoticMoments:
-    """Time-averaged moments (A_bar, B_bar) of the reduced coin state.
+    """Time-averaged moments (A_bar, B_bar) of the reduced coin state of one spin.
 
-    Scalars for one spin state; arrays over a spin grid when
-    moments_from_kernels is given arrays of amplitudes.
+    `core.spin_moments` of the time-averaged basis sums (`_asymptotic_kernels`).
     """
 
-    A_bar: float | NDArray[np.float64]
-    B_bar: complex | NDArray[np.complex128]
+    A_bar: float
+    B_bar: complex
 
 
 @dataclass(frozen=True)
@@ -289,94 +308,24 @@ def evolve_k_moments(
     t: int,
     quad: QuadratureSpec = DEFAULT_QUAD,
 ) -> CoinMoments:
-    """Moments A(t), B(t) from the spectral decomposition of U_k.
-
-    Phi_k(t) = sum_pm lambda_pm^t <Phi_pm|Phi_k(0)> Phi_pm is evaluated per
-    quadrature node; A(t) = int dk/2pi |a_k(t)|^2, B(t) = int a_k(t) b_k*(t).
-    """
+    """Moments A(t), B(t) = spin_moments of the basis sums at time t."""
     if t < 0:
         raise DomainError(f"t must be >= 0, got {t}")
     if not spin.is_normalized():
         raise DomainError(f"spin must be normalized, |spin|^2 = {spin.norm_sq()}")
-    tag = coin_tag(coin)
-    j_min, w = profile_weights(profile)
-
-    def evaluate(k):
-        evals, evecs = _spectrum_cached(tag, k.shape[0])
-        g = _node_envelope(j_min, w, k.shape[0])
-        up = evecs[:, 0, :]
-        dn = evecs[:, 1, :]
-        c = g[:, None] * (np.conj(up) * spin.up + np.conj(dn) * spin.down)
-        lam_t = evals**t
-        a_t = np.sum(lam_t * c * up, axis=-1)
-        b_t = np.sum(lam_t * c * dn, axis=-1)
-        return np.stack([np.abs(a_t) ** 2 + 0j, a_t * np.conj(b_t)])
-
-    # resolve the e^{+-i omega t} oscillations from the first pass
-    n0 = quad.initial_points
-    while n0 < min(8 * (t + 1), quad.max_points):
-        n0 *= 2
-    a_val, b_val = _adaptive_means(evaluate, quad, n_start=n0)
-    return CoinMoments(A=float(a_val.real), B=complex(b_val))
+    a, b = spin_moments(_basis_sums(coin_tag(coin), profile, t, quad), spin.up, spin.down)
+    return CoinMoments(A=float(a), B=complex(b))
 
 
 _KERNEL_CACHE: dict = {}
 
 
 def _asymptotic_kernels(tag: str, profile: InitialProfile, quad: QuadratureSpec):
-    """Spin-independent kernel integrals of the asymptotic quadratic forms.
-
-    Returns (ka1, ka2, ka4, kb1, kb2, kb3, kb4) such that for spin (cu, cd):
-        A_bar = ka1 |cu|^2 + ka4 |cd|^2 + 2 Re(ka2 cu cd*)
-        B_bar = kb1 |cu|^2 + kb4 |cd|^2 + kb2 cu cd* + kb3 cu* cd
-    """
+    """The time-averaged basis sums, computed once per (coin, profile, quad)."""
     key = (tag, profile, quad)
-    hit = _KERNEL_CACHE.get(key)
-    if hit is not None:
-        return hit
-    j_min, w = profile_weights(profile)
-
-    def evaluate(k):
-        evals, evecs = _spectrum_cached(tag, k.shape[0])
-        g2 = np.abs(_node_envelope(j_min, w, k.shape[0])) ** 2
-        up = evecs[:, 0, :]
-        dn = evecs[:, 1, :]
-        pu = np.abs(up) ** 2
-        pd = np.abs(dn) ** 2
-        x = np.conj(up) * dn  # couples cu cd* in |c_pm|^2
-        nb = up * np.conj(dn)  # B integrand factor per branch
-        rows = [
-            np.sum(pu * pu, axis=-1) + 0j,
-            np.sum(x * pu, axis=-1),
-            np.sum(pd * pu, axis=-1) + 0j,
-            np.sum(pu * nb, axis=-1),
-            np.sum(x * nb, axis=-1),
-            np.sum(nb * nb, axis=-1),
-            np.sum(pd * nb, axis=-1),
-        ]
-        return g2 * np.stack(rows)
-
-    vals = tuple(_adaptive_means(evaluate, quad))
-    _KERNEL_CACHE[key] = vals
-    return vals
-
-
-def moments_from_kernels(kernels, up, down) -> AsymptoticMoments:
-    """Combine the kernel integrals with spin amplitudes `up`, `down`.
-
-    Scalar amplitudes give a float A_bar and a complex B_bar; arrays give
-    arrays of their broadcast shape.
-    """
-    ka1, ka2, ka4, kb1, kb2, kb3, kb4 = kernels
-    # builtin abs: on a Python complex np.abs can differ in the last bit
-    pu = abs(up) ** 2
-    pd = abs(down) ** 2
-    cross = up * np.conj(down)
-    a_bar = (ka1 * pu + ka4 * pd).real + 2.0 * (ka2 * cross).real
-    b_bar = kb1 * pu + kb4 * pd + kb2 * cross + kb3 * np.conj(cross)
-    if np.ndim(a_bar) == 0:
-        return AsymptoticMoments(A_bar=float(a_bar), B_bar=complex(b_bar))
-    return AsymptoticMoments(A_bar=a_bar, B_bar=b_bar)
+    if key not in _KERNEL_CACHE:
+        _KERNEL_CACHE[key] = _basis_sums(tag, profile, None, quad)
+    return _KERNEL_CACHE[key]
 
 
 def asymptotic_moments(
@@ -388,9 +337,9 @@ def asymptotic_moments(
     """Time-average of A(t), B(t): oscillatory cross terms dropped, quadrature."""
     if not spin.is_normalized():
         raise DomainError(f"spin must be normalized, |spin|^2 = {spin.norm_sq()}")
-    tag = coin_tag(coin)
-    kernels = _asymptotic_kernels(tag, profile, quad)
-    return moments_from_kernels(kernels, spin.up, spin.down)
+    kernels = _asymptotic_kernels(coin_tag(coin), profile, quad)
+    a, b = spin_moments(kernels, spin.up, spin.down)
+    return AsymptoticMoments(A_bar=float(a), B_bar=complex(b))
 
 
 def characteristic(moments: AsymptoticMoments) -> CharacteristicResult:

@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.typing import NDArray
 
-from .core import CoinMoments, CoinOperator, Spinor, entropy_from_moments
+from .core import CoinMoments, CoinOperator, Spinor, entropy_from_moments, spin_moments
 from .errors import CapacityError, DomainError
 
 #: Default ceiling on the number of lattice sites in a walker window.
@@ -42,13 +42,13 @@ class Local:
 
 @dataclass(frozen=True)
 class Gaussian:
-    """A discrete Gaussian profile with initial dispersion sigma0 > 0."""
+    """A discrete Gaussian profile with finite initial dispersion sigma0 > 0."""
 
     sigma0: float
 
     def __post_init__(self) -> None:
-        if not self.sigma0 > 0.0:
-            raise DomainError(f"Gaussian sigma0 must be > 0, got {self.sigma0}")
+        if not 0.0 < self.sigma0 < math.inf:
+            raise DomainError(f"Gaussian sigma0 must be finite and > 0, got {self.sigma0}")
 
 
 @dataclass(frozen=True)
@@ -112,8 +112,8 @@ def sigma_to_a(sigma0: float) -> int:
     sum needs an integer half-width; the real-valued map only serves to compare
     profiles at equal dispersion).
     """
-    if not sigma0 > 0.0:
-        raise DomainError(f"sigma0 must be > 0, got {sigma0}")
+    if not 0.0 < sigma0 < math.inf:
+        raise DomainError(f"sigma0 must be finite and > 0, got {sigma0}")
     return max(0, round((math.sqrt(12.0 * sigma0**2 + 1.0) - 1.0) / 2.0))
 
 
@@ -231,11 +231,11 @@ class Walk(NamedTuple):
 
     def records(self) -> list[EntanglementRecord]:
         """Moments and entropy of the first spin state at every recorded time."""
-        out = []
-        for t, a, b in zip(self.times, self.cross_a[0, 0].real, self.cross_b[0, 0]):
-            m = CoinMoments(A=float(a), B=complex(b))
-            out.append(EntanglementRecord(t=t, moments=m, entropy=entropy_from_moments(m)))
-        return out
+        a, b = self.cross_a[0, 0].real, self.cross_b[0, 0]
+        entropies = entropy_from_moments(CoinMoments(A=a, B=b))
+        return [EntanglementRecord(t=t, moments=CoinMoments(A=float(at), B=complex(bt)),
+                                   entropy=float(s))
+                for t, at, bt, s in zip(self.times, a, b, entropies)]
 
 
 def _recorded_times(steps: int, times) -> tuple[int, ...]:
@@ -353,14 +353,10 @@ class BasisEvolution:
 
         Broadcast shape is spin_shape + (len(times),); A is real, B complex.
         """
+        sums = (self.auu, self.aud, self.add, self.buu, self.bud, self.bdu, self.bdd)
         cu = np.asarray(up, dtype=np.complex128)[..., None]
         cd = np.asarray(down, dtype=np.complex128)[..., None]
-        pu = np.abs(cu) ** 2
-        pd = np.abs(cd) ** 2
-        cross = cu * np.conj(cd)
-        A = pu * self.auu + pd * self.add + 2.0 * np.real(cross * self.aud)
-        B = pu * self.buu + pd * self.bdd + cross * self.bud + np.conj(cross) * self.bdu
-        return A, B
+        return spin_moments(sums, cu, cd)
 
 
 def evolve_basis(

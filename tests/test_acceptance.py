@@ -38,7 +38,8 @@ from qwalklab import (
     step,
     sweep_asymptotic,
 )
-from qwalklab.kspace import DEFAULT_QUAD, LOCAL_F, _asymptotic_kernels, moments_from_kernels
+from qwalklab.core import spin_moments
+from qwalklab.kspace import DEFAULT_QUAD, LOCAL_F, _asymptotic_kernels
 
 SQRT2 = math.sqrt(2.0)
 RESULTS: list[str] = []
@@ -72,8 +73,8 @@ def _delta_grid(coin, profile, grid, beta_shift=0.0):
     betas = grid.betas[None, :] + beta_shift
     cu = np.cos(alphas / 2.0) * np.ones_like(betas) + 0j
     cd = np.exp(1j * betas) * np.sin(alphas / 2.0)
-    m = moments_from_kernels(kernels, cu, cd)
-    return 4.0 * ((m.A_bar - 0.5) ** 2 + np.abs(m.B_bar) ** 2)
+    a_bar, b_bar = spin_moments(kernels, cu, cd)
+    return 4.0 * ((a_bar - 0.5) ** 2 + np.abs(b_bar) ** 2)
 
 
 def test_criterion_01_local_hadamard_extrema():

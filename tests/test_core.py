@@ -105,6 +105,8 @@ class TestEntropyFromMoments:
             entropy_from_moments(CoinMoments(1.0, 0.5))
         with pytest.raises(DomainError):
             entropy_from_moments(CoinMoments(1.5, 0.0))
+        with pytest.raises(DomainError):
+            entropy_from_moments(CoinMoments(np.array([0.5, 1.0]), np.array([0.0, 0.5])))
 
     def test_marginal_roundoff_clamped(self):
         s = entropy_from_moments(CoinMoments(1.0 + 1e-12, 0.0))

@@ -27,7 +27,6 @@ from qwalklab import (
     evolve_k_moments,
     extract_f,
     f_interpolation,
-    k_amplitudes,
     max_entanglement_beta,
     quadrature,
     spin_from_angles,
@@ -37,11 +36,12 @@ from qwalklab.kspace import (
     DEFAULT_QUAD,
     LOCAL_F,
     _asymptotic_kernels,
+    _basis_sums,
     _node_envelope,
     _nodes,
     profile_envelope,
 )
-from qwalklab.lattice import profile_weights, walk
+from qwalklab.lattice import evolve_basis, profile_weights, walk
 
 SQRT2 = math.sqrt(2.0)
 UP = Spinor(1.0, 0.0)
@@ -69,14 +69,13 @@ class TestQuadrature:
 
 
 class TestKAmplitudes:
+    """The k-space amplitudes g(k) * spin: the envelope g, and the spin check."""
+
     def test_local_constant(self):
-        amps = k_amplitudes(Local(), UP)
-        a, b = amps(np.array([-1.0, 0.0, 2.0]))
-        assert np.allclose(a, 1.0) and np.allclose(b, 0.0)
+        assert np.allclose(profile_envelope(Local(), np.array([-1.0, 0.0, 2.0])), 1.0)
 
     def test_gaussian_peak_value(self):
-        amps = k_amplitudes(Gaussian(1.0), UP)
-        a, _ = amps(np.array([0.0]))
+        a = profile_envelope(Gaussian(1.0), np.array([0.0]))
         # g(0) is the sum of the lattice weights; the continuum transform
         # (8 pi)^(1/4) differs from it by 2.8e-9 relative (Poisson summation)
         assert a[0] == pytest.approx(2.2390302638504442, abs=1e-14)
@@ -87,7 +86,7 @@ class TestKAmplitudes:
         assert np.allclose(profile_envelope(Rectangular(0), k), 1.0)
 
     def test_rectangular_center_limit(self):
-        a, _ = k_amplitudes(Rectangular(2), UP)(np.array([0.0, 1e-12]))
+        a = profile_envelope(Rectangular(2), np.array([0.0, 1e-12]))
         assert np.allclose(a, math.sqrt(5.0))
 
     @pytest.mark.parametrize(
@@ -108,7 +107,7 @@ class TestKAmplitudes:
 
     def test_rejects_unnormalized_spin(self):
         with pytest.raises(DomainError):
-            k_amplitudes(Local(), Spinor(1.0, 1.0))
+            evolve_k_moments(Local(), Spinor(1.0, 1.0), "hadamard", 0)
 
 
 class TestDispersion:
@@ -205,6 +204,24 @@ class TestExactEnvelope:
             mk = evolve_k_moments(profile, spin, coin, t)
             assert abs(mk.A - run.cross_a[0, 0, n].real) <= 1e-10
             assert abs(mk.B - run.cross_b[0, 0, n]) <= 1e-10
+
+    @pytest.mark.parametrize("coin", ["hadamard", "fourier"])
+    @pytest.mark.parametrize(
+        "profile",
+        [Local(), Gaussian(0.3), Gaussian(0.5), Gaussian(0.75), Gaussian(1.0),
+         Gaussian(10.0), Rectangular(17)],
+        ids=str,
+    )
+    def test_basis_sums_match_lattice(self, profile, coin):
+        # the seven sums fix the moments of every spin at once
+        times = (0, 1, 64, 1000)
+        coin_op = hadamard_coin() if coin == "hadamard" else fourier_coin()
+        basis = evolve_basis(profile, coin_op, 1000, times=times)
+        fields = ("auu", "aud", "add", "buu", "bud", "bdu", "bdd")
+        for n, t in enumerate(times):
+            sums = _basis_sums(coin, profile, t, DEFAULT_QUAD)
+            for name, value in zip(fields, sums):
+                assert abs(value - getattr(basis, name)[n]) <= 1e-12, (name, t)
 
     @pytest.mark.parametrize("n", [1024, 2048])
     @pytest.mark.parametrize(

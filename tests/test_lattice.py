@@ -36,6 +36,8 @@ class TestProfiles:
             Gaussian(0.0)
         with pytest.raises(DomainError):
             Gaussian(-1.0)
+        with pytest.raises(DomainError):
+            Gaussian(math.inf)
 
     def test_rectangular_requires_nonnegative_integer(self):
         with pytest.raises(DomainError):
@@ -69,6 +71,8 @@ class TestSigmaToA:
     def test_rejects_nonpositive(self):
         with pytest.raises(DomainError):
             sigma_to_a(0.0)
+        with pytest.raises(DomainError):
+            sigma_to_a(math.inf)
 
 
 class TestBuildInitial:
