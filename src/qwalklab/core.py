@@ -72,8 +72,8 @@ class CoinMoments:
     the reduced density operator).
     """
 
-    A: float
-    B: complex
+    A: float | NDArray[np.float64]
+    B: complex | NDArray[np.complex128]
 
 
 def spin_from_angles(angles: BlochAngles) -> Spinor:

@@ -18,9 +18,10 @@ the integral of |g|^2 times a product of two entries of
 U_k^t = sum_pm lambda_pm^t |Phi_pm><Phi_pm|.
 
 At time t that integrand is a trigonometric polynomial of degree below
-L + 2t, L = len(w), and the periodic trapezoid rule is exact for it at more
-than L + 2t nodes (Trefethen & Weideman, SIAM Rev. 56 (2014)); the quadrature
-starts there, and one doubling confirms it.  The time averages
+L + 2t, L = len(w), which the periodic trapezoid rule integrates exactly at
+more than L + 2t nodes (Trefethen & Weideman, SIAM Rev. 56 (2014)).  The
+quadrature starts above 2t nodes, the walk's part, and doubles until two
+passes agree: |g|^2 needs far fewer nodes than L.  The time averages
 (`_asymptotic_kernels`) drop the oscillating cross terms between the two
 branches, so each product is taken within one branch; that integrand is smooth
 but not a polynomial and converges by doubling.  They are computed once per
@@ -244,11 +245,12 @@ def coin_spectrum(coin, k: float) -> CoinSpectrum:
 # ---------------------------------------------------------------------------
 
 
-#: Index pairs (x, s), (y, r) of the seven basis sums auu, aud, add, buu, bud,
-#: bdu, bdd: each is the integral of |g|^2 U^t[x, s] conj(U^t[y, r]) (0 = up,
-#: 1 = down; x, y the component, s, r the initial spin).
-_LEFT = (np.zeros(7, dtype=int), np.array([0, 0, 1, 0, 0, 1, 1]))
-_RIGHT = (np.array([0, 0, 0, 1, 1, 1, 1]), np.array([0, 1, 1, 0, 1, 0, 1]))
+def _cross(m):
+    """Products m[..., 0, s] * conj(m[..., y, r]), indexed [..., y, s, r, node].
+
+    For m = U^t, y = 0 gives the A sums and y = 1 the B sums; (0, 1, 0) is conj(aud).
+    """
+    return m[..., None, 0, :, None, :] * np.conj(m[..., :, None, :, :])
 
 
 def _basis_sums(tag: str, profile: InitialProfile, t: int | None, quad: QuadratureSpec):
@@ -257,9 +259,10 @@ def _basis_sums(tag: str, profile: InitialProfile, t: int | None, quad: Quadratu
     At each node the branch parts P_pm[x, s] = <x|Phi_pm><Phi_pm|s> give
     U^t = sum_pm lambda_pm^t P_pm.  At time t the sums integrate |g|^2 times
     products of entries of U^t, a trigonometric polynomial of degree below
-    len(w) + 2t, so the first pass at more than that many nodes is exact.  With
-    t = None they are the time averages: the cross terms of the two branches
-    average to zero, so each product is taken within a branch.
+    len(w) + 2t; the first pass has more than 2t nodes, but at most half of
+    `max_points`, so that a doubling can confirm it.  With t = None they are
+    the time averages: the cross terms of the two branches average to zero,
+    so each product is taken within a branch.
     """
     j_min, w = profile_weights(profile)
 
@@ -267,19 +270,19 @@ def _basis_sums(tag: str, profile: InitialProfile, t: int | None, quad: Quadratu
         n = k.shape[0]
         evals, evecs = _spectrum_cached(tag, n)
         g2 = np.abs(_node_envelope(j_min, w, n)) ** 2
-        vec = evecs.transpose(1, 0, 2)  # [component, node, branch]
-        parts = vec[:, None] * np.conj(vec[None, :])  # [x, s, node, branch]
+        vec = np.ascontiguousarray(evecs.transpose(2, 1, 0))  # [branch, x, node]
+        parts = vec[:, :, None] * np.conj(vec[:, None])  # [branch, x, s, node]
         if t is None:
-            r = parts[_LEFT] * np.conj(parts[_RIGHT])
-            return g2 * (r[..., 0] + r[..., 1])
+            r = _cross(parts)
+            return g2 * (r[0] + r[1])
         lam_t = evals**t
-        u_t = parts[..., 0] * lam_t[:, 0] + parts[..., 1] * lam_t[:, 1]
-        return g2 * (u_t[_LEFT] * np.conj(u_t[_RIGHT]))
+        return g2 * _cross(parts[0] * lam_t[:, 0] + parts[1] * lam_t[:, 1])
 
     n0 = quad.initial_points
-    while t is not None and n0 <= w.shape[0] + 2 * t and n0 < quad.max_points:
+    while t is not None and n0 <= 2 * t and 2 * n0 < quad.max_points:
         n0 *= 2
-    return tuple(_adaptive_means(evaluate, quad, n_start=n0))
+    sums = _adaptive_means(evaluate, quad, n_start=n0).reshape(8)
+    return tuple(sums[[0, 1, 3, 4, 5, 6, 7]])
 
 
 @dataclass(frozen=True)

@@ -31,6 +31,7 @@ from qwalklab import (
     quadrature,
     spin_from_angles,
 )
+from qwalklab import kspace
 from qwalklab.core import fourier_coin, hadamard_coin
 from qwalklab.kspace import (
     DEFAULT_QUAD,
@@ -184,6 +185,25 @@ class TestEvolveKMoments:
     def test_rejects_negative_time(self):
         with pytest.raises(DomainError):
             evolve_k_moments(Local(), UP, "hadamard", -1)
+
+    @pytest.mark.parametrize("t", [0, 1000])
+    def test_wide_profile_converges_below_point_cap(self, t):
+        # Gaussian(50) spans ~5,450 sites; its |g|^2 needs far fewer nodes,
+        # and the start must leave room for the confirming doubling
+        quad = QuadratureSpec(max_points=8192)
+        run = walk(Gaussian(50.0), (UP,), hadamard_coin(), t, times=(t,))
+        m = evolve_k_moments(Gaussian(50.0), UP, "hadamard", t, quad)
+        assert abs(m.A - run.cross_a[0, 0, -1].real) <= 1e-10
+        assert abs(m.B - run.cross_b[0, 0, -1]) <= 1e-10
+
+    @pytest.mark.parametrize("t, first", [(0, 1024), (64, 1024), (1000, 2048)])
+    def test_first_pass_does_not_grow_with_profile_support(self, monkeypatch, t, first):
+        # the start covers the walk's degree 2t; the doubling covers |g|^2
+        seen = []
+        nodes = kspace._nodes
+        monkeypatch.setattr(kspace, "_nodes", lambda n: seen.append(n) or nodes(n))
+        evolve_k_moments(Gaussian(100.0), UP, "hadamard", t)
+        assert seen[0] == first
 
 
 class TestExactEnvelope:
