@@ -23,7 +23,14 @@ from .kspace import (
     _coin_matrix,
     coin_tag,
 )
-from .lattice import Gaussian, InitialProfile, Rectangular, evolve_basis, sigma_to_a
+from .lattice import (
+    Gaussian,
+    InitialProfile,
+    Rectangular,
+    basis_sums,
+    evolve_basis,
+    sigma_to_a,
+)
 
 GRID_STEP = 0.1
 
@@ -124,17 +131,15 @@ def sweep_simulated(
 ) -> SweepResult:
     """Simulated entropy S_E(steps) at every grid point.
 
-    The walk is linear in the initial spin, so one basis-pair evolution per
-    profile serves the whole grid; the result is identical (to roundoff) to
-    evolving each grid point independently.
+    The walk is linear in the initial spin, so the seven basis sums at
+    t = steps serve the whole grid; it is also linear and translation invariant
+    in position, so `lattice.basis_sums` takes them from the one cached Local
+    walk per (coin, steps), convolved with the profile.  The result equals
+    (to roundoff) evolving each grid point from the profile independently.
     """
-    if steps < 0:
-        raise DomainError(f"steps must be >= 0, got {steps}")
-    basis = evolve_basis(profile, _coin_matrix(coin_tag(coin)), steps, times=[steps])
-    cu, cd = _spin_amplitude_grid(grid)
-    a_vals, b_vals = basis.moments_arrays(cu, cd)
-    moments = CoinMoments(a_vals[..., 0], b_vals[..., 0])
-    return _finalize_sweep(grid, entropy_from_moments(moments))
+    sums = basis_sums(profile, _coin_matrix(coin_tag(coin)), steps)
+    a_vals, b_vals = spin_moments(sums, *_spin_amplitude_grid(grid))
+    return _finalize_sweep(grid, entropy_from_moments(CoinMoments(a_vals, b_vals)))
 
 
 def average_trace(

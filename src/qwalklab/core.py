@@ -107,9 +107,10 @@ def binary_entropy(lam):
     # out= arrays make the skipped entries defined (0 log 0 = 0).
     log_lam = np.log2(lam, out=np.zeros_like(lam), where=lam > 0.0)
     log_q = np.log2(q, out=np.zeros_like(q), where=q > 0.0)
-    h = -np.where(lam > 0.0, lam * log_lam, 0.0)
-    h -= np.where(q > 0.0, q * log_q, 0.0)
-    h = h + 0.0  # normalize -0.0 to 0.0
+    # The skipped logs are 0, so each product is already 0 where its factor is.
+    h = lam * log_lam
+    h += q * log_q
+    h = 0.0 - h  # -h, with -0.0 normalized to 0.0
     if h.ndim == 0:
         return float(h)
     return h
@@ -144,11 +145,12 @@ def entropy_from_moments(m: CoinMoments):
     A and B may be scalars (a float is returned) or arrays (an array is).  The
     eigenvalues lambda_pm = 1/2 +- sqrt((A - 1/2)^2 + |B|^2) are clamped to
     [0, 1]; a pre-clamp violation above CLAMP_TOL (inconsistent moments, i.e.
-    |B|^2 exceeding A(1-A)) raises DomainError.
+    |B|^2 exceeding A(1-A)) or a non-finite A or B raises DomainError.
     """
     a = np.real(m.A)
     lam_plus = 0.5 + np.sqrt((a - 0.5) ** 2 + np.abs(m.B) ** 2)
-    if np.any((lam_plus > 1.0 + CLAMP_TOL) | (a < -CLAMP_TOL) | (a > 1.0 + CLAMP_TOL)):
+    # written so that NaN fails it: every comparison with NaN is False
+    if not np.all((lam_plus <= 1.0 + CLAMP_TOL) & (a >= -CLAMP_TOL) & (a <= 1.0 + CLAMP_TOL)):
         raise DomainError(
             f"inconsistent coin moments: A in [{np.min(a)}, {np.max(a)}], "
             f"lambda_plus up to {np.max(lam_plus)}"
@@ -160,9 +162,9 @@ def entropy_from_delta(delta: float) -> float:
     """Asymptotic entanglement entropy from the characteristic function delta.
 
     lambda_pm = (1 +- sqrt(delta))/2; delta marginally below 0 (above 1) is
-    clamped, beyond CLAMP_TOL it raises DomainError.
+    clamped, beyond CLAMP_TOL (or NaN) it raises DomainError.
     """
-    if delta < -CLAMP_TOL or delta > 1.0 + CLAMP_TOL:
+    if not -CLAMP_TOL <= delta <= 1.0 + CLAMP_TOL:  # NaN fails it
         raise DomainError(f"delta must lie in [0, 1], got {delta}")
     delta = min(max(float(delta), 0.0), 1.0)
     return binary_entropy((1.0 + math.sqrt(delta)) / 2.0)

@@ -38,10 +38,12 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .core import (
+    CLAMP_TOL,
     BlochAngles,
     CoinMoments,
     CoinOperator,
     Spinor,
+    delta_from_moments,
     entropy_from_delta,
     fourier_coin,
     hadamard_coin,
@@ -348,14 +350,13 @@ def asymptotic_moments(
 def characteristic(moments: AsymptoticMoments) -> CharacteristicResult:
     """delta = (lambda_plus - lambda_minus)^2 and the asymptotic entropy.
 
-    delta is clamped to [0, 1]; a pre-clamp excursion beyond 1e-9 raises
-    DomainError (the moments were unphysical).
+    delta (`core.delta_from_moments`) is clamped to [0, 1]; a pre-clamp
+    excursion beyond CLAMP_TOL raises DomainError (the moments were
+    unphysical), from `core.entropy_from_delta`.
     """
-    delta = 4.0 * ((moments.A_bar - 0.5) ** 2 + abs(moments.B_bar) ** 2)
-    if delta < -1e-9 or delta > 1.0 + 1e-9:
-        raise DomainError(f"characteristic delta {delta} outside [0, 1]")
-    delta = min(max(delta, 0.0), 1.0)
-    return CharacteristicResult(delta=delta, entropy=entropy_from_delta(delta))
+    delta = delta_from_moments(CoinMoments(moments.A_bar, moments.B_bar))
+    entropy = entropy_from_delta(delta)
+    return CharacteristicResult(delta=min(max(delta, 0.0), 1.0), entropy=entropy)
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +435,7 @@ def extract_f(
     tag = coin_tag(coin)
     m = asymptotic_moments(profile, Spinor(1.0, 0.0), tag, quad)
     delta0 = characteristic(m).delta
-    if 2.0 * delta0 > 1.0 + 1e-9:
+    if 2.0 * delta0 > 1.0 + CLAMP_TOL:
         raise DomainError(f"2 delta(alpha=0) = {2 * delta0} exceeds 1")
     f = (1.0 - math.sqrt(min(2.0 * delta0, 1.0))) / 4.0
     return DelocalizationFactor(f=f, coin=tag, profile=profile)

@@ -8,10 +8,19 @@ width, n0 + 2 * steps sites, and evolved in place.  At time t the walk occupies
 the window of n0 + 2t sites centred in the buffer, a one-site zero guard band
 included; each step reads that window and writes the one a site wider on each
 side.  Moments are recorded only at the times the caller asks for.
+
+The walk is also linear and translation invariant in position: the state a
+profile w reaches at time T is the state of the Local walk convolved with w,
+a_w(j, T) = sum_m w_m a_Local(j - m, T), and likewise for b.  So the seven
+basis sums of any profile at one time (`basis_sums`) need one Local basis-pair
+walk per (coin, T), O(T^2) site updates, which is cached, plus one FFT
+convolution of its final amplitudes with w, O((L + 2T) log(L + 2T)) for a
+profile of L sites, where walking the profile itself costs O(T (L + T)).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -359,6 +368,10 @@ class BasisEvolution:
         return spin_moments(sums, cu, cd)
 
 
+#: The Local walk's up and down basis spins.
+_BASIS = (Spinor(1.0, 0.0), Spinor(0.0, 1.0))
+
+
 def evolve_basis(
     profile: InitialProfile,
     coin: CoinOperator,
@@ -371,11 +384,50 @@ def evolve_basis(
     Records the quadratic cross sums needed by BasisEvolution.moments_arrays
     at `times` (every t in [0, steps] when None).
     """
-    run = walk(profile, (Spinor(1.0, 0.0), Spinor(0.0, 1.0)), coin, steps,
-               times=times, max_sites=max_sites)
+    run = walk(profile, _BASIS, coin, steps, times=times, max_sites=max_sites)
     a, b = run.cross_a, run.cross_b
     return BasisEvolution(
         steps=steps, times=run.times,
         auu=a[0, 0].real.copy(), add=a[1, 1].real.copy(), aud=a[0, 1],
         buu=b[0, 0], bud=b[0, 1], bdu=b[1, 0], bdd=b[1, 1],
     )
+
+
+@functools.lru_cache(maxsize=4)
+def _local_final(coin: bytes, steps: int) -> NDArray[np.complex128]:
+    """Final amplitudes [spin][a, b][site] of the Local basis-pair walk.
+
+    `coin` is the coin matrix as bytes, which the cache can key on.  The
+    2 x 2 x (2 * steps + 3) array is read-only, since every caller of one
+    (coin, steps) shares it; four entries hold both coins at two times.
+    """
+    matrix = np.frombuffer(coin, dtype=np.complex128).reshape(2, 2)
+    run = walk(Local(), _BASIS, matrix, steps, times=(steps,))
+    final = np.array([(s.a, s.b) for s in run.final])
+    final.flags.writeable = False
+    return final
+
+
+def basis_sums(profile: InitialProfile, coin: CoinOperator, steps: int):
+    """The seven basis sums of `core.spin_moments` at t = steps, from the Local walk.
+
+    The amplitudes of the basis-pair walk from `profile` are those of the
+    cached Local walk convolved with the profile's weights, by one
+    zero-padded FFT; the sums pair them as `walk` records them.  They agree
+    with `evolve_basis(profile, coin, steps, times=[steps])` to rounding.
+    The profile's final window, L + 2 * steps + 2 sites, must fit
+    DEFAULT_MAX_SITES, as it must for `walk`; it is checked first.
+    """
+    if steps < 0:
+        raise DomainError(f"steps must be >= 0, got {steps}")
+    _, w = profile_weights(profile)
+    _check_capacity(w.shape[0] + 2 * steps + 2, None)
+    local = _local_final(np.asarray(coin, dtype=np.complex128).tobytes(), steps)
+    n = local.shape[-1] + w.shape[0] - 1
+    size = 1 << (n - 1).bit_length()  # >= n, so the circular convolution is the linear one
+    psi = np.fft.ifft(np.fft.fft(local, size) * np.fft.fft(w, size))[..., :n]
+    cross_a = np.empty((2, 2), dtype=np.complex128)
+    cross_b = np.empty((2, 2), dtype=np.complex128)
+    _record(psi, 0, n, cross_a, cross_b, np.empty((2, n)))
+    return (cross_a[0, 0].real, cross_a[0, 1], cross_a[1, 1].real,
+            cross_b[0, 0], cross_b[0, 1], cross_b[1, 0], cross_b[1, 1])

@@ -81,6 +81,19 @@ class TestSweeps:
                         recs = evolve(profile, spin, matrix, steps)
                         assert res.values[i, j] == pytest.approx(recs[-1].entropy, abs=1e-12)
 
+    def test_simulated_cold_and_warm_cache_bit_identical(self):
+        from qwalklab import lattice
+
+        for coin in ("hadamard", "fourier"):
+            for profile in (Local(), Gaussian(2.0), Rectangular(5)):
+                lattice._local_final.cache_clear()
+                cold = sweep_simulated(coin, profile, paper_grid(), 200)
+                warm = sweep_simulated(coin, profile, paper_grid(), 200)
+                assert lattice._local_final.cache_info().hits == 1
+                assert cold.values.tobytes() == warm.values.tobytes()
+                assert (cold.mean, cold.argmin, cold.argmax) == \
+                    (warm.mean, warm.argmin, warm.argmax)
+
     def test_deterministic_statistics(self):
         a = sweep_asymptotic("hadamard", Gaussian(1.0), grid_from_step(0.5))
         b = sweep_asymptotic("hadamard", Gaussian(1.0), grid_from_step(0.5))

@@ -112,6 +112,16 @@ class TestEntropyFromMoments:
         s = entropy_from_moments(CoinMoments(1.0 + 1e-12, 0.0))
         assert s == 0.0
 
+    @pytest.mark.parametrize("a, b", [
+        (math.nan, 0j), (0.5, complex(math.nan, 0.0)), (0.5, complex(0.0, math.nan)),
+        (math.inf, 0j), (0.5, complex(math.inf, 0.0)),
+        (np.array([0.5, math.nan]), np.zeros(2, dtype=complex)),
+        (np.full(2, 0.5), np.array([0j, complex(math.nan, 0.0)])),
+    ])
+    def test_non_finite_moments_rejected(self, a, b):
+        with pytest.raises(DomainError):
+            entropy_from_moments(CoinMoments(a, b))
+
 
 class TestEntropyFromDelta:
     def test_zero_is_maximal(self):
@@ -131,6 +141,31 @@ class TestEntropyFromDelta:
 
     def test_marginal_negative_clamped(self):
         assert entropy_from_delta(-1e-12) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("delta", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, delta):
+        with pytest.raises(DomainError):
+            entropy_from_delta(delta)
+
+
+class TestBinaryEntropy:
+    def test_equals_the_masked_products_bit_for_bit(self):
+        # reference: each product masked to 0 where its log was skipped
+        rng = np.random.default_rng(11)
+        lam = np.concatenate([rng.uniform(0.0, 1.0, 20_000), [0.0, -0.0, 1.0, 0.5],
+                              [5e-324, 1e-300, 1.0 - 2.0**-53, 0.25, 0.75]])
+        q = 1.0 - lam
+        log_lam = np.log2(lam, out=np.zeros_like(lam), where=lam > 0.0)
+        log_q = np.log2(q, out=np.zeros_like(q), where=q > 0.0)
+        ref = -np.where(lam > 0.0, lam * log_lam, 0.0)
+        ref -= np.where(q > 0.0, q * log_q, 0.0)
+        ref = ref + 0.0
+        assert binary_entropy(lam).tobytes() == ref.tobytes()
+        assert [binary_entropy(x) for x in (0.0, 1.0)] == [0.0, 0.0]
+        assert math.copysign(1.0, binary_entropy(1.0)) == 1.0
+
+    def test_nan_propagates(self):
+        assert math.isnan(binary_entropy(math.nan))
 
 
 def _random_valid_moments(rng):

@@ -322,6 +322,12 @@ class TestCharacteristic:
         # (lambda+ - lambda-)^2 with lambda_pm = 1/2 +- sqrt(1/16 + 1/16)
         assert characteristic(AsymptoticMoments(0.75, 0.25)).delta == pytest.approx(0.5)
 
+    def test_unphysical_or_nan_moments_rejected(self):
+        for moments in (AsymptoticMoments(1.0, 0.1), AsymptoticMoments(math.nan, 0.0),
+                        AsymptoticMoments(0.5, complex(math.nan, 0.0))):
+            with pytest.raises(DomainError):
+                characteristic(moments)
+
     def test_entropy_consistency(self):
         from qwalklab import entropy_from_delta
 

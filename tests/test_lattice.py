@@ -13,6 +13,7 @@ from qwalklab import (
     Local,
     Rectangular,
     Spinor,
+    basis_sums,
     build_initial,
     coin_moments,
     evolve,
@@ -25,6 +26,7 @@ from qwalklab import (
     spin_from_angles,
     step,
 )
+from qwalklab import lattice
 
 SQRT2 = math.sqrt(2.0)
 UP = Spinor(1.0, 0.0)
@@ -267,3 +269,78 @@ class TestBasisEvolution:
         a_vals, b_vals = basis.moments_arrays(up, down)
         assert a_vals.shape == (3, 4, 6)
         assert b_vals.shape == (3, 4, 6)
+
+
+def _walked_sums(profile, coin, steps):
+    """The seven sums, in spin_moments order, of the profile's own basis-pair walk."""
+    b = evolve_basis(profile, coin, steps, times=[steps])
+    return tuple(x[0] for x in (b.auu, b.aud, b.add, b.buu, b.bud, b.bdu, b.bdd))
+
+
+def _max_diff(got, want):
+    return max(abs(complex(g) - complex(w)) for g, w in zip(got, want))
+
+
+class TestBasisSums:
+    """basis_sums: the Local walk convolved with the profile's weights."""
+
+    PROFILES = [Local()] + [Gaussian(s) for s in (0.3, 0.5, 2.0, 10.0, 30.0)] \
+        + [Rectangular(a) for a in (0, 5, 17)]
+
+    @pytest.mark.parametrize("steps", [0, 1, 2, 64, 1000])
+    @pytest.mark.parametrize("coin", [hadamard_coin(), fourier_coin()])
+    def test_matches_the_profiles_own_walk(self, coin, steps):
+        # Gaussian(30) and Rectangular(17) are wider than the walk at small T
+        for profile in self.PROFILES:
+            got = basis_sums(profile, coin, steps)
+            assert _max_diff(got, _walked_sums(profile, coin, steps)) <= 1e-14, profile
+
+    @settings(max_examples=25, deadline=None)
+    @given(strategies.floats(min_value=0.2, max_value=30.0),
+           strategies.integers(min_value=0, max_value=300),
+           strategies.booleans())
+    def test_gaussian_matches_its_own_walk(self, sigma0, steps, hadamard):
+        coin = hadamard_coin() if hadamard else fourier_coin()
+        got = basis_sums(Gaussian(sigma0), coin, steps)
+        assert _max_diff(got, _walked_sums(Gaussian(sigma0), coin, steps)) <= 1e-14
+
+    def test_local_walk_cache_is_bounded_and_read_only(self):
+        info = lattice._local_final.cache_info()
+        assert info.maxsize is not None
+        for steps in range(info.maxsize + 2):
+            basis_sums(Local(), hadamard_coin(), steps)
+        assert lattice._local_final.cache_info().currsize == info.maxsize
+        final = lattice._local_final(hadamard_coin().tobytes(), 3)
+        assert final.shape == (2, 2, 9) and not final.flags.writeable
+
+    def test_one_walk_serves_every_profile_of_a_coin_and_time(self):
+        lattice._local_final.cache_clear()
+        for profile in self.PROFILES:
+            basis_sums(profile, fourier_coin(), 20)
+        info = lattice._local_final.cache_info()
+        assert (info.misses, info.hits) == (1, len(self.PROFILES) - 1)
+
+    @pytest.mark.parametrize("profile", [Local(), Rectangular(3), Gaussian(0.3)])
+    def test_capacity_error_for_the_same_inputs_as_the_walk(self, monkeypatch, profile):
+        # the final window, L + 2 steps + 2 sites, against the default ceiling
+        monkeypatch.setattr(lattice, "DEFAULT_MAX_SITES", 60)
+        for steps in range(0, 35):
+            try:
+                evolve_basis(profile, hadamard_coin(), steps, times=[steps])
+            except CapacityError:
+                with pytest.raises(CapacityError):
+                    basis_sums(profile, hadamard_coin(), steps)
+            else:
+                basis_sums(profile, hadamard_coin(), steps)
+
+    def test_capacity_checked_before_walking(self):
+        lattice._local_final.cache_clear()
+        # 2a + 1 + 2 * 1000 + 2 = DEFAULT_MAX_SITES + 1
+        a = (lattice.DEFAULT_MAX_SITES - 2002) // 2
+        with pytest.raises(CapacityError):
+            basis_sums(Rectangular(a), hadamard_coin(), 1000)
+        assert lattice._local_final.cache_info().misses == 0
+
+    def test_rejects_negative_steps(self):
+        with pytest.raises(DomainError):
+            basis_sums(Local(), hadamard_coin(), -1)
