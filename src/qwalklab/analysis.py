@@ -14,15 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .core import CoinMoments, binary_entropy, entropy_from_moments, spin_moments
+from .core import CoinMoments, as_time, binary_entropy, entropy_from_moments, spin_moments
 from .errors import DomainError, FitError
-from .kspace import (
-    DEFAULT_QUAD,
-    QuadratureSpec,
-    _asymptotic_kernels,
-    _coin_matrix,
-    coin_tag,
-)
+from .kspace import _asymptotic_kernels, _coin_matrix, coin_tag
 from .lattice import (
     Gaussian,
     InitialProfile,
@@ -115,10 +109,9 @@ def sweep_asymptotic(
     coin,
     profile: InitialProfile,
     grid: SweepGrid,
-    quad: QuadratureSpec = DEFAULT_QUAD,
 ) -> SweepResult:
     """Asymptotic entropy at every grid point via the k-space kernels."""
-    kernels = _asymptotic_kernels(coin_tag(coin), profile, quad)
+    kernels = _asymptotic_kernels(coin_tag(coin), profile)
     a_vals, b_vals = spin_moments(kernels, *_spin_amplitude_grid(grid))
     return _finalize_sweep(grid, entropy_from_moments(CoinMoments(a_vals, b_vals)))
 
@@ -149,8 +142,7 @@ def average_trace(
     steps: int,
 ) -> list[tuple[int, float]]:
     """Grid-mean entropy at every t in [0, steps]."""
-    if steps < 0:
-        raise DomainError(f"steps must be >= 0, got {steps}")
+    steps = as_time(steps, "steps")
     basis = evolve_basis(profile, _coin_matrix(coin_tag(coin)), steps)
     cu, cd = _spin_amplitude_grid(grid)
     a_vals, b_vals = basis.moments_arrays(cu, cd)
@@ -188,7 +180,6 @@ def compare(
     sigma_list,
     grid: SweepGrid,
     steps: int,
-    quad: QuadratureSpec = DEFAULT_QUAD,
 ) -> list[ComparisonReport]:
     """<S_E(steps)> vs <S_bar_E> per dispersion, with percentage difference."""
     if steps < 1:
@@ -199,7 +190,7 @@ def compare(
     for s0 in sigma_list:
         profile = family_profile(family, s0)
         sim = sweep_simulated(coin, profile, grid, steps).mean
-        asym = sweep_asymptotic(coin, profile, grid, quad).mean
+        asym = sweep_asymptotic(coin, profile, grid).mean
         reports.append(
             ComparisonReport(
                 sigma0=float(s0),
@@ -255,7 +246,6 @@ def asymptote_offset(
     coin,
     family: str = "gaussian",
     grid: SweepGrid | None = None,
-    quad: QuadratureSpec = DEFAULT_QUAD,
 ) -> float:
     """Large-dispersion limit of the grid-mean asymptotic entropy.
 

@@ -24,7 +24,6 @@ from .core import (
 )
 from .errors import (
     CapacityError,
-    ConvergenceError,
     DomainError,
     FitError,
     NumericalError,
@@ -32,7 +31,6 @@ from .errors import (
 from .kspace import (
     DelocalizedForm,
     LocalForm,
-    QuadratureSpec,
     asymptotic_moments,
     characteristic,
     closed_delta,
@@ -72,8 +70,6 @@ _DEFAULTS = {
     "mode": "asymptotic",
     "quantity": "avg",
     "format": "csv",
-    "quad_points": 1024,
-    "quad_tol": 1e-10,
     "degrees": False,
 }
 
@@ -87,8 +83,6 @@ _NUMERIC = {
     "beta": float,
     "steps": int,
     "grid_step": float,
-    "quad_points": int,
-    "quad_tol": float,
     "max_window": int,
 }
 
@@ -136,9 +130,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output path (stdout JSON if absent)")
         p.add_argument("--format", choices=["csv", "json"])
         p.add_argument("--config", help="JSON config file; flags override it")
-        p.add_argument("--quad-points", dest="quad_points", type=int)
-        p.add_argument("--quad-tol", dest="quad_tol", type=float)
-        p.add_argument("--max-window", dest="max_window", type=int)
         p.add_argument("--degrees", action="store_const", const=True, default=None,
                        help="interpret --alpha/--beta in degrees")
 
@@ -150,6 +141,8 @@ def build_parser() -> argparse.ArgumentParser:
         ("fit", "power-law fit of entropy decay with dispersion"),
     ]:
         add_common(sub.add_parser(name, help=help_text))
+    # only evolve reads --max-window, so the other commands reject it
+    sub.choices["evolve"].add_argument("--max-window", dest="max_window", type=int)
     return parser
 
 
@@ -167,7 +160,7 @@ def effective_config(args: argparse.Namespace) -> dict:
         cfg.update(loaded)
     for key in ("coin", "profile", "sigma", "a", "alpha", "beta", "steps",
                 "grid_step", "mode", "sigmas", "quantity", "out", "format",
-                "quad_points", "quad_tol", "max_window", "degrees"):
+                "max_window", "degrees"):
         value = getattr(args, key, None)
         if value is not None:
             cfg[key] = value
@@ -180,16 +173,6 @@ def effective_config(args: argparse.Namespace) -> dict:
         cfg["alpha"] = math.radians(cfg["alpha"])
         cfg["beta"] = math.radians(cfg["beta"])
     return cfg
-
-
-def _quad_spec(cfg: dict) -> QuadratureSpec:
-    try:
-        return QuadratureSpec(
-            initial_points=cfg["quad_points"],
-            rel_tolerance=cfg["quad_tol"],
-        )
-    except DomainError as exc:
-        raise ConfigError(f"--quad-points/--quad-tol: {exc}")
 
 
 def _profile(cfg: dict):
@@ -246,11 +229,10 @@ def cmd_evolve(cfg: dict) -> int:
 
 
 def cmd_asymptotic(cfg: dict) -> int:
-    quad = _quad_spec(cfg)
     profile = _profile(cfg)
     angles = _angles(cfg)
     spin = spin_from_angles(angles)
-    moments = asymptotic_moments(profile, spin, cfg["coin"], quad)
+    moments = asymptotic_moments(profile, spin, cfg["coin"])
     result = characteristic(moments)
 
     record = {
@@ -264,7 +246,7 @@ def cmd_asymptotic(cfg: dict) -> int:
     if isinstance(profile, Local):
         form = LocalForm()
     else:
-        f = extract_f(cfg["coin"], profile, quad).f
+        f = extract_f(cfg["coin"], profile).f
         record["f"] = f
         form = DelocalizedForm(f)
     closed = closed_delta(cfg["coin"], form, angles)
@@ -302,7 +284,7 @@ def cmd_sweep(cfg: dict) -> int:
     grid = _grid(cfg)
     profile = _profile(cfg)
     if cfg["mode"] == "asymptotic":
-        result = analysis.sweep_asymptotic(cfg["coin"], profile, grid, _quad_spec(cfg))
+        result = analysis.sweep_asymptotic(cfg["coin"], profile, grid)
     else:
         if cfg["steps"] < 0:
             raise ConfigError(f"--steps must be >= 0, got {cfg['steps']}")
@@ -321,8 +303,7 @@ def cmd_compare(cfg: dict) -> int:
     if cfg["steps"] < 1:
         raise ConfigError(f"--steps must be >= 1, got {cfg['steps']}")
     reports = analysis.compare(
-        cfg["coin"], cfg["profile"], sigmas, _grid(cfg), cfg["steps"],
-        _quad_spec(cfg),
+        cfg["coin"], cfg["profile"], sigmas, _grid(cfg), cfg["steps"]
     )
     lines = ["sigma0,mean_sim,mean_asym,delta_pct"]
     for r in reports:
@@ -343,16 +324,15 @@ def cmd_fit(cfg: dict) -> int:
     if cfg["profile"] == "local":
         raise ConfigError("--profile: fit needs a delocalized family "
                           "(gaussian or rect)")
-    quad = _quad_spec(cfg)
     grid = _grid(cfg)
     points = []
     for s0 in sigmas:
         profile = analysis.family_profile(cfg["profile"], s0)
-        sweep = analysis.sweep_asymptotic(cfg["coin"], profile, grid, quad)
+        sweep = analysis.sweep_asymptotic(cfg["coin"], profile, grid)
         points.append((s0, sweep.mean if cfg["quantity"] == "avg" else sweep.min))
     # grid means decay toward the large-dispersion asymptote; minima decay to 0
     offset = (
-        analysis.asymptote_offset(cfg["coin"], cfg["profile"], grid, quad)
+        analysis.asymptote_offset(cfg["coin"], cfg["profile"], grid)
         if cfg["quantity"] == "avg"
         else None
     )
@@ -386,7 +366,7 @@ def main(argv=None) -> int:
     except (ConfigError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ConvergenceError, NumericalError, CapacityError, FitError) as exc:
+    except (NumericalError, CapacityError, FitError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

@@ -76,6 +76,22 @@ class CoinMoments:
     B: complex | NDArray[np.complex128]
 
 
+def as_time(value, name: str) -> int:
+    """A time or step count `value` as an int >= 0, or DomainError naming `name`.
+
+    Integral values (3, 3.0, numpy integers) are accepted as int; booleans,
+    fractions, NaN, infinities and negative values are rejected, by the rule
+    the CLI applies to its integer options.
+    """
+    try:
+        number = int(value)
+    except (TypeError, ValueError, OverflowError):
+        number = None
+    if number is None or isinstance(value, bool) or number != value or number < 0:
+        raise DomainError(f"{name} must be an integer >= 0, got {value!r}")
+    return number
+
+
 def spin_from_angles(angles: BlochAngles) -> Spinor:
     """Spin state (cos(alpha/2), e^{i beta} sin(alpha/2)) on the Bloch sphere."""
     half = angles.alpha / 2.0

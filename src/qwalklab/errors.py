@@ -13,12 +13,8 @@ class NumericalError(QwalkError):
     """A numerical routine produced results outside its accuracy contract."""
 
 
-class ConvergenceError(NumericalError):
-    """An adaptive quadrature failed to converge within its node budget."""
-
-
 class CapacityError(QwalkError):
-    """A lattice window would grow beyond its configured maximum size."""
+    """A lattice window or a k-space table would grow beyond its maximum size."""
 
 
 class FitError(QwalkError):

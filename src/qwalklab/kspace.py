@@ -1,8 +1,6 @@
 """Momentum-space engine: coin spectra, basis sums, and asymptotic moments.
 
-All integrals are over k in [-pi, pi] with measure dk/2pi, evaluated by a
-uniform trapezoidal rule on the periodic interval with node doubling until
-convergence.
+All integrals are over k in [-pi, pi] with measure dk/2pi.
 
 Every initial profile enters only through its lattice weights w_j
 (`lattice.profile_weights`): the k-space amplitudes are g(k) * spin with the
@@ -12,20 +10,21 @@ of the state the lattice walk starts from.
 The walk is linear in the initial spin, so the moments A, B of every spin are
 one quadratic form (`core.spin_moments`) in its amplitudes, with seven
 coefficients: the basis sums auu, aud, add, buu, bud, bdu, bdd of the walks
-from spin up and spin down.  `_basis_sums` is the one integrand.  With the
-eigenpairs (lambda_pm, Phi_pm) of the k-space step operator U_k, each sum is
-the integral of |g|^2 times a product of two entries of
-U_k^t = sum_pm lambda_pm^t |Phi_pm><Phi_pm|.
+from spin up and spin down.  With the eigenpairs (lambda_pm, Phi_pm) of the
+k-space step operator U_k, each sum is the integral of |g|^2 times K_i(k), a
+product of two entries of U_k^t = sum_pm lambda_pm^t |Phi_pm><Phi_pm| that
+does not depend on the profile.
 
-At time t that integrand is a trigonometric polynomial of degree below
-L + 2t, L = len(w), which the periodic trapezoid rule integrates exactly at
-more than L + 2t nodes (Trefethen & Weideman, SIAM Rev. 56 (2014)).  The
-quadrature starts above 2t nodes, the walk's part, and doubles until two
-passes agree: |g|^2 needs far fewer nodes than L.  The time averages
-(`_asymptotic_kernels`) drop the oscillating cross terms between the two
-branches, so each product is taken within one branch; that integrand is smooth
-but not a polynomial and converges by doubling.  They are computed once per
-(coin, profile) and reused across Bloch-sphere sweeps.
+Since |g|^2 = sum_n r(n) e^{-ikn}, with r(n) = sum_j w_{j+n} w_j the
+autocorrelation of the weights, each sum is the finite dot product
+sum_n r(n) C_i(n) with the Fourier coefficients C_i(n) of K_i.  They are
+tabulated once per (coin, t) by one FFT (`_coefficients`).  At time t, K_i is a
+trigonometric polynomial of degree <= 2t, so a table on more than 4t nodes is
+exact.  The time averages (`_asymptotic_kernels`, t = None) drop the
+oscillating cross terms between the two branches; that K_i is analytic, its
+coefficients decay exponentially (Trefethen & Weideman, SIAM Rev. 56 (2014)),
+and a 256-node table whose edge coefficients are checked to lie below 1e-15
+holds them.  A profile then costs one autocorrelation of its weights.
 """
 
 from __future__ import annotations
@@ -43,13 +42,14 @@ from .core import (
     CoinMoments,
     CoinOperator,
     Spinor,
+    as_time,
     delta_from_moments,
     entropy_from_delta,
     fourier_coin,
     hadamard_coin,
     spin_moments,
 )
-from .errors import ConvergenceError, DomainError, NumericalError
+from .errors import CapacityError, DomainError, NumericalError
 from .lattice import InitialProfile, profile_weights
 
 SQRT2 = math.sqrt(2.0)
@@ -78,71 +78,6 @@ def _coin_matrix(tag: str) -> CoinOperator:
 
 
 # ---------------------------------------------------------------------------
-# Quadrature
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Adaptive periodic-trapezoid parameters."""
-
-    initial_points: int = 1024
-    rel_tolerance: float = 1e-10
-    max_points: int = 2**20
-
-    def __post_init__(self) -> None:
-        if self.initial_points < 64:
-            raise DomainError("initial_points must be >= 64")
-        if self.initial_points & (self.initial_points - 1):
-            raise DomainError("initial_points must be a power of two")
-        if self.max_points > 2**20:
-            raise DomainError("max_points must be <= 2**20")
-
-
-DEFAULT_QUAD = QuadratureSpec()
-
-
-def _nodes(n: int) -> NDArray[np.float64]:
-    return -math.pi + (2.0 * math.pi / n) * np.arange(n)
-
-
-def _adaptive_means(evaluate, spec: QuadratureSpec, n_start: int | None = None):
-    """Drive node doubling until every component mean is converged.
-
-    `evaluate(k)` returns an array whose last axis runs over the nodes; the
-    mean over that axis is the integral with measure dk/2pi.  Returns the
-    converged component means.
-    """
-    n = n_start or spec.initial_points
-    n = min(n, spec.max_points)
-    prev = np.mean(evaluate(_nodes(n)), axis=-1)
-    while True:
-        if 2 * n > spec.max_points:
-            raise ConvergenceError(
-                f"quadrature did not converge within {spec.max_points} points"
-            )
-        n *= 2
-        cur = np.mean(evaluate(_nodes(n)), axis=-1)
-        err = np.abs(cur - prev)
-        bound = np.maximum(spec.rel_tolerance * np.abs(cur), 1e-14)
-        if np.all(err <= bound):
-            return cur
-        prev = cur
-
-
-def quadrature(integrand, spec: QuadratureSpec = DEFAULT_QUAD) -> complex:
-    """Integral of `integrand(k)` over [-pi, pi] with measure dk/2pi.
-
-    `integrand` must accept an ndarray of nodes and return the values at them.
-    """
-
-    def evaluate(k):
-        return np.asarray(integrand(k), dtype=np.complex128)[None, :]
-
-    return complex(_adaptive_means(evaluate, spec)[0])
-
-
-# ---------------------------------------------------------------------------
 # Initial amplitudes in k-space
 # ---------------------------------------------------------------------------
 
@@ -153,22 +88,12 @@ def profile_envelope(profile: InitialProfile, k) -> NDArray[np.complex128]:
     w_j are the lattice weights of `lattice.profile_weights`, so g is the exact
     discrete-time Fourier transform of the state the lattice walk starts from:
     a trigonometric polynomial, for every profile alike.  Evaluated here as the
-    direct sum at any k; the quadratures evaluate it on their nodes by FFT.
+    direct sum at any k; the basis sums read it only through its square
+    |g|^2 = sum_n r(n) e^{-ikn} (`_autocorrelation`).
     """
     j_min, w = profile_weights(profile)
     j = np.arange(j_min, j_min + w.shape[0])
     return np.exp(-1j * np.multiply.outer(np.asarray(k, dtype=float), j)) @ w
-
-
-def _node_envelope(j_min: int, w: NDArray[np.float64], n: int) -> NDArray[np.complex128]:
-    """g at the n quadrature nodes k_m = -pi + 2 pi m / n, by one FFT.
-
-    g(k_m) = sum_j (-1)^j w_j e^{-2 pi i m j / n}.  The exponential has period
-    n in j, so wrapping the signed weights modulo n is exact for any support.
-    """
-    j = np.arange(j_min, j_min + w.shape[0])
-    signed = np.where(j % 2 == 0, w, -w)
-    return np.fft.fft(np.bincount(j % n, weights=signed, minlength=n))
 
 
 # ---------------------------------------------------------------------------
@@ -188,6 +113,10 @@ def dispersion(coin, k: float) -> float:
     return float(np.arccos(np.cos(k) / SQRT2))
 
 
+def _nodes(n: int) -> NDArray[np.float64]:
+    return -math.pi + (2.0 * math.pi / n) * np.arange(n)
+
+
 def _step_operators(tag: str, k: NDArray[np.float64]) -> NDArray[np.complex128]:
     """Batched 2x2 k-space step operators U_k = S_k (C x 1)."""
     c = _coin_matrix(tag)
@@ -195,11 +124,6 @@ def _step_operators(tag: str, k: NDArray[np.float64]) -> NDArray[np.complex128]:
     u[..., 0, :] = np.exp(-1j * k)[..., None] * c[0, :]
     u[..., 1, :] = np.exp(1j * k)[..., None] * c[1, :]
     return u
-
-
-@functools.lru_cache(maxsize=16)
-def _spectrum_cached(tag: str, n: int):
-    return _spectrum_at(tag, _nodes(n))
 
 
 def _spectrum_at(tag: str, k: NDArray[np.float64]):
@@ -255,36 +179,96 @@ def _cross(m):
     return m[..., None, 0, :, None, :] * np.conj(m[..., :, None, :, :])
 
 
-def _basis_sums(tag: str, profile: InitialProfile, t: int | None, quad: QuadratureSpec):
+#: Fewest nodes of a table at an integer time.
+_MIN_NODES = 64
+
+#: Nodes of the time-averaged table, which keeps |n| < _AVERAGE_NODES / 2.
+_AVERAGE_NODES = 256
+
+#: Coefficients at the edge of the time-averaged table must lie below this.
+_EDGE_TOL = 1e-15
+
+#: Most nodes a table may sample: integer times up to 2**18 - 1.
+_MAX_NODES = 2**20
+
+
+@functools.lru_cache(maxsize=8)
+def _coefficients(tag: str, t: int | None) -> NDArray[np.complex128]:
+    """Fourier coefficients C(n) of the seven spin-independent integrands.
+
+    Row i, column M + n holds C_i(n) = int dk/2pi K_i(k) e^{-ikn}, |n| <= M,
+    so that basis sum i of a profile is sum_n r(n) C_i(n).  At each node the
+    branch parts P_pm[x, s] = <x|Phi_pm><Phi_pm|s> give U^t = sum_pm
+    lambda_pm^t P_pm, and K_i is a product of two entries of U^t: a
+    trigonometric polynomial of degree <= 2t, whose coefficients one FFT on
+    more than 4t nodes gives exactly (M = 2t).  With t = None the products
+    are taken within a branch, since the cross terms of the two branches
+    average to zero in time; that integrand is analytic, so its coefficients
+    decay exponentially, and the table keeps |n| < _AVERAGE_NODES / 2 after
+    checking that its edge has decayed below _EDGE_TOL.  The table is shared
+    by every caller of one (coin, t), so it is read-only; eight entries hold
+    both coins' averaged tables and three times each (448 KB at t = 1000).
+    """
+    if t is None:
+        n, m = _AVERAGE_NODES, _AVERAGE_NODES // 2 - 1
+    else:
+        n, m = max(_MIN_NODES, 1 << (4 * t).bit_length()), 2 * t
+    if n > _MAX_NODES:
+        raise CapacityError(f"a table at t = {t} needs {n} nodes, above {_MAX_NODES}")
+    evals, evecs = _spectrum_at(tag, _nodes(n))
+    vec = np.ascontiguousarray(evecs.transpose(2, 1, 0))  # [branch, x, node]
+    parts = vec[:, :, None] * np.conj(vec[:, None])  # [branch, x, s, node]
+    if t is None:
+        r = _cross(parts)
+        integrand = r[0] + r[1]
+    else:
+        lam_t = evals**t
+        integrand = _cross(parts[0] * lam_t[:, 0] + parts[1] * lam_t[:, 1])
+    # nodes k_j = -pi + 2 pi j / n, so e^{-i k_j l} = (-1)^l e^{-2 pi i j l / n}
+    lags = np.arange(-m, m + 1)
+    spectrum = np.fft.fft(integrand.reshape(8, n)[[0, 1, 3, 4, 5, 6, 7]], axis=-1)
+    table = spectrum[:, lags % n] * (np.where(lags % 2 == 0, 1.0, -1.0) / n)
+    if t is None:
+        # the last two lags on each side: every K_i has period pi (the sites a
+        # walk from one site reaches at one time share a parity), so its odd
+        # coefficients vanish and the edge is read at an even lag too
+        edge = np.abs(table[:, [0, 1, -2, -1]]).max()
+        if edge >= _EDGE_TOL:
+            raise NumericalError(
+                f"time-averaged coefficients at |n| >= {m - 1} reach {edge:.3e},"
+                f" not below {_EDGE_TOL}"
+            )
+    table.flags.writeable = False
+    return table
+
+
+def _autocorrelation(w: NDArray[np.float64], lags: int) -> NDArray[np.float64]:
+    """r(n) = sum_j w_{j+n} w_j for n = -lags, ..., lags, by one rfft/irfft.
+
+    r(-n) = r(n) for real weights, and the FFT size is at least len(w) + lags,
+    so no circular wrap reaches the lags kept.
+    """
+    size = 1 << (w.shape[0] + lags - 1).bit_length()
+    spectrum = np.fft.rfft(w, size)
+    r = np.fft.irfft(spectrum.real**2 + spectrum.imag**2, size)[: lags + 1]
+    return np.concatenate((r[:0:-1], r))
+
+
+def _basis_sums(tag: str, profile: InitialProfile, t: int | None):
     """The seven basis sums (auu, aud, add, buu, bud, bdu, bdd) of `core.spin_moments`.
 
-    At each node the branch parts P_pm[x, s] = <x|Phi_pm><Phi_pm|s> give
-    U^t = sum_pm lambda_pm^t P_pm.  At time t the sums integrate |g|^2 times
-    products of entries of U^t, a trigonometric polynomial of degree below
-    len(w) + 2t; the first pass has more than 2t nodes, but at most half of
-    `max_points`, so that a doubling can confirm it.  With t = None they are
-    the time averages: the cross terms of the two branches average to zero,
-    so each product is taken within a branch.
+    Each is the integral of |g|^2 times K_i, that is sum_n r(n) C_i(n) over
+    the lags of the profile's autocorrelation that the (coin, t) table holds:
+    |n| <= min(2t, L - 1), or |n| < 128 for the time average (t = None).
     """
-    j_min, w = profile_weights(profile)
-
-    def evaluate(k):
-        n = k.shape[0]
-        evals, evecs = _spectrum_cached(tag, n)
-        g2 = np.abs(_node_envelope(j_min, w, n)) ** 2
-        vec = np.ascontiguousarray(evecs.transpose(2, 1, 0))  # [branch, x, node]
-        parts = vec[:, :, None] * np.conj(vec[:, None])  # [branch, x, s, node]
-        if t is None:
-            r = _cross(parts)
-            return g2 * (r[0] + r[1])
-        lam_t = evals**t
-        return g2 * _cross(parts[0] * lam_t[:, 0] + parts[1] * lam_t[:, 1])
-
-    n0 = quad.initial_points
-    while t is not None and n0 <= 2 * t and 2 * n0 < quad.max_points:
-        n0 *= 2
-    sums = _adaptive_means(evaluate, quad, n_start=n0).reshape(8)
-    return tuple(sums[[0, 1, 3, 4, 5, 6, 7]])
+    _, w = profile_weights(profile)
+    table = _coefficients(tag, t)
+    mid = table.shape[1] // 2
+    lags = min(mid, w.shape[0] - 1)
+    # an elementwise product and sum, not a BLAS call: no thread start-up, and
+    # the summation order does not depend on the BLAS build or thread count
+    sums = np.sum(table[:, mid - lags : mid + lags + 1] * _autocorrelation(w, lags), axis=-1)
+    return tuple(sums)
 
 
 @dataclass(frozen=True)
@@ -311,38 +295,29 @@ def evolve_k_moments(
     spin: Spinor,
     coin,
     t: int,
-    quad: QuadratureSpec = DEFAULT_QUAD,
 ) -> CoinMoments:
-    """Moments A(t), B(t) = spin_moments of the basis sums at time t."""
-    if t < 0:
-        raise DomainError(f"t must be >= 0, got {t}")
+    """Moments A(t), B(t) = spin_moments of the basis sums at time t.
+
+    t is an integer >= 0; from t = 2**18 on the (coin, t) table would need
+    more than 2**20 nodes, and CapacityError is raised before it is sampled.
+    """
+    t = as_time(t, "t")
     if not spin.is_normalized():
         raise DomainError(f"spin must be normalized, |spin|^2 = {spin.norm_sq()}")
-    a, b = spin_moments(_basis_sums(coin_tag(coin), profile, t, quad), spin.up, spin.down)
+    a, b = spin_moments(_basis_sums(coin_tag(coin), profile, t), spin.up, spin.down)
     return CoinMoments(A=float(a), B=complex(b))
 
 
-_KERNEL_CACHE: dict = {}
+def _asymptotic_kernels(tag: str, profile: InitialProfile):
+    """The time-averaged basis sums of one (coin, profile)."""
+    return _basis_sums(tag, profile, None)
 
 
-def _asymptotic_kernels(tag: str, profile: InitialProfile, quad: QuadratureSpec):
-    """The time-averaged basis sums, computed once per (coin, profile, quad)."""
-    key = (tag, profile, quad)
-    if key not in _KERNEL_CACHE:
-        _KERNEL_CACHE[key] = _basis_sums(tag, profile, None, quad)
-    return _KERNEL_CACHE[key]
-
-
-def asymptotic_moments(
-    profile: InitialProfile,
-    spin: Spinor,
-    coin,
-    quad: QuadratureSpec = DEFAULT_QUAD,
-) -> AsymptoticMoments:
-    """Time-average of A(t), B(t): oscillatory cross terms dropped, quadrature."""
+def asymptotic_moments(profile: InitialProfile, spin: Spinor, coin) -> AsymptoticMoments:
+    """Time-average of A(t), B(t): oscillatory cross terms dropped."""
     if not spin.is_normalized():
         raise DomainError(f"spin must be normalized, |spin|^2 = {spin.norm_sq()}")
-    kernels = _asymptotic_kernels(coin_tag(coin), profile, quad)
+    kernels = _asymptotic_kernels(coin_tag(coin), profile)
     a, b = spin_moments(kernels, spin.up, spin.down)
     return AsymptoticMoments(A_bar=float(a), B_bar=complex(b))
 
@@ -424,16 +399,14 @@ class DelocalizationFactor:
     profile: InitialProfile
 
 
-def extract_f(
-    coin, profile: InitialProfile, quad: QuadratureSpec = DEFAULT_QUAD
-) -> DelocalizationFactor:
+def extract_f(coin, profile: InitialProfile) -> DelocalizationFactor:
     """Delocalization factor from delta at alpha = 0: f = (1 - sqrt(2 delta))/4.
 
     This inverts both delocalized closed forms at alpha = 0 and reproduces the
     local constant (sqrt2 - 1)/4 exactly.
     """
     tag = coin_tag(coin)
-    m = asymptotic_moments(profile, Spinor(1.0, 0.0), tag, quad)
+    m = asymptotic_moments(profile, Spinor(1.0, 0.0), tag)
     delta0 = characteristic(m).delta
     if 2.0 * delta0 > 1.0 + CLAMP_TOL:
         raise DomainError(f"2 delta(alpha=0) = {2 * delta0} exceeds 1")

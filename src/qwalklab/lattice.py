@@ -28,7 +28,14 @@ from typing import NamedTuple
 import numpy as np
 from numpy.typing import NDArray
 
-from .core import CoinMoments, CoinOperator, Spinor, entropy_from_moments, spin_moments
+from .core import (
+    CoinMoments,
+    CoinOperator,
+    Spinor,
+    as_time,
+    entropy_from_moments,
+    spin_moments,
+)
 from .errors import CapacityError, DomainError
 
 #: Default ceiling on the number of lattice sites in a walker window.
@@ -285,8 +292,7 @@ def walk(
     (every t in [0, steps] when None).  The final window, n0 + 2 * steps
     sites, is checked against max_sites before the walk buffer is allocated.
     """
-    if steps < 0:
-        raise DomainError(f"steps must be >= 0, got {steps}")
+    steps = as_time(steps, "steps")
     times = _recorded_times(steps, times)
     initial = [build_initial(profile, spin) for spin in spins]
     n0 = initial[0].n_sites
@@ -418,8 +424,7 @@ def basis_sums(profile: InitialProfile, coin: CoinOperator, steps: int):
     The profile's final window, L + 2 * steps + 2 sites, must fit
     DEFAULT_MAX_SITES, as it must for `walk`; it is checked first.
     """
-    if steps < 0:
-        raise DomainError(f"steps must be >= 0, got {steps}")
+    steps = as_time(steps, "steps")
     _, w = profile_weights(profile)
     _check_capacity(w.shape[0] + 2 * steps + 2, None)
     local = _local_final(np.asarray(coin, dtype=np.complex128).tobytes(), steps)

@@ -39,7 +39,7 @@ from qwalklab import (
     sweep_asymptotic,
 )
 from qwalklab.core import spin_moments
-from qwalklab.kspace import DEFAULT_QUAD, LOCAL_F, _asymptotic_kernels
+from qwalklab.kspace import LOCAL_F, _asymptotic_kernels
 
 SQRT2 = math.sqrt(2.0)
 RESULTS: list[str] = []
@@ -68,7 +68,7 @@ def _entropy_quad(coin, profile, alpha, beta):
 
 def _delta_grid(coin, profile, grid, beta_shift=0.0):
     """Characteristic function over a grid via the quadrature kernels."""
-    kernels = _asymptotic_kernels(coin, profile, DEFAULT_QUAD)
+    kernels = _asymptotic_kernels(coin, profile)
     alphas = grid.alphas[:, None]
     betas = grid.betas[None, :] + beta_shift
     cu = np.cos(alphas / 2.0) * np.ones_like(betas) + 0j

@@ -201,3 +201,15 @@ class TestAsymptoteOffset:
     def test_unknown_family(self):
         with pytest.raises(DomainError):
             asymptote_offset("hadamard", family="triangular")
+
+
+class TestIntegerSteps:
+    def test_integral_steps_accepted_fractional_rejected(self):
+        grid, profile = grid_from_step(1.0), Gaussian(1.0)
+        assert sweep_simulated("fourier", profile, grid, 3.0).mean == \
+            sweep_simulated("fourier", profile, grid, 3).mean
+        assert average_trace("fourier", profile, grid, 3.0) == \
+            average_trace("fourier", profile, grid, 3)
+        for run in (sweep_simulated, average_trace):
+            with pytest.raises(DomainError):
+                run("fourier", profile, grid, 2.5)

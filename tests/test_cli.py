@@ -146,6 +146,18 @@ class TestSweep:
         assert run(args + ["--out", str(b)], capsys)[0] == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_max_window_rejected(self, capsys):
+        # only evolve reads --max-window
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--mode", "simulated", "--steps", "10", "--max-window", "4"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("flag", ["--quad-points", "--quad-tol"])
+    def test_quadrature_flags_removed(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", flag, "1024"])
+        assert exc.value.code == 2
+
 
 class TestCompare:
     def test_single_sigma_row(self, capsys):
@@ -168,6 +180,12 @@ class TestCompare:
             ["compare", "--profile", "local", "--sigmas", "1"], capsys
         )
         assert code == 2
+
+    def test_max_window_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["compare", "--profile", "gaussian", "--sigmas", "1",
+                  "--steps", "10", "--max-window", "4"])
+        assert exc.value.code == 2
 
 
 class TestFit:
@@ -226,8 +244,7 @@ class TestConfigHandling:
 
     @pytest.mark.parametrize(
         "key",
-        ["sigma", "a", "alpha", "beta", "steps", "grid_step", "quad_points",
-         "quad_tol", "max_window"],
+        ["sigma", "a", "alpha", "beta", "steps", "grid_step", "max_window"],
     )
     def test_non_numeric_config_value_is_a_config_error(self, key, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -16,6 +16,7 @@ from qwalklab import (
     hadamard_coin,
     spin_from_angles,
 )
+from qwalklab.core import as_time
 
 SQRT2 = math.sqrt(2.0)
 
@@ -213,3 +214,17 @@ class TestSpinor:
 
     def test_not_normalized(self):
         assert not Spinor(1.0, 1.0).is_normalized()
+
+
+class TestAsTime:
+    @pytest.mark.parametrize("value", [3, 3.0, np.int64(3), np.float64(3.0)])
+    def test_integral_values_become_int(self, value):
+        t = as_time(value, "t")
+        assert t == 3 and type(t) is int
+
+    @pytest.mark.parametrize(
+        "value", [2.5, -1, -1.0, math.nan, math.inf, True, "3", None, 3 + 0j]
+    )
+    def test_other_values_rejected(self, value):
+        with pytest.raises(DomainError, match="steps must be an integer >= 0"):
+            as_time(value, "steps")

@@ -9,12 +9,13 @@ from hypothesis import given, settings, strategies
 from qwalklab import (
     AsymptoticMoments,
     BlochAngles,
+    CapacityError,
     DelocalizedForm,
     DomainError,
     Gaussian,
     Local,
     LocalForm,
-    QuadratureSpec,
+    NumericalError,
     Rectangular,
     Spinor,
     asymptotic_moments,
@@ -28,45 +29,106 @@ from qwalklab import (
     extract_f,
     f_interpolation,
     max_entanglement_beta,
-    quadrature,
     spin_from_angles,
 )
 from qwalklab import kspace
 from qwalklab.core import fourier_coin, hadamard_coin
 from qwalklab.kspace import (
-    DEFAULT_QUAD,
     LOCAL_F,
     _asymptotic_kernels,
+    _autocorrelation,
     _basis_sums,
-    _node_envelope,
+    _coefficients,
     _nodes,
     profile_envelope,
 )
-from qwalklab.lattice import evolve_basis, profile_weights, walk
+from qwalklab.lattice import basis_sums, evolve_basis, profile_weights, walk
 
 SQRT2 = math.sqrt(2.0)
 UP = Spinor(1.0, 0.0)
 
 
-class TestQuadrature:
-    def test_constant(self):
-        assert quadrature(lambda k: np.ones_like(k)).real == pytest.approx(1.0)
+@pytest.fixture
+def fresh_tables():
+    """An empty table cache before and after the test."""
+    _coefficients.cache_clear()
+    yield
+    _coefficients.cache_clear()
 
-    def test_rational_cosine_integral(self):
-        val = quadrature(lambda k: 1.0 / (3.0 + np.cos(2 * k)))
-        assert val.real == pytest.approx(1.0 / (2.0 * SQRT2), abs=1e-12)
 
-    def test_weighted_rational_integral(self):
-        val = quadrature(lambda k: np.cos(k) ** 2 / (3.0 + np.cos(2 * k)))
-        assert val.real == pytest.approx((2.0 - SQRT2) / 4.0, abs=1e-12)
+def _coin_op(coin):
+    return hadamard_coin() if coin == "hadamard" else fourier_coin()
 
-    def test_spec_validation(self):
-        with pytest.raises(DomainError):
-            QuadratureSpec(initial_points=32)
-        with pytest.raises(DomainError):
-            QuadratureSpec(initial_points=100)
-        with pytest.raises(DomainError):
-            QuadratureSpec(max_points=2**21)
+
+class TestCoefficients:
+    """The (coin, t) tables of Fourier coefficients behind every basis sum."""
+
+    def test_small_averaged_table_raises(self, monkeypatch, fresh_tables):
+        # 16 nodes keep |n| < 8; the coefficients at |n| = 6 are still 4.3e-3
+        monkeypatch.setattr(kspace, "_AVERAGE_NODES", 16)
+        with pytest.raises(NumericalError):
+            asymptotic_moments(Local(), UP, "hadamard")
+
+    @pytest.mark.parametrize("coin", ["hadamard", "fourier"])
+    @pytest.mark.parametrize("t", [None, 0, 1, 15, 64])
+    def test_table_agrees_at_twice_the_nodes(self, monkeypatch, fresh_tables, coin, t):
+        table = _coefficients(coin, t).copy()
+        if t is None:
+            monkeypatch.setattr(kspace, "_AVERAGE_NODES", 2 * kspace._AVERAGE_NODES)
+        else:
+            nodes = max(kspace._MIN_NODES, 1 << (4 * t).bit_length())
+            monkeypatch.setattr(kspace, "_MIN_NODES", 2 * nodes)
+        _coefficients.cache_clear()
+        doubled = _coefficients(coin, t)
+        # the rounding of lambda^t grows with t: 2.2e-15 at t = 64
+        mid, half = doubled.shape[1] // 2, table.shape[1] // 2
+        assert np.max(np.abs(doubled[:, mid - half : mid + half + 1] - table)) <= 1e-14
+        # only the averaged table gains lags, and they lie below its edge tolerance
+        assert np.max(np.abs(doubled[:, : mid - half]), initial=0.0) <= 1e-15
+        assert np.max(np.abs(doubled[:, mid + half + 1 :]), initial=0.0) <= 1e-15
+
+    def test_cache_is_bounded_and_read_only(self, fresh_tables):
+        info = _coefficients.cache_info()
+        assert info.maxsize is not None
+        for t in range(info.maxsize + 2):
+            _coefficients("hadamard", t)
+        assert _coefficients.cache_info().currsize == info.maxsize
+        table = _coefficients("hadamard", 3)
+        assert table.shape == (7, 13) and not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 0.0
+
+    def test_capacity_error_before_sampling(self, monkeypatch):
+        class Sampled(Exception):
+            pass
+
+        def refuse(n):
+            raise Sampled(n)
+
+        monkeypatch.setattr(kspace, "_nodes", refuse)
+        # t = 2**18 - 1 needs 2**20 nodes, the most a table may sample
+        with pytest.raises(Sampled):
+            _coefficients("hadamard", 262_143)
+        with pytest.raises(CapacityError):
+            evolve_k_moments(Local(), UP, "hadamard", 262_144)
+
+    @pytest.mark.parametrize("t", [0, 1, 3])
+    @pytest.mark.parametrize("profile", [Rectangular(17), Gaussian(10.0)], ids=str)
+    def test_profile_wider_than_table(self, profile, t):
+        # 35 and 1,091 sites against 4t + 1 lags
+        for coin in ("hadamard", "fourier"):
+            got = _basis_sums(coin, profile, t)
+            want = basis_sums(profile, _coin_op(coin), t)
+            assert np.max(np.abs(np.subtract(got, want))) <= 1e-12
+
+    @settings(max_examples=25, deadline=None)
+    @given(strategies.floats(min_value=0.2, max_value=30.0),
+           strategies.integers(min_value=0, max_value=300),
+           strategies.sampled_from(["hadamard", "fourier"]))
+    def test_gaussian_matches_lattice(self, sigma0, t, coin):
+        got = _basis_sums(coin, Gaussian(sigma0), t)
+        want = basis_sums(Gaussian(sigma0), _coin_op(coin), t)
+        assert np.max(np.abs(np.subtract(got, want))) <= 1e-12
 
 
 class TestKAmplitudes:
@@ -94,8 +156,10 @@ class TestKAmplitudes:
         "profile", [Local(), Gaussian(1.0), Gaussian(10.0), Rectangular(1), Rectangular(17)]
     )
     def test_parseval(self, profile):
-        val = quadrature(lambda k: profile_envelope(profile, k) ** 2 + 0j)
-        assert val.real == pytest.approx(1.0, abs=1e-9)
+        # int dk/2pi |g|^2 = r(0) = sum_j w_j^2 = 1
+        _, w = profile_weights(profile)
+        r = _autocorrelation(w, w.shape[0] - 1)
+        assert r[w.shape[0] - 1] == pytest.approx(1.0, abs=1e-15)
 
     def test_dirichlet_identity_against_direct_sum(self):
         rng = np.random.default_rng(12)
@@ -187,23 +251,33 @@ class TestEvolveKMoments:
             evolve_k_moments(Local(), UP, "hadamard", -1)
 
     @pytest.mark.parametrize("t", [0, 1000])
-    def test_wide_profile_converges_below_point_cap(self, t):
-        # Gaussian(50) spans ~5,450 sites; its |g|^2 needs far fewer nodes,
-        # and the start must leave room for the confirming doubling
-        quad = QuadratureSpec(max_points=8192)
+    def test_wide_profile_matches_lattice(self, t):
+        # Gaussian(50) spans ~5,450 sites, far more than the table's 4t + 1 lags
         run = walk(Gaussian(50.0), (UP,), hadamard_coin(), t, times=(t,))
-        m = evolve_k_moments(Gaussian(50.0), UP, "hadamard", t, quad)
+        m = evolve_k_moments(Gaussian(50.0), UP, "hadamard", t)
         assert abs(m.A - run.cross_a[0, 0, -1].real) <= 1e-10
         assert abs(m.B - run.cross_b[0, 0, -1]) <= 1e-10
 
-    @pytest.mark.parametrize("t, first", [(0, 1024), (64, 1024), (1000, 2048)])
-    def test_first_pass_does_not_grow_with_profile_support(self, monkeypatch, t, first):
-        # the start covers the walk's degree 2t; the doubling covers |g|^2
+    @pytest.mark.parametrize("t", [0, 64, 1000])
+    def test_table_does_not_grow_with_profile_support(self, monkeypatch, t):
+        # Gaussian(100) spans 10,899 sites; the table and the lags read are set by t
         seen = []
-        nodes = kspace._nodes
-        monkeypatch.setattr(kspace, "_nodes", lambda n: seen.append(n) or nodes(n))
+        autocorrelation = kspace._autocorrelation
+        monkeypatch.setattr(kspace, "_autocorrelation",
+                            lambda w, lags: seen.append(lags) or autocorrelation(w, lags))
         evolve_k_moments(Gaussian(100.0), UP, "hadamard", t)
-        assert seen[0] == first
+        assert _coefficients("hadamard", t).shape == (7, 4 * t + 1)
+        assert seen == [2 * t]
+
+    @pytest.mark.parametrize("t", [3, 3.0, np.int64(3)])
+    def test_integral_time_accepted(self, t):
+        assert evolve_k_moments(Local(), UP, "fourier", t) == evolve_k_moments(
+            Local(), UP, "fourier", 3)
+
+    @pytest.mark.parametrize("t", [2.5, math.nan, math.inf, True, "3"])
+    def test_non_integral_time_rejected(self, t):
+        with pytest.raises(DomainError):
+            evolve_k_moments(Local(), UP, "hadamard", t)
 
 
 class TestExactEnvelope:
@@ -239,7 +313,7 @@ class TestExactEnvelope:
         basis = evolve_basis(profile, coin_op, 1000, times=times)
         fields = ("auu", "aud", "add", "buu", "bud", "bdu", "bdd")
         for n, t in enumerate(times):
-            sums = _basis_sums(coin, profile, t, DEFAULT_QUAD)
+            sums = _basis_sums(coin, profile, t)
             for name, value in zip(fields, sums):
                 assert abs(value - getattr(basis, name)[n]) <= 1e-12, (name, t)
 
@@ -248,10 +322,18 @@ class TestExactEnvelope:
         "profile", [Local(), Gaussian(0.5), Gaussian(10.0), Rectangular(17)], ids=str
     )
     def test_node_fft_matches_direct_sum(self, profile, n):
-        j_min, w = profile_weights(profile)
-        fft = _node_envelope(j_min, w, n)
-        direct = profile_envelope(profile, _nodes(n))
-        assert np.max(np.abs(fft - direct)) <= 1e-13
+        # r(m) by FFT against sum_j w_{j+m} w_j, and against the n-node
+        # trapezoid mean of |g(k)|^2 e^{ikm}, g by its direct sum
+        _, w = profile_weights(profile)
+        lags = min(w.shape[0] - 1, 127)
+        r = _autocorrelation(w, lags)
+        m = np.arange(-lags, lags + 1)
+        direct = [np.dot(w[abs(l):], w[: w.shape[0] - abs(l)]) for l in m]
+        assert np.max(np.abs(r - direct)) <= 1e-15
+        k = _nodes(n)
+        g2 = np.abs(profile_envelope(profile, k)) ** 2
+        nodal = (g2 * np.exp(1j * np.multiply.outer(m, k))).mean(axis=1)
+        assert np.max(np.abs(r - nodal)) <= 1e-13
 
     def test_kernel_against_mpmath(self):
         # ka1 = int dk/2pi |g|^2 sum_pm |<up|Phi_pm>|^4, integrated by mpmath
@@ -273,7 +355,7 @@ class TestExactEnvelope:
 
         with mpmath.workdps(30):
             exact = mpmath.quad(integrand, [-mpmath.pi, mpmath.pi]) / (2 * mpmath.pi)
-        ka1 = _asymptotic_kernels("hadamard", Gaussian(0.5), DEFAULT_QUAD)[0]
+        ka1 = _asymptotic_kernels("hadamard", Gaussian(0.5))[0]
         assert abs(ka1 - float(exact)) <= 1e-13
 
 

@@ -344,3 +344,27 @@ class TestBasisSums:
     def test_rejects_negative_steps(self):
         with pytest.raises(DomainError):
             basis_sums(Local(), hadamard_coin(), -1)
+
+
+class TestIntegerTime:
+    """walk, evolve_basis and basis_sums read an integral step count as an int."""
+
+    @pytest.mark.parametrize("steps", [3.0, np.int64(3)])
+    def test_integral_steps_accepted(self, steps):
+        coin, up = hadamard_coin(), Spinor(1.0, 0.0)
+        got, want = lattice.walk(Gaussian(1.0), (up,), coin, steps), \
+            lattice.walk(Gaussian(1.0), (up,), coin, 3)
+        assert got.times == want.times and np.array_equal(got.cross_b, want.cross_b)
+        assert np.array_equal(evolve_basis(Local(), coin, steps).bud,
+                              evolve_basis(Local(), coin, 3).bud)
+        assert basis_sums(Gaussian(1.0), coin, steps) == basis_sums(Gaussian(1.0), coin, 3)
+
+    @pytest.mark.parametrize("steps", [2.5, -1, math.nan, math.inf, True, "3"])
+    def test_other_steps_rejected(self, steps):
+        coin, up = hadamard_coin(), Spinor(1.0, 0.0)
+        for call in (lambda: lattice.walk(Local(), (up,), coin, steps),
+                     lambda: evolve(Local(), up, coin, steps),
+                     lambda: evolve_basis(Local(), coin, steps),
+                     lambda: basis_sums(Local(), coin, steps)):
+            with pytest.raises(DomainError):
+                call()
