@@ -14,9 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .core import CoinMoments, as_time, binary_entropy, entropy_from_moments, spin_moments
+from .core import CoinMoments, as_time, entropy_from_delta, entropy_from_moments, spin_moments
 from .errors import DomainError, FitError
-from .kspace import _asymptotic_kernels, _coin_matrix, coin_tag
+from .kspace import _asymptotic_kernels, _coin_matrix, closed_delta, coin_tag
 from .lattice import (
     Gaussian,
     InitialProfile,
@@ -64,7 +64,9 @@ def grid_from_step(step: float) -> SweepGrid:
         raise DomainError(f"grid step must be > 0, got {step}")
     na = math.floor(math.pi / step + 1e-9) + 1
     nb = math.floor(2.0 * math.pi / step + 1e-9) + 1
-    return SweepGrid(alphas=step * np.arange(na), betas=step * np.arange(nb))
+    # the last alpha may round above pi; alpha's domain ends there
+    alphas = np.minimum(step * np.arange(na), math.pi)
+    return SweepGrid(alphas=alphas, betas=step * np.arange(nb))
 
 
 @dataclass(frozen=True)
@@ -249,21 +251,16 @@ def asymptote_offset(
 ) -> float:
     """Large-dispersion limit of the grid-mean asymptotic entropy.
 
-    Evaluates the limiting closed form (Hadamard: delta = (1/2)(cos a +
-    sin a cos b)^2; Fourier: delta = (sin a cos b)^2) over the grid.  The
-    limit is the same for the Gaussian and rectangular families, so `family`
-    only documents intent.
+    The grid mean of `entropy_from_delta(closed_delta(coin, f, alpha, beta))`
+    at the limiting factor: f -> 0 for Hadamard, where delta = (1/2)(cos a +
+    sin a cos b)^2, and f -> 1/4 for Fourier, where delta = (sin a cos b)^2.
+    The limit is the same for the Gaussian and rectangular families, so
+    `family` only documents intent.
     """
     if family not in ("gaussian", "rect"):
         raise DomainError(f"unknown profile family {family!r}")
-    tag = coin_tag(coin)
+    f_limit = 0.0 if coin_tag(coin) == "hadamard" else 0.25
     if grid is None:
         grid = paper_grid()
-    alphas = grid.alphas[:, None]
-    betas = grid.betas[None, :]
-    if tag == "hadamard":
-        delta = 0.5 * (np.cos(alphas) + np.sin(alphas) * np.cos(betas)) ** 2
-    else:
-        delta = (np.sin(alphas) * np.cos(betas)) ** 2
-    lam = (1.0 + np.sqrt(np.clip(delta, 0.0, 1.0))) / 2.0
-    return float(np.mean(binary_entropy(lam)))
+    delta = closed_delta(coin, f_limit, grid.alphas[:, None], grid.betas[None, :])
+    return float(np.mean(entropy_from_delta(delta)))

@@ -17,6 +17,7 @@ import sys
 from . import analysis
 from .core import (
     BlochAngles,
+    delta_from_moments,
     entropy_from_delta,
     fourier_coin,
     hadamard_coin,
@@ -28,14 +29,7 @@ from .errors import (
     FitError,
     NumericalError,
 )
-from .kspace import (
-    DelocalizedForm,
-    LocalForm,
-    asymptotic_moments,
-    characteristic,
-    closed_delta,
-    extract_f,
-)
+from .kspace import LOCAL_F, asymptotic_moments, closed_delta, extract_f
 from .lattice import Gaussian, Local, Rectangular, position_distribution, walk
 
 
@@ -69,7 +63,6 @@ _DEFAULTS = {
     "grid_step": 0.1,
     "mode": "asymptotic",
     "quantity": "avg",
-    "format": "csv",
     "degrees": False,
 }
 
@@ -128,7 +121,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--sigmas", help="comma-separated dispersion list")
         p.add_argument("--quantity", choices=["avg", "min"])
         p.add_argument("--out", help="output path (stdout JSON if absent)")
-        p.add_argument("--format", choices=["csv", "json"])
         p.add_argument("--config", help="JSON config file; flags override it")
         p.add_argument("--degrees", action="store_const", const=True, default=None,
                        help="interpret --alpha/--beta in degrees")
@@ -147,7 +139,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def effective_config(args: argparse.Namespace) -> dict:
-    """Merge CLI flags over config-file values over builtin defaults."""
+    """Merge CLI flags over config-file values over builtin defaults.
+
+    A config file may set exactly the options the command's parser has; any
+    other key is a ConfigError naming it.
+    """
+    keys = [key for key in vars(args) if key not in ("command", "config")]
     cfg = dict(_DEFAULTS)
     if args.config is not None:
         try:
@@ -157,11 +154,13 @@ def effective_config(args: argparse.Namespace) -> dict:
             raise ConfigError(f"--config {args.config}: invalid JSON: {exc}")
         if not isinstance(loaded, dict):
             raise ConfigError(f"--config {args.config}: expected a JSON object")
+        unknown = sorted(set(loaded) - set(keys))
+        if unknown:
+            raise ConfigError(f"--config {args.config}: {args.command} reads no "
+                              f"key {', '.join(unknown)}")
         cfg.update(loaded)
-    for key in ("coin", "profile", "sigma", "a", "alpha", "beta", "steps",
-                "grid_step", "mode", "sigmas", "quantity", "out", "format",
-                "max_window", "degrees"):
-        value = getattr(args, key, None)
+    for key in keys:
+        value = getattr(args, key)
         if value is not None:
             cfg[key] = value
     for key, kind in _NUMERIC.items():
@@ -233,29 +232,27 @@ def cmd_asymptotic(cfg: dict) -> int:
     angles = _angles(cfg)
     spin = spin_from_angles(angles)
     moments = asymptotic_moments(profile, spin, cfg["coin"])
-    result = characteristic(moments)
-
+    delta = delta_from_moments(moments)
     record = {
-        "A_bar": moments.A_bar,
-        "B_bar_re": moments.B_bar.real,
-        "B_bar_im": moments.B_bar.imag,
-        "delta": result.delta,
-        "entropy": result.entropy,
-        "method": "quadrature",
+        "A_bar": moments.A,
+        "B_bar_re": moments.B.real,
+        "B_bar_im": moments.B.imag,
+        "delta": delta,
+        "entropy": entropy_from_delta(delta),
+        "method": "kspace",
     }
     if isinstance(profile, Local):
-        form = LocalForm()
+        f = LOCAL_F
     else:
         f = extract_f(cfg["coin"], profile).f
         record["f"] = f
-        form = DelocalizedForm(f)
-    closed = closed_delta(cfg["coin"], form, angles)
+    closed = closed_delta(cfg["coin"], f, angles.alpha, angles.beta)
     record["closed_form"] = {
         "delta": closed,
-        "entropy": entropy_from_delta(min(max(closed, 0.0), 1.0)),
+        "entropy": entropy_from_delta(closed),
         "method": "closed_form",
     }
-    record["delta_abs_difference"] = abs(result.delta - closed)
+    record["delta_abs_difference"] = abs(delta - closed)
     _write_text(cfg.get("out"), json.dumps(record, indent=2) + "\n")
     return 0
 

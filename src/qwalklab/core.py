@@ -174,21 +174,32 @@ def entropy_from_moments(m: CoinMoments):
     return binary_entropy(np.minimum(lam_plus, 1.0))
 
 
-def entropy_from_delta(delta: float) -> float:
+def _clamped_delta(delta):
+    """delta clamped to [0, 1]; an excursion beyond CLAMP_TOL, or NaN, raises DomainError."""
+    delta = np.asarray(delta, dtype=float)
+    # written so that NaN fails it: every comparison with NaN is False
+    if not np.all((delta >= -CLAMP_TOL) & (delta <= 1.0 + CLAMP_TOL)):
+        raise DomainError(
+            f"delta must lie in [0, 1], got values in [{np.min(delta)}, {np.max(delta)}]"
+        )
+    return np.clip(delta, 0.0, 1.0)
+
+
+def entropy_from_delta(delta):
     """Asymptotic entanglement entropy from the characteristic function delta.
 
-    lambda_pm = (1 +- sqrt(delta))/2; delta marginally below 0 (above 1) is
-    clamped, beyond CLAMP_TOL (or NaN) it raises DomainError.
+    lambda_pm = (1 +- sqrt(delta))/2.  delta may be a scalar (a float is
+    returned) or an array (an array is); it is checked and clamped as in
+    `delta_from_moments`.
     """
-    if not -CLAMP_TOL <= delta <= 1.0 + CLAMP_TOL:  # NaN fails it
-        raise DomainError(f"delta must lie in [0, 1], got {delta}")
-    delta = min(max(float(delta), 0.0), 1.0)
-    return binary_entropy((1.0 + math.sqrt(delta)) / 2.0)
+    return binary_entropy((1.0 + np.sqrt(_clamped_delta(delta))) / 2.0)
 
 
 def delta_from_moments(m: CoinMoments) -> float:
-    """Characteristic function delta = (lambda_plus - lambda_minus)^2.
+    """Characteristic function delta = (lambda_plus - lambda_minus)^2 of scalar moments.
 
-    Algebraically 1 - 4[A(1-A) - |B|^2]; always >= 0 for physical moments.
+    Algebraically 1 - 4[A(1-A) - |B|^2], so delta <= 1 for physical moments.
+    It is clamped to [0, 1]; an excursion beyond CLAMP_TOL (unphysical
+    moments) or a NaN raises DomainError.
     """
-    return 4.0 * ((float(m.A) - 0.5) ** 2 + abs(m.B) ** 2)
+    return float(_clamped_delta(4.0 * ((float(m.A) - 0.5) ** 2 + abs(m.B) ** 2)))

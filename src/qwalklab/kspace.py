@@ -38,13 +38,11 @@ from numpy.typing import NDArray
 
 from .core import (
     CLAMP_TOL,
-    BlochAngles,
     CoinMoments,
     CoinOperator,
     Spinor,
     as_time,
     delta_from_moments,
-    entropy_from_delta,
     fourier_coin,
     hadamard_coin,
     spin_moments,
@@ -271,25 +269,6 @@ def _basis_sums(tag: str, profile: InitialProfile, t: int | None):
     return tuple(sums)
 
 
-@dataclass(frozen=True)
-class AsymptoticMoments:
-    """Time-averaged moments (A_bar, B_bar) of the reduced coin state of one spin.
-
-    `core.spin_moments` of the time-averaged basis sums (`_asymptotic_kernels`).
-    """
-
-    A_bar: float
-    B_bar: complex
-
-
-@dataclass(frozen=True)
-class CharacteristicResult:
-    """Characteristic function delta and the asymptotic entropy it implies."""
-
-    delta: float
-    entropy: float
-
-
 def evolve_k_moments(
     profile: InitialProfile,
     spin: Spinor,
@@ -313,81 +292,61 @@ def _asymptotic_kernels(tag: str, profile: InitialProfile):
     return _basis_sums(tag, profile, None)
 
 
-def asymptotic_moments(profile: InitialProfile, spin: Spinor, coin) -> AsymptoticMoments:
-    """Time-average of A(t), B(t): oscillatory cross terms dropped."""
+def asymptotic_moments(profile: InitialProfile, spin: Spinor, coin) -> CoinMoments:
+    """Time-average (A_bar, B_bar) of A(t), B(t): oscillatory cross terms dropped.
+
+    `core.spin_moments` of the time-averaged basis sums (`_asymptotic_kernels`).
+    """
     if not spin.is_normalized():
         raise DomainError(f"spin must be normalized, |spin|^2 = {spin.norm_sq()}")
     kernels = _asymptotic_kernels(coin_tag(coin), profile)
     a, b = spin_moments(kernels, spin.up, spin.down)
-    return AsymptoticMoments(A_bar=float(a), B_bar=complex(b))
-
-
-def characteristic(moments: AsymptoticMoments) -> CharacteristicResult:
-    """delta = (lambda_plus - lambda_minus)^2 and the asymptotic entropy.
-
-    delta (`core.delta_from_moments`) is clamped to [0, 1]; a pre-clamp
-    excursion beyond CLAMP_TOL raises DomainError (the moments were
-    unphysical), from `core.entropy_from_delta`.
-    """
-    delta = delta_from_moments(CoinMoments(moments.A_bar, moments.B_bar))
-    entropy = entropy_from_delta(delta)
-    return CharacteristicResult(delta=min(max(delta, 0.0), 1.0), entropy=entropy)
+    return CoinMoments(A=float(a), B=complex(b))
 
 
 # ---------------------------------------------------------------------------
-# Closed forms
+# Closed form
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LocalForm:
-    """Closed-form family for the local (single-site) initial state."""
-
-
-@dataclass(frozen=True)
-class DelocalizedForm:
-    """Closed-form family for delocalized states with factor f in [0, 1/4]."""
-
-    f: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.f <= 0.25:
-            raise DomainError(f"f must be in [0, 1/4], got {self.f}")
 
 
 #: The local-state delocalization factor (sqrt(2) - 1)/4.
 LOCAL_F = (SQRT2 - 1.0) / 4.0
 
 
-def closed_delta(coin, form, angles: BlochAngles) -> float:
-    """Closed-form characteristic function delta(alpha, beta).
+def closed_delta(coin, f: float, alpha, beta):
+    """Closed-form characteristic function delta(f; alpha, beta).
 
-    Hadamard local: (3 - 2 sqrt2)(1 + sin 2a cos b); delocalized:
-    (1/2)(1-4f)^2 (cos a + sin a cos b)^2 + (4f)^2 (sin a sin b)^2.  The
-    Fourier formulas are the Hadamard ones with beta shifted by -pi/2 at the
-    same f.  The shift maps formula to formula, not walk to walk: each coin's
-    extracted f goes its own way with dispersion (Hadamard f -> 0 with
-    sigma0^2 f -> 1/32, Fourier f -> 1/4 as 1/4 - f ~ 1/(8 sigma0^2)), so the
-    two walks are related by the shift only for the local state, where both
-    have f = (sqrt2 - 1)/4.
+    Hadamard: (1/2)(1-4f)^2 (cos a + sin a cos b)^2 + (4f)^2 (sin a sin b)^2.
+    The Fourier formula is the Hadamard one with beta shifted by -pi/2 at the
+    same f.  The local state is f = LOCAL_F, where (1/2)(1-4f)^2 = (4f)^2 =
+    3 - 2 sqrt2 and delta = (3 - 2 sqrt2)(1 + sin 2a cos b) (Hadamard) or
+    (3 - 2 sqrt2)(1 - sin 2a sin b) (Fourier); the large-dispersion limits
+    are f -> 0 (Hadamard) and f -> 1/4 (Fourier).  The shift maps formula to
+    formula, not walk to walk: each coin's extracted f goes its own way with
+    dispersion (Hadamard f -> 0 with sigma0^2 f -> 1/32, Fourier f -> 1/4 as
+    1/4 - f ~ 1/(8 sigma0^2)), so the two walks are related by the shift
+    only for the local state.
+
+    alpha and beta broadcast against each other: scalars give a float, arrays
+    an array.  f outside [0, 1/4] or any alpha outside [0, pi] raises
+    DomainError; beta may be any real.
     """
     tag = coin_tag(coin)
-    a, b = angles.alpha, angles.beta
-    if isinstance(form, LocalForm):
-        base = 3.0 - 2.0 * SQRT2
-        if tag == "hadamard":
-            return base * (1.0 + math.sin(2.0 * a) * math.cos(b))
-        return base * (1.0 - math.sin(2.0 * a) * math.sin(b))
-    if isinstance(form, DelocalizedForm):
-        f = form.f
-        if tag == "hadamard":
-            even = math.cos(a) + math.sin(a) * math.cos(b)
-            odd = math.sin(a) * math.sin(b)
-        else:
-            even = math.cos(a) - math.sin(a) * math.sin(b)
-            odd = math.sin(a) * math.cos(b)
-        return 0.5 * (1.0 - 4.0 * f) ** 2 * even**2 + (4.0 * f) ** 2 * odd**2
-    raise DomainError(f"unknown closed form {form!r}")
+    if not 0.0 <= f <= 0.25:  # NaN fails it
+        raise DomainError(f"f must be in [0, 1/4], got {f}")
+    a, b = np.asarray(alpha, dtype=float), np.asarray(beta, dtype=float)
+    if not np.all((a >= 0.0) & (a <= math.pi)):
+        raise DomainError(f"alpha must be in [0, pi], got values in [{np.min(a)}, {np.max(a)}]")
+    if tag == "hadamard":
+        even = np.cos(a) + np.sin(a) * np.cos(b)
+        odd = np.sin(a) * np.sin(b)
+    else:
+        even = np.cos(a) - np.sin(a) * np.sin(b)
+        odd = np.sin(a) * np.cos(b)
+    # np.square, not ** 2: on a numpy scalar ** 2 calls pow(), which can miss
+    # the correctly rounded square by one ulp, so scalars would differ from arrays
+    delta = 0.5 * (1.0 - 4.0 * f) ** 2 * np.square(even) + (4.0 * f) ** 2 * np.square(odd)
+    return float(delta) if delta.ndim == 0 else delta
 
 
 @dataclass(frozen=True)
@@ -406,8 +365,7 @@ def extract_f(coin, profile: InitialProfile) -> DelocalizationFactor:
     local constant (sqrt2 - 1)/4 exactly.
     """
     tag = coin_tag(coin)
-    m = asymptotic_moments(profile, Spinor(1.0, 0.0), tag)
-    delta0 = characteristic(m).delta
+    delta0 = delta_from_moments(asymptotic_moments(profile, Spinor(1.0, 0.0), tag))
     if 2.0 * delta0 > 1.0 + CLAMP_TOL:
         raise DomainError(f"2 delta(alpha=0) = {2 * delta0} exceeds 1")
     f = (1.0 - math.sqrt(min(2.0 * delta0, 1.0))) / 4.0

@@ -12,18 +12,16 @@ import pytest
 
 from qwalklab import (
     BlochAngles,
-    DelocalizedForm,
     Gaussian,
     Local,
-    LocalForm,
     Rectangular,
     asymptote_offset,
     asymptotic_moments,
     build_initial,
-    characteristic,
     closed_delta,
     coin_moments,
     compare,
+    delta_from_moments,
     entropy_from_delta,
     evolve_k_moments,
     extract_f,
@@ -63,7 +61,7 @@ def _report(num, desc, checks, note=None):
 
 def _entropy_quad(coin, profile, alpha, beta):
     spin = spin_from_angles(BlochAngles(alpha, beta))
-    return characteristic(asymptotic_moments(profile, spin, coin)).entropy
+    return entropy_from_delta(delta_from_moments(asymptotic_moments(profile, spin, coin)))
 
 
 def _delta_grid(coin, profile, grid, beta_shift=0.0):
@@ -80,8 +78,7 @@ def _delta_grid(coin, profile, grid, beta_shift=0.0):
 def test_criterion_01_local_hadamard_extrema():
     checks = []
     for alpha, beta in [(3 * math.pi / 4, 0.0), (math.pi / 4, math.pi)]:
-        d = closed_delta("hadamard", LocalForm(), BlochAngles(alpha, beta))
-        s_closed = entropy_from_delta(max(d, 0.0))
+        s_closed = entropy_from_delta(closed_delta("hadamard", LOCAL_F, alpha, beta))
         checks.append((f"closed S({alpha:.3f},{beta:.3f})=1", abs(s_closed - 1.0) < 1e-8))
         s_quad = _entropy_quad("hadamard", Local(), alpha, beta)
         checks.append((f"quad S({alpha:.3f},{beta:.3f})=1", abs(s_quad - 1.0) < 1e-6))
@@ -142,14 +139,10 @@ def test_criterion_03_delocalization_constants():
 
 def test_criterion_04_fourier_hadamard_shift():
     grid = paper_grid()
-    worst_closed = 0.0
-    for alpha in grid.alphas:
-        for beta in grid.betas:
-            d_f = closed_delta(
-                "fourier", LocalForm(), BlochAngles(float(alpha), float(beta) - math.pi / 2)
-            )
-            d_h = closed_delta("hadamard", LocalForm(), BlochAngles(float(alpha), float(beta)))
-            worst_closed = max(worst_closed, abs(d_f - d_h))
+    alphas, betas = grid.alphas[:, None], grid.betas[None, :]
+    d_f = closed_delta("fourier", LOCAL_F, alphas, betas - math.pi / 2)
+    d_h = closed_delta("hadamard", LOCAL_F, alphas, betas)
+    worst_closed = float(np.max(np.abs(d_f - d_h)))
     d_h_quad = _delta_grid("hadamard", Local(), grid)
     d_f_quad = _delta_grid("fourier", Local(), grid, beta_shift=-math.pi / 2)
     worst_quad = float(np.max(np.abs(d_f_quad - d_h_quad)))
@@ -341,27 +334,19 @@ def test_criterion_10_cross_engine_oracle():
 
 def test_criterion_11_closed_form_vs_quadrature():
     grid = paper_grid()
+    alphas, betas = grid.alphas[:, None], grid.betas[None, :]
     checks = []
     for coin in ("hadamard", "fourier"):
         d_quad = _delta_grid(coin, Local(), grid)
-        worst = 0.0
-        for i, alpha in enumerate(grid.alphas):
-            for j, beta in enumerate(grid.betas):
-                d_c = closed_delta(coin, LocalForm(), BlochAngles(float(alpha), float(beta)))
-                worst = max(worst, abs(d_quad[i, j] - d_c))
+        worst = np.max(np.abs(d_quad - closed_delta(coin, LOCAL_F, alphas, betas)))
         checks.append((f"{coin} local max diff {worst:.2e} < 1e-8", worst < 1e-8))
         for profile in (
             Gaussian(1.0), Gaussian(2.0), Gaussian(5.0), Gaussian(10.0),
             Rectangular(1), Rectangular(2), Rectangular(5), Rectangular(17),
         ):
             f = extract_f(coin, profile).f
-            form = DelocalizedForm(f)
             d_quad = _delta_grid(coin, profile, grid)
-            worst = 0.0
-            for i, alpha in enumerate(grid.alphas):
-                for j, beta in enumerate(grid.betas):
-                    d_c = closed_delta(coin, form, BlochAngles(float(alpha), float(beta)))
-                    worst = max(worst, abs(d_quad[i, j] - d_c))
+            worst = np.max(np.abs(d_quad - closed_delta(coin, f, alphas, betas)))
             checks.append((f"{coin}/{profile}: max diff {worst:.2e} < 1e-6", worst < 1e-6))
     _report(11, "closed forms reproduce quadrature over the full angle grid", checks)
 

@@ -12,7 +12,9 @@ from qwalklab import (
     SweepGrid,
     asymptote_offset,
     average_trace,
+    closed_delta,
     compare,
+    entropy_from_delta,
     evolve,
     family_profile,
     fit_power_law,
@@ -45,6 +47,13 @@ class TestGrids:
         assert g.alphas.size == 11 and g.betas.size == 21
         g2 = grid_from_step(math.pi / 4)
         assert g2.alphas.size == 5 and g2.betas.size == 9
+
+    def test_grid_alphas_end_at_pi(self):
+        # 25 * (pi / 25) rounds one ulp above pi; the grid ends at pi itself
+        assert 25 * (math.pi / 25) > math.pi
+        g = grid_from_step(math.pi / 25)
+        assert g.alphas.size == 26 and g.alphas[-1] == math.pi
+        assert 0.0 < asymptote_offset("hadamard", grid=g) < 1.0
 
     def test_invalid_grids_rejected(self):
         with pytest.raises(DomainError):
@@ -201,6 +210,12 @@ class TestAsymptoteOffset:
     def test_unknown_family(self):
         with pytest.raises(DomainError):
             asymptote_offset("hadamard", family="triangular")
+
+    @pytest.mark.parametrize("coin, f_limit", [("hadamard", 0.0), ("fourier", 0.25)])
+    def test_closed_form_at_the_limiting_f(self, coin, f_limit):
+        grid = grid_from_step(0.3)
+        delta = closed_delta(coin, f_limit, grid.alphas[:, None], grid.betas[None, :])
+        assert asymptote_offset(coin, grid=grid) == float(np.mean(entropy_from_delta(delta)))
 
 
 class TestIntegerSteps:

@@ -89,7 +89,7 @@ class TestAsymptotic:
         assert code == 0
         rec = json.loads(out)
         assert rec["entropy"] == pytest.approx(1.0, abs=1e-7)
-        assert rec["method"] == "quadrature"
+        assert rec["method"] == "kspace"
         assert rec["closed_form"]["method"] == "closed_form"
         assert "f" not in rec
         assert rec["delta_abs_difference"] < 1e-6
@@ -152,7 +152,7 @@ class TestSweep:
             main(["sweep", "--mode", "simulated", "--steps", "10", "--max-window", "4"])
         assert exc.value.code == 2
 
-    @pytest.mark.parametrize("flag", ["--quad-points", "--quad-tol"])
+    @pytest.mark.parametrize("flag", ["--quad-points", "--quad-tol", "--format"])
     def test_quadrature_flags_removed(self, flag, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["sweep", flag, "1024"])
@@ -265,6 +265,34 @@ class TestConfigHandling:
         code, out, err = run(["asymptotic", *argv], capsys)
         assert code == 2 and out == ""
         assert "error:" in err and "Traceback" not in err
+
+    def test_unread_config_keys_are_a_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"max_window": 4, "quad_points": 7}))
+        code, out, err = run(["sweep", "--mode", "simulated", "--steps", "10",
+                              "--grid-step", "1.0", "--config", str(cfg)], capsys)
+        assert code == 2 and out == ""
+        assert "max_window, quad_points" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["asymptotic", "sweep", "evolve"])
+    def test_removed_quad_points_key_is_a_config_error(self, command, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"quad_points": 7}))
+        code, _, err = run([command, "--config", str(cfg), "--out", str(tmp_path / "o")],
+                           capsys)
+        assert code == 2
+        assert "quad_points" in err
+
+    def test_max_window_key_read_by_evolve_only(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"max_window": 64}))
+        code, _, err = run(["sweep", "--grid-step", "1.0", "--config", str(cfg)], capsys)
+        assert code == 2 and "max_window" in err
+        out = tmp_path / "run.csv"
+        code, _, err = run(["evolve", "--steps", "10", "--config", str(cfg),
+                            "--out", str(out)], capsys)
+        assert code == 0 and out.exists()
+        assert json.loads(err.splitlines()[0])["max_window"] == 64
 
     def test_fractional_integer_config_value_is_a_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

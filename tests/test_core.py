@@ -148,6 +148,25 @@ class TestEntropyFromDelta:
         with pytest.raises(DomainError):
             entropy_from_delta(delta)
 
+    def test_broadcasts_like_entropy_from_moments(self):
+        deltas = np.array([[0.0, 0.25], [0.5, 1.0 + 1e-12]])
+        values = entropy_from_delta(deltas)
+        assert values.shape == (2, 2)
+        assert isinstance(entropy_from_delta(0.25), float)
+        assert values.tolist() == [[entropy_from_delta(d) for d in row] for row in deltas.tolist()]
+        with pytest.raises(DomainError):
+            entropy_from_delta(np.array([0.5, math.nan]))
+
+
+class TestDeltaFromMoments:
+    def test_marginal_excursion_clamped(self):
+        # |B|^2 above A(1 - A) by 1e-12: delta = 1 + 4e-12 before the clamp
+        assert delta_from_moments(CoinMoments(0.5, complex(0.5 + 1e-12, 0.0))) == 1.0
+
+    def test_excursion_beyond_tolerance_rejected(self):
+        with pytest.raises(DomainError):
+            delta_from_moments(CoinMoments(0.5, complex(0.5 + 1e-6, 0.0)))
+
 
 class TestBinaryEntropy:
     def test_equals_the_masked_products_bit_for_bit(self):

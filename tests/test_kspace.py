@@ -7,24 +7,24 @@ import pytest
 from hypothesis import given, settings, strategies
 
 from qwalklab import (
-    AsymptoticMoments,
     BlochAngles,
     CapacityError,
-    DelocalizedForm,
+    CoinMoments,
     DomainError,
     Gaussian,
     Local,
-    LocalForm,
     NumericalError,
     Rectangular,
     Spinor,
     asymptotic_moments,
     build_initial,
-    characteristic,
     closed_delta,
     coin_moments,
     coin_spectrum,
+    delta_from_moments,
     dispersion,
+    entropy_from_delta,
+    entropy_from_moments,
     evolve_k_moments,
     extract_f,
     f_interpolation,
@@ -238,10 +238,9 @@ class TestEvolveKMoments:
     def test_long_time_near_asymptote(self):
         spin = spin_from_angles(BlochAngles(math.pi / 4, 0.0))
         m = evolve_k_moments(Local(), spin, "hadamard", 1000)
-        from qwalklab import entropy_from_moments
-
         s_t = entropy_from_moments(m)
-        s_inf = characteristic(asymptotic_moments(Local(), spin, "hadamard")).entropy
+        m_inf = asymptotic_moments(Local(), spin, "hadamard")
+        s_inf = entropy_from_delta(delta_from_moments(m_inf))
         # a single state's S_E(t) still oscillates ~2% at t=1000; the sub-0.3%
         # figure-level agreement holds for grid averages, tested in test_analysis
         assert abs(s_t - s_inf) / s_inf < 0.02
@@ -370,83 +369,112 @@ class TestPhysicalBounds:
     def test_asymptotic_moments_are_a_density_matrix(self, sigma0, alpha, beta, coin):
         profile = Gaussian(sigma0)
         m = asymptotic_moments(profile, spin_from_angles(BlochAngles(alpha, beta)), coin)
-        assert 0.0 <= m.A_bar <= 1.0
-        assert abs(m.B_bar) ** 2 <= m.A_bar * (1.0 - m.A_bar) + 1e-12
+        assert 0.0 <= m.A <= 1.0
+        assert abs(m.B) ** 2 <= m.A * (1.0 - m.A) + 1e-12
         assert 0.0 <= extract_f(coin, profile).f <= 0.25
+
+
+def _delta_and_entropy(moments):
+    delta = delta_from_moments(moments)
+    return delta, entropy_from_delta(delta)
 
 
 class TestAsymptoticMoments:
     def test_local_maximum_point(self):
         spin = spin_from_angles(BlochAngles(3 * math.pi / 4, 0.0))
-        res = characteristic(asymptotic_moments(Local(), spin, "hadamard"))
-        assert res.delta < 1e-8
-        assert res.entropy == pytest.approx(1.0, abs=1e-7)
+        delta, entropy = _delta_and_entropy(asymptotic_moments(Local(), spin, "hadamard"))
+        assert delta < 1e-8
+        assert entropy == pytest.approx(1.0, abs=1e-7)
 
     def test_local_spin_up(self):
-        res = characteristic(asymptotic_moments(Local(), UP, "hadamard"))
-        assert res.delta == pytest.approx(3.0 - 2.0 * SQRT2, abs=1e-9)
-        assert res.entropy == pytest.approx(0.8725, abs=1e-3)
+        delta, entropy = _delta_and_entropy(asymptotic_moments(Local(), UP, "hadamard"))
+        assert delta == pytest.approx(3.0 - 2.0 * SQRT2, abs=1e-9)
+        assert entropy == pytest.approx(0.8725, abs=1e-3)
 
     def test_fourier_local_maximum_point(self):
         spin = spin_from_angles(BlochAngles(math.pi / 4, math.pi / 2))
-        res = characteristic(asymptotic_moments(Local(), spin, "fourier"))
-        assert res.delta < 1e-8
+        delta, _ = _delta_and_entropy(asymptotic_moments(Local(), spin, "fourier"))
+        assert delta < 1e-8
 
 
 class TestCharacteristic:
+    """delta = (lambda_plus - lambda_minus)^2 from the moments (`delta_from_moments`)."""
+
     def test_balanced_moments(self):
-        assert characteristic(AsymptoticMoments(0.5, 0.0)).delta == 0.0
+        assert delta_from_moments(CoinMoments(0.5, 0.0)) == 0.0
 
     def test_pure_population(self):
-        assert characteristic(AsymptoticMoments(1.0, 0.0)).delta == 1.0
+        assert delta_from_moments(CoinMoments(1.0, 0.0)) == 1.0
 
     def test_mixed_population_with_coherence(self):
         # (lambda+ - lambda-)^2 with lambda_pm = 1/2 +- sqrt(1/16 + 1/16)
-        assert characteristic(AsymptoticMoments(0.75, 0.25)).delta == pytest.approx(0.5)
+        assert delta_from_moments(CoinMoments(0.75, 0.25)) == pytest.approx(0.5)
 
     def test_unphysical_or_nan_moments_rejected(self):
-        for moments in (AsymptoticMoments(1.0, 0.1), AsymptoticMoments(math.nan, 0.0),
-                        AsymptoticMoments(0.5, complex(math.nan, 0.0))):
+        for moments in (CoinMoments(1.0, 0.1), CoinMoments(math.nan, 0.0),
+                        CoinMoments(0.5, complex(math.nan, 0.0))):
             with pytest.raises(DomainError):
-                characteristic(moments)
+                delta_from_moments(moments)
 
     def test_entropy_consistency(self):
-        from qwalklab import entropy_from_delta
+        m = CoinMoments(0.75, 0.25)
+        assert entropy_from_moments(m) == pytest.approx(
+            entropy_from_delta(delta_from_moments(m)), abs=1e-12
+        )
 
-        res = characteristic(AsymptoticMoments(0.75, 0.25))
-        assert res.entropy == pytest.approx(entropy_from_delta(res.delta), abs=1e-12)
+
+def _angle_grid():
+    """A 41 x 83 grid over alpha in [0, pi] and beta in [-pi, pi]."""
+    return np.linspace(0.0, math.pi, 41)[:, None], np.linspace(-math.pi, math.pi, 83)[None, :]
 
 
 class TestClosedDelta:
     def test_hadamard_local_minimum_point(self):
-        d = closed_delta("hadamard", LocalForm(), BlochAngles(math.pi / 4, 0.0))
+        d = closed_delta("hadamard", LOCAL_F, math.pi / 4, 0.0)
         assert d == pytest.approx(2.0 * (3.0 - 2.0 * SQRT2), abs=1e-12)
 
     def test_hadamard_delocalized_minimum_point(self):
-        d = closed_delta(
-            "hadamard", DelocalizedForm(0.0327), BlochAngles(math.pi / 4, 0.0)
-        )
+        d = closed_delta("hadamard", 0.0327, math.pi / 4, 0.0)
         assert d == pytest.approx(0.5 * (1 - 4 * 0.0327) ** 2 * 2.0, abs=1e-12)
 
-    @pytest.mark.parametrize("form", [LocalForm(), DelocalizedForm(0.05)])
-    def test_beta_shift_relation(self, form):
+    @pytest.mark.parametrize("f", [LOCAL_F, 0.05], ids=["local", "delocalized"])
+    def test_beta_shift_relation(self, f):
         for alpha in np.linspace(0.0, math.pi, 16):
             for beta in np.linspace(0.0, 2 * math.pi, 21, endpoint=False):
-                d_f = closed_delta(
-                    "fourier", form, BlochAngles(float(alpha), float(beta) - math.pi / 2)
-                )
-                d_h = closed_delta("hadamard", form, BlochAngles(float(alpha), float(beta)))
+                d_f = closed_delta("fourier", f, float(alpha), float(beta) - math.pi / 2)
+                d_h = closed_delta("hadamard", f, float(alpha), float(beta))
                 assert d_f == pytest.approx(d_h, abs=1e-12)
 
-    def test_local_form_is_delocalized_form_at_local_f(self):
-        angles = BlochAngles(1.2, 2.3)
-        assert closed_delta("hadamard", LocalForm(), angles) == pytest.approx(
-            closed_delta("hadamard", DelocalizedForm(LOCAL_F), angles), abs=1e-12
-        )
+    def test_local_f_gives_the_local_formulas(self):
+        alpha, beta = _angle_grid()
+        base = 3.0 - 2.0 * SQRT2
+        hadamard = base * (1.0 + np.sin(2.0 * alpha) * np.cos(beta))
+        fourier = base * (1.0 - np.sin(2.0 * alpha) * np.sin(beta))
+        assert np.abs(closed_delta("hadamard", LOCAL_F, alpha, beta) - hadamard).max() <= 1e-15
+        assert np.abs(closed_delta("fourier", LOCAL_F, alpha, beta) - fourier).max() <= 1e-15
+
+    @pytest.mark.parametrize("coin", ["hadamard", "fourier"])
+    @pytest.mark.parametrize("f", [0.0, 0.05, LOCAL_F, 0.25])
+    def test_array_call_equals_scalar_calls_bit_for_bit(self, coin, f):
+        alpha, beta = _angle_grid()
+        array = closed_delta(coin, f, alpha, beta)
+        assert array.shape == (41, 83)
+        scalars = [[closed_delta(coin, f, float(a), float(b)) for b in beta[0]]
+                   for a in alpha[:, 0]]
+        assert all(isinstance(x, float) for row in scalars for x in row)
+        assert array.tobytes() == np.array(scalars).tobytes()
 
     def test_f_out_of_range(self):
         with pytest.raises(DomainError):
-            DelocalizedForm(0.3)
+            closed_delta("hadamard", 0.3, 1.0, 0.0)
+        with pytest.raises(DomainError):
+            closed_delta("hadamard", math.nan, 1.0, 0.0)
+
+    @pytest.mark.parametrize("alpha", [math.pi + 0.1, -0.1, math.nan,
+                                       np.array([0.0, math.pi + 0.1])])
+    def test_alpha_out_of_range(self, alpha):
+        with pytest.raises(DomainError):
+            closed_delta("fourier", 0.1, alpha, 0.0)
 
 
 class TestExtractF:
@@ -475,14 +503,14 @@ class TestLargeDispersionLimits:
         bound = 2 * f * (4 - 4 * f) * 2
         for alpha, beta in [(0.5, 1.0), (1.5, -2.0), (2.5, 0.3)]:
             spin = spin_from_angles(BlochAngles(alpha, beta))
-            d = characteristic(asymptotic_moments(Gaussian(10.0), spin, "hadamard")).delta
+            d = delta_from_moments(asymptotic_moments(Gaussian(10.0), spin, "hadamard"))
             limit = 0.5 * (math.cos(alpha) + math.sin(alpha) * math.cos(beta)) ** 2
             assert abs(d - limit) <= bound
 
     def test_fourier_limit_form(self):
         for alpha, beta in [(0.5, 1.0), (1.5, -2.0), (2.5, 0.3)]:
             spin = spin_from_angles(BlochAngles(alpha, beta))
-            d = characteristic(asymptotic_moments(Gaussian(10.0), spin, "fourier")).delta
+            d = delta_from_moments(asymptotic_moments(Gaussian(10.0), spin, "fourier"))
             limit = (math.sin(alpha) * math.cos(beta)) ** 2
             assert abs(d - limit) < 0.02
 
