@@ -143,13 +143,25 @@ def average_trace(
     grid: SweepGrid,
     steps: int,
 ) -> list[tuple[int, float]]:
-    """Grid-mean entropy at every t in [0, steps]."""
+    """Grid-mean entropy at every t in [0, steps].
+
+    One basis-pair walk serves the whole grid.  The grid is then reduced one
+    alpha row at a time: the row's moments and entropies, nb x (steps + 1)
+    values, are added state by state into one (steps + 1) accumulator in grid
+    index order, so no (na, nb, steps + 1) array is built and a row's
+    temporaries stay cache-sized.  The sum is sequential and its order fixed:
+    for steps >= 1 it is the order of numpy's `mean(axis=0)` over the
+    (n_points, steps + 1) entropy table, and the means equal that bit for bit.
+    """
     steps = as_time(steps, "steps")
     basis = evolve_basis(profile, _coin_matrix(coin_tag(coin)), steps)
     cu, cd = _spin_amplitude_grid(grid)
-    a_vals, b_vals = basis.moments_arrays(cu, cd)
-    entropies = entropy_from_moments(CoinMoments(a_vals, b_vals))  # (na, nb, steps+1)
-    means = entropies.reshape(-1, steps + 1).mean(axis=0)
+    total = np.zeros(steps + 1)
+    for up, down in zip(cu, cd):
+        a_vals, b_vals = basis.moments_arrays(up, down)
+        for row in entropy_from_moments(CoinMoments(a_vals, b_vals)):  # (nb, steps+1)
+            np.add(total, row, out=total)
+    means = total / grid.n_points
     return [(t, float(means[t])) for t in range(steps + 1)]
 
 

@@ -155,6 +155,16 @@ def spin_moments(sums, up, down):
     return a, b
 
 
+def _radius_sq(a, b):
+    """(A - 1/2)^2 + |B|^2, the squared half-gap of the coin eigenvalues.
+
+    Squared by np.square, which multiplies, for scalars and arrays alike: `** 2`
+    on a scalar calls the C library's pow(), which is not correctly rounded for
+    every input, so the same moments would differ as a scalar and in an array.
+    """
+    return np.square(a - 0.5) + np.square(np.abs(b))
+
+
 def entropy_from_moments(m: CoinMoments):
     """Entanglement entropy of the reduced coin state with moments (A, B).
 
@@ -164,7 +174,7 @@ def entropy_from_moments(m: CoinMoments):
     |B|^2 exceeding A(1-A)) or a non-finite A or B raises DomainError.
     """
     a = np.real(m.A)
-    lam_plus = 0.5 + np.sqrt((a - 0.5) ** 2 + np.abs(m.B) ** 2)
+    lam_plus = 0.5 + np.sqrt(_radius_sq(a, m.B))
     # written so that NaN fails it: every comparison with NaN is False
     if not np.all((lam_plus <= 1.0 + CLAMP_TOL) & (a >= -CLAMP_TOL) & (a <= 1.0 + CLAMP_TOL)):
         raise DomainError(
@@ -202,4 +212,4 @@ def delta_from_moments(m: CoinMoments) -> float:
     It is clamped to [0, 1]; an excursion beyond CLAMP_TOL (unphysical
     moments) or a NaN raises DomainError.
     """
-    return float(_clamped_delta(4.0 * ((float(m.A) - 0.5) ** 2 + abs(m.B) ** 2)))
+    return float(_clamped_delta(4.0 * _radius_sq(float(m.A), m.B)))

@@ -367,6 +367,9 @@ class BasisEvolution:
         """Moments (A, B) for spin amplitudes `up`, `down` (scalars or arrays).
 
         Broadcast shape is spin_shape + (len(times),); A is real, B complex.
+        The result grows with both, so callers over a large spin grid at many
+        times pass a slice of the grid per call: `analysis.average_trace`
+        passes one alpha row, shape (nb,).
         """
         sums = (self.auu, self.aud, self.add, self.buu, self.bud, self.bdu, self.bdd)
         cu = np.asarray(up, dtype=np.complex128)[..., None]

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from qwalklab import (
+    CoinMoments,
     DomainError,
     FitError,
     Gaussian,
@@ -15,7 +17,9 @@ from qwalklab import (
     closed_delta,
     compare,
     entropy_from_delta,
+    entropy_from_moments,
     evolve,
+    evolve_basis,
     family_profile,
     fit_power_law,
     fourier_coin,
@@ -27,6 +31,8 @@ from qwalklab import (
     sweep_simulated,
 )
 from qwalklab import BlochAngles
+from qwalklab.analysis import _spin_amplitude_grid
+from qwalklab.kspace import _coin_matrix
 
 
 class TestGrids:
@@ -131,6 +137,30 @@ class TestAverageTrace:
         assert trace[0] == (0, pytest.approx(0.0))
         asym = sweep_asymptotic("hadamard", Local(), grid).mean
         assert trace[-1][1] == pytest.approx(asym, abs=0.01)
+
+    @pytest.mark.parametrize("grid", [paper_grid(), grid_from_step(0.3)], ids=["paper", "0.3"])
+    @pytest.mark.parametrize("profile", [Local(), Gaussian(2.0), Rectangular(5)], ids=repr)
+    @pytest.mark.parametrize("coin", ["hadamard", "fourier"])
+    @pytest.mark.parametrize("steps", [1, 7, 200])
+    def test_equals_the_unblocked_mean_bit_for_bit(self, steps, coin, profile, grid):
+        # the whole (na, nb, steps + 1) table at once, reduced by numpy's mean
+        basis = evolve_basis(profile, _coin_matrix(coin), steps)
+        a_vals, b_vals = basis.moments_arrays(*_spin_amplitude_grid(grid))
+        entropies = entropy_from_moments(CoinMoments(a_vals, b_vals))
+        means = entropies.reshape(-1, steps + 1).mean(axis=0)
+        assert average_trace(coin, profile, grid, steps) == [
+            (t, float(means[t])) for t in range(steps + 1)
+        ]
+
+    def test_peak_memory_is_a_few_rows(self):
+        # the unblocked table needs ~154 MiB at the paper grid and T = 1000
+        tracemalloc.start()
+        try:
+            average_trace("hadamard", Gaussian(2.0), paper_grid(), 1000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2**20
 
 
 class TestCompare:

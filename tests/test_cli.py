@@ -1,7 +1,10 @@
+import contextlib
+import io
 import json
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qwalklab.cli import main
 
@@ -318,3 +321,117 @@ class TestConfigHandling:
         echoed = json.loads(err.splitlines()[0])
         assert echoed["command"] == "asymptotic"
         assert echoed["coin"] == "hadamard"
+
+
+def _floats(low, high):
+    return st.floats(min_value=low, max_value=high).map(repr)
+
+
+#: Valid values of every flag `add_common` registers, other than --out and
+#: --config.  Sizes are bounded so that no draw walks far or builds a large
+#: profile: --steps <= 20, --grid-step >= 0.5, dispersions and half-widths <= 20.
+_VALID = {
+    "--coin": st.sampled_from(["hadamard", "fourier"]),
+    "--profile": st.sampled_from(["local", "gaussian", "rect"]),
+    "--sigma": _floats(0.3, 20.0),
+    "--a": st.integers(min_value=0, max_value=20).map(str),
+    "--alpha": _floats(0.0, math.pi),
+    "--beta": _floats(-7.0, 7.0),
+    "--steps": st.integers(min_value=0, max_value=20).map(str),
+    "--grid-step": _floats(0.5, 4.0),
+    "--mode": st.sampled_from(["asymptotic", "simulated"]),
+    "--sigmas": st.lists(_floats(0.3, 20.0), min_size=1, max_size=4).map(",".join),
+    "--quantity": st.sampled_from(["avg", "min"]),
+}
+
+_NON_FINITE = ["nan", "inf", "-inf", "1e400"]
+
+#: Invalid and non-finite values; --max-window is invalid on every command
+#: but evolve.
+_INVALID = {
+    "--coin": ["grover", ""],
+    "--profile": ["delta"],
+    "--sigma": ["-1", "0", "x", *_NON_FINITE],
+    "--a": ["-2", "2.5", "x", "nan"],
+    "--alpha": ["-1", "4", "x", *_NON_FINITE],
+    "--beta": ["x", "", *_NON_FINITE],
+    "--steps": ["-3", "2.5", "x", "nan", "inf"],
+    "--grid-step": ["0", "-0.5", "x", *_NON_FINITE],
+    "--mode": ["exact"],
+    "--sigmas": ["", ",", "1,x", "nan,1,2", "inf,1,2", "-1,1,2", "0,1,2", "1,2"],
+    "--quantity": ["max"],
+    "--max-window": ["-1", "0", "2.5", "x", "nan", "4"],
+}
+
+#: --config file contents: one valid file, and files a command must reject.
+_CONFIGS = [
+    '{"coin": "fourier", "steps": 5, "grid_step": 1.0}',
+    "{",
+    "[1, 2]",
+    '{"quad_points": 7}',
+    '{"max_window": 4}',
+    '{"sigma": NaN}',
+    '{"alpha": Infinity}',
+    '{"steps": "ten"}',
+    '{"steps": true}',
+    '{"steps": 2.5}',
+    '{"a": 1e400}',
+    '{"grid_step": null}',
+]
+
+
+@st.composite
+def _argv(draw, command, tmp):
+    """A `qwalk <command>` argv drawn from the command's flags.
+
+    Every draw sets --steps and --grid-step, and compare and fit a dispersion
+    family and list; half the draws then give one flag an invalid or
+    non-finite value, and most carry a --config file, valid, bad or missing.
+    """
+    options = dict(_VALID)
+    if command == "evolve":
+        options["--max-window"] = st.integers(min_value=1, max_value=100).map(str)
+    values = {"--steps": draw(options["--steps"]), "--grid-step": draw(options["--grid-step"])}
+    if command in ("compare", "fit"):
+        values["--profile"] = draw(st.sampled_from(["gaussian", "rect"]))
+        values["--sigmas"] = draw(options["--sigmas"])
+    for flag in draw(st.lists(st.sampled_from(sorted(options)), max_size=5, unique=True)):
+        values[flag] = draw(options[flag])
+    if draw(st.booleans()):
+        flag = draw(st.sampled_from(sorted(_INVALID)))
+        values[flag] = draw(st.sampled_from(_INVALID[flag]))
+    argv = [command] + [f"{flag}={value}" for flag, value in values.items()]
+    if draw(st.booleans()):
+        argv.append("--degrees")
+    contents = draw(st.sampled_from([None, "missing", *_CONFIGS]))
+    if contents == "missing":
+        argv.append(f"--config={tmp / 'missing.json'}")
+    elif contents is not None:
+        (tmp / "config.json").write_text(contents)
+        argv.append(f"--config={tmp / 'config.json'}")
+    out = draw(st.sampled_from(["file", "file", "directory", None]))
+    if out is not None:
+        argv.append(f"--out={tmp / 'out.csv' if out == 'file' else tmp}")
+    return argv
+
+
+class TestFuzz:
+    """Every argv exits 0, 2, 3 or 4 and none ends in a traceback."""
+
+    @pytest.mark.parametrize("command", ["evolve", "asymptotic", "sweep", "compare", "fit"])
+    def test_every_input_exits_with_a_documented_code(self, command, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp(f"fuzz-{command}")
+
+        @settings(max_examples=40, deadline=None, database=None)
+        @given(_argv(command, tmp))
+        def check(argv):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:  # argparse rejects the argv
+                    code = exc.code
+            assert code in (0, 2, 3, 4), (argv, err.getvalue())
+            assert "Traceback" not in err.getvalue(), argv
+
+        check()
