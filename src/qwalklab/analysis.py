@@ -14,10 +14,18 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .core import CoinMoments, as_time, entropy_from_delta, entropy_from_moments, spin_moments
-from .errors import DomainError, FitError
+from .core import (
+    CoinMoments,
+    as_time,
+    entropy_from_delta,
+    entropy_from_moments,
+    spin_amplitudes,
+    spin_moments,
+)
+from .errors import CapacityError, DomainError, FitError
 from .kspace import _asymptotic_kernels, _coin_matrix, closed_delta, coin_tag
 from .lattice import (
+    DEFAULT_MAX_SITES,
     Gaussian,
     InitialProfile,
     Rectangular,
@@ -59,11 +67,15 @@ def paper_grid() -> SweepGrid:
 
 
 def grid_from_step(step: float) -> SweepGrid:
-    """Uniform grid with the given step, covering [0, pi] x [0, 2pi]."""
+    """Uniform grid with the given step, covering [0, pi] x [0, 2pi], of at
+    most DEFAULT_MAX_SITES points: a larger one raises CapacityError unbuilt."""
     if not step > 0.0:
         raise DomainError(f"grid step must be > 0, got {step}")
-    na = math.floor(math.pi / step + 1e-9) + 1
-    nb = math.floor(2.0 * math.pi / step + 1e-9) + 1
+    # a ratio above the cap is clamped to it: that grid is refused either way
+    na = math.floor(min(math.pi / step, DEFAULT_MAX_SITES) + 1e-9) + 1
+    nb = math.floor(min(2.0 * math.pi / step, DEFAULT_MAX_SITES) + 1e-9) + 1
+    if na * nb > DEFAULT_MAX_SITES:
+        raise CapacityError(f"a grid of {na} x {nb} points exceeds {DEFAULT_MAX_SITES}")
     # the last alpha may round above pi; alpha's domain ends there
     alphas = np.minimum(step * np.arange(na), math.pi)
     return SweepGrid(alphas=alphas, betas=step * np.arange(nb))
@@ -82,7 +94,11 @@ class SweepResult:
     argmax: tuple[float, float]
 
 
-def _finalize_sweep(grid: SweepGrid, values: NDArray[np.float64]) -> SweepResult:
+def _sweep(grid: SweepGrid, sums) -> SweepResult:
+    """Entropy at every grid point from one set of seven basis sums, and its statistics."""
+    spins = spin_amplitudes(grid.alphas[:, None], grid.betas[None, :])
+    a_vals, b_vals = spin_moments(sums, *spins)
+    values = entropy_from_moments(CoinMoments(a_vals, b_vals))
     flat = values.ravel()  # fixed index order: alpha-major
     imin = int(np.argmin(flat))
     imax = int(np.argmax(flat))
@@ -98,24 +114,13 @@ def _finalize_sweep(grid: SweepGrid, values: NDArray[np.float64]) -> SweepResult
     )
 
 
-def _spin_amplitude_grid(grid: SweepGrid):
-    """Spin amplitudes (cu, cd) broadcast over the grid, shape (na, nb)."""
-    alphas = grid.alphas[:, None]
-    betas = grid.betas[None, :]
-    cu = np.cos(alphas / 2.0) * np.ones_like(betas)
-    cd = np.exp(1j * betas) * np.sin(alphas / 2.0)
-    return cu.astype(np.complex128), cd
-
-
 def sweep_asymptotic(
     coin,
     profile: InitialProfile,
     grid: SweepGrid,
 ) -> SweepResult:
-    """Asymptotic entropy at every grid point via the k-space kernels."""
-    kernels = _asymptotic_kernels(coin_tag(coin), profile)
-    a_vals, b_vals = spin_moments(kernels, *_spin_amplitude_grid(grid))
-    return _finalize_sweep(grid, entropy_from_moments(CoinMoments(a_vals, b_vals)))
+    """Asymptotic entropy at every grid point from the time-averaged k-space sums."""
+    return _sweep(grid, _asymptotic_kernels(coin_tag(coin), profile))
 
 
 def sweep_simulated(
@@ -127,14 +132,11 @@ def sweep_simulated(
     """Simulated entropy S_E(steps) at every grid point.
 
     The walk is linear in the initial spin, so the seven basis sums at
-    t = steps serve the whole grid; it is also linear and translation invariant
-    in position, so `lattice.basis_sums` takes them from the one cached Local
-    walk per (coin, steps), convolved with the profile.  The result equals
+    t = steps serve the whole grid; `lattice.basis_sums` takes them from the
+    cached lag table of one Local walk per (coin, steps).  The result equals
     (to roundoff) evolving each grid point from the profile independently.
     """
-    sums = basis_sums(profile, _coin_matrix(coin_tag(coin)), steps)
-    a_vals, b_vals = spin_moments(sums, *_spin_amplitude_grid(grid))
-    return _finalize_sweep(grid, entropy_from_moments(CoinMoments(a_vals, b_vals)))
+    return _sweep(grid, basis_sums(profile, _coin_matrix(coin_tag(coin)), steps))
 
 
 def average_trace(
@@ -155,7 +157,7 @@ def average_trace(
     """
     steps = as_time(steps, "steps")
     basis = evolve_basis(profile, _coin_matrix(coin_tag(coin)), steps)
-    cu, cd = _spin_amplitude_grid(grid)
+    cu, cd = spin_amplitudes(grid.alphas[:, None], grid.betas[None, :])
     total = np.zeros(steps + 1)
     for up, down in zip(cu, cd):
         a_vals, b_vals = basis.moments_arrays(up, down)
@@ -258,7 +260,6 @@ def fit_power_law(points, offset: float | None = None) -> PowerLawFit:
 
 def asymptote_offset(
     coin,
-    family: str = "gaussian",
     grid: SweepGrid | None = None,
 ) -> float:
     """Large-dispersion limit of the grid-mean asymptotic entropy.
@@ -266,11 +267,8 @@ def asymptote_offset(
     The grid mean of `entropy_from_delta(closed_delta(coin, f, alpha, beta))`
     at the limiting factor: f -> 0 for Hadamard, where delta = (1/2)(cos a +
     sin a cos b)^2, and f -> 1/4 for Fourier, where delta = (sin a cos b)^2.
-    The limit is the same for the Gaussian and rectangular families, so
-    `family` only documents intent.
+    The limit is the same for the Gaussian and rectangular families.
     """
-    if family not in ("gaussian", "rect"):
-        raise DomainError(f"unknown profile family {family!r}")
     f_limit = 0.0 if coin_tag(coin) == "hadamard" else 0.25
     if grid is None:
         grid = paper_grid()

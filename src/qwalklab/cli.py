@@ -41,43 +41,48 @@ def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
-def _parse_sigmas(text: str) -> list[float]:
+def _family_sigmas(cfg: dict) -> list[float]:
+    """The --sigmas of compare and fit, whose --profile must be a delocalized family."""
+    if not cfg.get("sigmas"):
+        raise ConfigError(f"{cfg['command']} requires --sigmas")
     try:
-        values = [float(s) for s in text.split(",") if s.strip()]
+        values = [float(s) for s in str(cfg["sigmas"]).split(",") if s.strip()]
     except ValueError as exc:
         raise ConfigError(f"--sigmas must be a comma-separated number list: {exc}")
     if not values:
         raise ConfigError("--sigmas must be a non-empty comma-separated list")
+    if cfg["profile"] == "local":
+        raise ConfigError(f"--profile: {cfg['command']} needs a delocalized family "
+                          "(gaussian or rect)")
     return values
 
 
-# Builtin defaults, applied after CLI flags and config-file values.
-_DEFAULTS = {
-    "coin": "hadamard",
-    "profile": "local",
-    "sigma": 1.0,
-    "a": 1,
-    "alpha": 0.0,
-    "beta": 0.0,
-    "steps": 1000,
-    "grid_step": 0.1,
-    "mode": "asymptotic",
-    "quantity": "avg",
-    "degrees": False,
+#: Every option, declared once: its builtin default (applied after CLI flags
+#: and config-file values) and its argparse settings, its type among them.  A
+#: command has only the options `_COMMANDS` lists for it.
+_OPTIONS = {
+    "coin": ("hadamard", {"choices": ["hadamard", "fourier"]}),
+    "profile": ("local", {"choices": ["local", "gaussian", "rect"]}),
+    "sigma": (1.0, {"type": float, "help": "Gaussian initial dispersion"}),
+    "a": (1, {"type": int, "help": "rectangular half-width"}),
+    "alpha": (0.0, {"type": float, "help": "polar Bloch angle"}),
+    "beta": (0.0, {"type": float, "help": "azimuthal Bloch angle"}),
+    "degrees": (False, {"action": "store_const", "const": True,
+                        "help": "interpret --alpha/--beta in degrees"}),
+    "steps": (1000, {"type": int}),
+    "grid_step": (0.1, {"type": float}),
+    "mode": ("asymptotic", {"choices": ["asymptotic", "simulated"]}),
+    "sigmas": (None, {"help": "comma-separated dispersion list"}),
+    "quantity": ("avg", {"choices": ["avg", "min"]}),
+    "max_window": (None, {"type": int, "help": "most lattice sites the walk may reach"}),
+    "out": (None, {"help": "output path (stdout JSON if absent)"}),
+    "config": (None, {"help": "JSON config file; flags override it"}),
 }
 
-
-#: Numeric configuration keys and their types.  A config file may hold any
-#: JSON value, so effective_config converts these once, for every command.
-_NUMERIC = {
-    "sigma": float,
-    "a": int,
-    "alpha": float,
-    "beta": float,
-    "steps": int,
-    "grid_step": float,
-    "max_window": int,
-}
+#: Numeric options and their types.  A config file may hold any JSON value,
+#: so effective_config converts these once, for every command.
+_NUMERIC = {key: settings["type"] for key, (_, settings) in _OPTIONS.items()
+            if "type" in settings}
 
 
 def _number(key: str, kind, value):
@@ -92,7 +97,7 @@ def _number(key: str, kind, value):
     if (
         number is None
         or isinstance(value, bool)
-        or not math.isfinite(number)
+        or (kind is float and not math.isfinite(number))
         or (isinstance(value, float) and number != value)
     ):
         expected = "an integer" if kind is int else "a finite number"
@@ -107,45 +112,22 @@ def build_parser() -> argparse.ArgumentParser:
         "entanglement on a 1D lattice and compute its asymptotic value.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        p.add_argument("--coin", choices=["hadamard", "fourier"])
-        p.add_argument("--profile", choices=["local", "gaussian", "rect"])
-        p.add_argument("--sigma", type=float, help="Gaussian initial dispersion")
-        p.add_argument("--a", type=int, help="rectangular half-width")
-        p.add_argument("--alpha", type=float, help="polar Bloch angle")
-        p.add_argument("--beta", type=float, help="azimuthal Bloch angle")
-        p.add_argument("--steps", type=int)
-        p.add_argument("--grid-step", dest="grid_step", type=float)
-        p.add_argument("--mode", choices=["asymptotic", "simulated"])
-        p.add_argument("--sigmas", help="comma-separated dispersion list")
-        p.add_argument("--quantity", choices=["avg", "min"])
-        p.add_argument("--out", help="output path (stdout JSON if absent)")
-        p.add_argument("--config", help="JSON config file; flags override it")
-        p.add_argument("--degrees", action="store_const", const=True, default=None,
-                       help="interpret --alpha/--beta in degrees")
-
-    for name, help_text in [
-        ("evolve", "simulate the walk and record per-step entanglement"),
-        ("asymptotic", "asymptotic moments and entropy for one spin state"),
-        ("sweep", "entropy over an (alpha, beta) grid"),
-        ("compare", "simulated vs asymptotic grid means per dispersion"),
-        ("fit", "power-law fit of entropy decay with dispersion"),
-    ]:
-        add_common(sub.add_parser(name, help=help_text))
-    # only evolve reads --max-window, so the other commands reject it
-    sub.choices["evolve"].add_argument("--max-window", dest="max_window", type=int)
+    for name, (_, help_text, keys) in _COMMANDS.items():
+        # no abbreviations: compare and fit would read --sigma as --sigmas
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
+        for key in keys:
+            p.add_argument("--" + key.replace("_", "-"), dest=key, **_OPTIONS[key][1])
     return parser
 
 
 def effective_config(args: argparse.Namespace) -> dict:
     """Merge CLI flags over config-file values over builtin defaults.
 
-    A config file may set exactly the options the command's parser has; any
-    other key is a ConfigError naming it.
+    The result holds exactly the command's options.  A config file may set
+    only those; any other key is a ConfigError naming it.
     """
     keys = [key for key in vars(args) if key not in ("command", "config")]
-    cfg = dict(_DEFAULTS)
+    cfg = {key: _OPTIONS[key][0] for key in keys}
     if args.config is not None:
         try:
             with open(args.config) as fh:
@@ -163,10 +145,10 @@ def effective_config(args: argparse.Namespace) -> dict:
         value = getattr(args, key)
         if value is not None:
             cfg[key] = value
-    for key, kind in _NUMERIC.items():
-        # max_window alone has no default: absent or null means the library's
-        if key in _DEFAULTS or cfg.get(key) is not None:
-            cfg[key] = _number(key, kind, cfg.get(key))
+    for key in keys:
+        # an option without a default (max_window) may stay unset: the library's
+        if key in _NUMERIC and (_OPTIONS[key][0] is not None or cfg[key] is not None):
+            cfg[key] = _number(key, _NUMERIC[key], cfg[key])
     cfg["command"] = args.command
     if cfg.get("degrees"):
         cfg["alpha"] = math.radians(cfg["alpha"])
@@ -205,15 +187,12 @@ def _write_text(path: str | None, text: str) -> None:
 
 
 def cmd_evolve(cfg: dict) -> int:
-    steps = cfg["steps"]
-    if steps < 0:
-        raise ConfigError(f"--steps must be >= 0, got {steps}")
     if not cfg.get("out"):
         raise ConfigError("evolve requires --out (records and .dist distribution)")
     coin = hadamard_coin() if cfg["coin"] == "hadamard" else fourier_coin()
     profile = _profile(cfg)
     spin = spin_from_angles(_angles(cfg))
-    run = walk(profile, (spin,), coin, steps, max_sites=cfg.get("max_window"))
+    run = walk(profile, (spin,), coin, cfg["steps"], max_sites=cfg["max_window"])
     lines = ["t,A,B_re,B_im,entropy"] + [
         f"{r.t},{_fmt(r.moments.A)},{_fmt(r.moments.B.real)},"
         f"{_fmt(r.moments.B.imag)},{_fmt(r.entropy)}"
@@ -283,22 +262,13 @@ def cmd_sweep(cfg: dict) -> int:
     if cfg["mode"] == "asymptotic":
         result = analysis.sweep_asymptotic(cfg["coin"], profile, grid)
     else:
-        if cfg["steps"] < 0:
-            raise ConfigError(f"--steps must be >= 0, got {cfg['steps']}")
         result = analysis.sweep_simulated(cfg["coin"], profile, grid, cfg["steps"])
     _write_text(cfg.get("out"), _sweep_csv(result))
     return 0
 
 
 def cmd_compare(cfg: dict) -> int:
-    if not cfg.get("sigmas"):
-        raise ConfigError("compare requires --sigmas")
-    sigmas = _parse_sigmas(str(cfg["sigmas"]))
-    if cfg["profile"] == "local":
-        raise ConfigError("--profile: compare needs a delocalized family "
-                          "(gaussian or rect)")
-    if cfg["steps"] < 1:
-        raise ConfigError(f"--steps must be >= 1, got {cfg['steps']}")
+    sigmas = _family_sigmas(cfg)
     reports = analysis.compare(
         cfg["coin"], cfg["profile"], sigmas, _grid(cfg), cfg["steps"]
     )
@@ -313,14 +283,9 @@ def cmd_compare(cfg: dict) -> int:
 
 
 def cmd_fit(cfg: dict) -> int:
-    if not cfg.get("sigmas"):
-        raise ConfigError("fit requires --sigmas")
-    sigmas = _parse_sigmas(str(cfg["sigmas"]))
+    sigmas = _family_sigmas(cfg)
     if len(sigmas) < 3:
         raise ConfigError(f"fit needs at least 3 sigmas, got {len(sigmas)}")
-    if cfg["profile"] == "local":
-        raise ConfigError("--profile: fit needs a delocalized family "
-                          "(gaussian or rect)")
     grid = _grid(cfg)
     points = []
     for s0 in sigmas:
@@ -329,7 +294,7 @@ def cmd_fit(cfg: dict) -> int:
         points.append((s0, sweep.mean if cfg["quantity"] == "avg" else sweep.min))
     # grid means decay toward the large-dispersion asymptote; minima decay to 0
     offset = (
-        analysis.asymptote_offset(cfg["coin"], cfg["profile"], grid)
+        analysis.asymptote_offset(cfg["coin"], grid)
         if cfg["quantity"] == "avg"
         else None
     )
@@ -344,12 +309,22 @@ def cmd_fit(cfg: dict) -> int:
     return 0
 
 
+_PROFILE = ("coin", "profile", "sigma", "a")
+_ANGLES = ("alpha", "beta", "degrees")
+_FILES = ("out", "config")
+
+#: Each command: its function, its help and the options it reads.
 _COMMANDS = {
-    "evolve": cmd_evolve,
-    "asymptotic": cmd_asymptotic,
-    "sweep": cmd_sweep,
-    "compare": cmd_compare,
-    "fit": cmd_fit,
+    "evolve": (cmd_evolve, "simulate the walk and record per-step entanglement",
+               _PROFILE + _ANGLES + ("steps", "max_window") + _FILES),
+    "asymptotic": (cmd_asymptotic, "asymptotic moments and entropy for one spin state",
+                   _PROFILE + _ANGLES + _FILES),
+    "sweep": (cmd_sweep, "entropy over an (alpha, beta) grid",
+              _PROFILE + ("steps", "grid_step", "mode") + _FILES),
+    "compare": (cmd_compare, "simulated vs asymptotic grid means per dispersion",
+                ("coin", "profile", "sigmas", "grid_step", "steps") + _FILES),
+    "fit": (cmd_fit, "power-law fit of entropy decay with dispersion",
+            ("coin", "profile", "sigmas", "grid_step", "quantity") + _FILES),
 }
 
 
@@ -359,7 +334,7 @@ def main(argv=None) -> int:
     try:
         cfg = effective_config(args)
         print(json.dumps({k: v for k, v in sorted(cfg.items())}), file=sys.stderr)
-        return _COMMANDS[args.command](cfg)
+        return _COMMANDS[args.command][0](cfg)
     except (ConfigError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -28,8 +28,8 @@ CLAMP_TOL = 1e-9
 class BlochAngles:
     """Polar (alpha) and azimuthal (beta) angles of a pure spin state.
 
-    alpha must lie in [0, pi]; beta is canonicalized into [-pi, pi), so inputs
-    in [0, 2pi) or any real value are accepted and reduced mod 2pi.
+    alpha must lie in [0, pi]; beta is canonicalized into [-pi, pi) by
+    `_reduce_beta`, so inputs in [0, 2pi) or any real value are accepted.
     """
 
     alpha: float
@@ -38,8 +38,16 @@ class BlochAngles:
     def __post_init__(self) -> None:
         if not 0.0 <= self.alpha <= math.pi:
             raise DomainError(f"alpha must be in [0, pi], got {self.alpha}")
-        beta = (float(self.beta) + math.pi) % TWO_PI - math.pi
-        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "beta", float(_reduce_beta(float(self.beta))))
+
+
+def _reduce_beta(beta):
+    """Elementwise: beta in [-pi, pi) as it is (so the rule is idempotent),
+    any other beta as (beta + pi) mod 2pi - pi."""
+    beta = np.asarray(beta, dtype=float)
+    with np.errstate(invalid="ignore"):  # an infinite beta gives NaN, as float % does
+        wrapped = np.mod(beta + math.pi, TWO_PI) - math.pi
+    return np.where((beta >= -math.pi) & (beta < math.pi), beta, wrapped)
 
 
 @dataclass(frozen=True)
@@ -92,13 +100,21 @@ def as_time(value, name: str) -> int:
     return number
 
 
+def spin_amplitudes(alpha, beta):
+    """Spin amplitudes (cos(alpha/2), e^{i beta} sin(alpha/2)), broadcast, complex.
+
+    beta is reduced by BlochAngles' rule, so raw angles and their BlochAngles
+    give the same amplitudes bit for bit.
+    """
+    half, beta = np.broadcast_arrays(np.divide(alpha, 2.0), _reduce_beta(beta))
+    up = np.cos(half).astype(np.complex128)
+    down = (np.cos(beta) + 1j * np.sin(beta)) * np.sin(half)
+    return up, down
+
+
 def spin_from_angles(angles: BlochAngles) -> Spinor:
-    """Spin state (cos(alpha/2), e^{i beta} sin(alpha/2)) on the Bloch sphere."""
-    half = angles.alpha / 2.0
-    return Spinor(
-        up=complex(math.cos(half)),
-        down=complex(math.cos(angles.beta), math.sin(angles.beta)) * math.sin(half),
-    )
+    """The Spinor of `spin_amplitudes` at `angles`."""
+    return Spinor(*(complex(x) for x in spin_amplitudes(angles.alpha, angles.beta)))
 
 
 def hadamard_coin() -> CoinOperator:

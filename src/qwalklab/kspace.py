@@ -17,14 +17,15 @@ does not depend on the profile.
 
 Since |g|^2 = sum_n r(n) e^{-ikn}, with r(n) = sum_j w_{j+n} w_j the
 autocorrelation of the weights, each sum is the finite dot product
-sum_n r(n) C_i(n) with the Fourier coefficients C_i(n) of K_i.  They are
-tabulated once per (coin, t) by one FFT (`_coefficients`).  At time t, K_i is a
-trigonometric polynomial of degree <= 2t, so a table on more than 4t nodes is
-exact.  The time averages (`_asymptotic_kernels`, t = None) drop the
-oscillating cross terms between the two branches; that K_i is analytic, its
-coefficients decay exponentially (Trefethen & Weideman, SIAM Rev. 56 (2014)),
-and a 256-node table whose edge coefficients are checked to lie below 1e-15
-holds them.  A profile then costs one autocorrelation of its weights.
+sum_n r(n) C_i(n) with the Fourier coefficients C_i(n) of K_i
+(`lattice.table_sums`), tabulated once per (coin, t) by one FFT
+(`_coefficients`).  At time t, K_i is a trigonometric polynomial of degree
+<= 2t, so a table on more than 4t nodes is exact: the lattice's table from
+the Local walk (`lattice._local_table`).  The time averages
+(`_asymptotic_kernels`, t = None) drop the oscillating cross terms between
+the two branches; that K_i is analytic, its coefficients decay exponentially
+(Trefethen & Weideman, SIAM Rev. 56 (2014)), and a 256-node table whose edge
+coefficients are checked to lie below 1e-15 holds them.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from .core import (
     spin_moments,
 )
 from .errors import CapacityError, DomainError, NumericalError
-from .lattice import InitialProfile, profile_weights
+from .lattice import InitialProfile, profile_weights, table_sums
 
 SQRT2 = math.sqrt(2.0)
 
@@ -87,7 +88,7 @@ def profile_envelope(profile: InitialProfile, k) -> NDArray[np.complex128]:
     discrete-time Fourier transform of the state the lattice walk starts from:
     a trigonometric polynomial, for every profile alike.  Evaluated here as the
     direct sum at any k; the basis sums read it only through its square
-    |g|^2 = sum_n r(n) e^{-ikn} (`_autocorrelation`).
+    |g|^2 = sum_n r(n) e^{-ikn} (`lattice._autocorrelation`).
     """
     j_min, w = profile_weights(profile)
     j = np.arange(j_min, j_min + w.shape[0])
@@ -240,33 +241,11 @@ def _coefficients(tag: str, t: int | None) -> NDArray[np.complex128]:
     return table
 
 
-def _autocorrelation(w: NDArray[np.float64], lags: int) -> NDArray[np.float64]:
-    """r(n) = sum_j w_{j+n} w_j for n = -lags, ..., lags, by one rfft/irfft.
-
-    r(-n) = r(n) for real weights, and the FFT size is at least len(w) + lags,
-    so no circular wrap reaches the lags kept.
-    """
-    size = 1 << (w.shape[0] + lags - 1).bit_length()
-    spectrum = np.fft.rfft(w, size)
-    r = np.fft.irfft(spectrum.real**2 + spectrum.imag**2, size)[: lags + 1]
-    return np.concatenate((r[:0:-1], r))
-
-
 def _basis_sums(tag: str, profile: InitialProfile, t: int | None):
-    """The seven basis sums (auu, aud, add, buu, bud, bdu, bdd) of `core.spin_moments`.
-
-    Each is the integral of |g|^2 times K_i, that is sum_n r(n) C_i(n) over
-    the lags of the profile's autocorrelation that the (coin, t) table holds:
-    |n| <= min(2t, L - 1), or |n| < 128 for the time average (t = None).
-    """
+    """The seven basis sums of `core.spin_moments`: the integrals of |g|^2 K_i,
+    that is `lattice.table_sums` of the profile against the (coin, t) table."""
     _, w = profile_weights(profile)
-    table = _coefficients(tag, t)
-    mid = table.shape[1] // 2
-    lags = min(mid, w.shape[0] - 1)
-    # an elementwise product and sum, not a BLAS call: no thread start-up, and
-    # the summation order does not depend on the BLAS build or thread count
-    sums = np.sum(table[:, mid - lags : mid + lags + 1] * _autocorrelation(w, lags), axis=-1)
-    return tuple(sums)
+    return table_sums(_coefficients(tag, t), w)
 
 
 def evolve_k_moments(

@@ -9,13 +9,13 @@ the window of n0 + 2t sites centred in the buffer, a one-site zero guard band
 included; each step reads that window and writes the one a site wider on each
 side.  Moments are recorded only at the times the caller asks for.
 
-The walk is also linear and translation invariant in position: the state a
-profile w reaches at time T is the state of the Local walk convolved with w,
-a_w(j, T) = sum_m w_m a_Local(j - m, T), and likewise for b.  So the seven
-basis sums of any profile at one time (`basis_sums`) need one Local basis-pair
-walk per (coin, T), O(T^2) site updates, which is cached, plus one FFT
-convolution of its final amplitudes with w, O((L + 2T) log(L + 2T)) for a
-profile of L sites, where walking the profile itself costs O(T (L + T)).
+The walk is also linear and translation invariant in position, so each of
+the seven basis sums of a profile w at time T is sum_n r(n) C(n): r is the
+autocorrelation of w, C a cross-correlation of two final amplitudes of the
+Local basis-pair walk.  One cached (7, 4T + 1) table per (coin, T) holds every
+C (`_local_table`, one walk of O(T^2) site updates), and `table_sums` reads
+any profile of L sites from it in O((L + T) log(L + T)).  k-space makes the
+same table from the coin's spectrum (`kspace._coefficients`).
 """
 
 from __future__ import annotations
@@ -95,10 +95,6 @@ class WalkerState:
     def n_sites(self) -> int:
         return self.a.shape[0]
 
-    @property
-    def j_max(self) -> int:
-        return self.j_min + self.n_sites - 1
-
     def positions(self) -> NDArray[np.int64]:
         return self.j_min + np.arange(self.n_sites)
 
@@ -138,13 +134,17 @@ def profile_weights(profile: InitialProfile) -> tuple[int, NDArray[np.float64]]:
 
     A Gaussian keeps exactly the sites whose normalised weight is nonzero in
     double precision: its first and last weights are nonzero, and the weight of
-    the next site out on either side underflows to 0.
+    the next site out on either side underflows to 0.  CapacityError is raised
+    before an array above DEFAULT_MAX_SITES sites (2a + 1, or a Gaussian's
+    normalisation grid) is built.
     """
     if isinstance(profile, Local):
         return 0, np.array([1.0])
     if isinstance(profile, Gaussian):
-        s2 = 4.0 * profile.sigma0**2
+        # clamped so its square cannot overflow: a sigma0 above the cap is refused
+        s2 = 4.0 * min(profile.sigma0, DEFAULT_MAX_SITES) ** 2
         half = max(_GAUSS_NORM_HALF_WIDTH, math.ceil(math.sqrt(s2 * _EXP_UNDERFLOW)))
+        _check_capacity(2 * half + 1, None)
         j = np.arange(-half, half + 1, dtype=float)
         w = np.exp(-(j**2) / s2)
         w = w / math.sqrt(float(np.sum(w**2)))
@@ -153,8 +153,36 @@ def profile_weights(profile: InitialProfile) -> tuple[int, NDArray[np.float64]]:
         return first - half, w[first : last + 1]
     if isinstance(profile, Rectangular):
         n = 2 * profile.a + 1
+        _check_capacity(n, None)
         return -profile.a, np.full(n, 1.0 / math.sqrt(n))
     raise DomainError(f"unknown profile {profile!r}")
+
+
+def _autocorrelation(w: NDArray[np.float64], lags: int) -> NDArray[np.float64]:
+    """r(n) = sum_j w_{j+n} w_j for n = -lags, ..., lags, by one rfft/irfft.
+
+    r(-n) = r(n) for real weights, and the FFT size is at least len(w) + lags,
+    so no circular wrap reaches the lags kept.
+    """
+    size = 1 << (w.shape[0] + lags - 1).bit_length()
+    spectrum = np.fft.rfft(w, size)
+    r = np.fft.irfft(spectrum.real**2 + spectrum.imag**2, size)[: lags + 1]
+    return np.concatenate((r[:0:-1], r))
+
+
+def table_sums(table: NDArray[np.complex128], w: NDArray[np.float64]) -> tuple:
+    """The seven basis sums of the profile with weights w: sum_n r(n) C_i(n).
+
+    Column M + n of `table` holds the Local state's lag-n coefficients C_i(n)
+    (`_local_table` or `kspace._coefficients`); r is the autocorrelation of w,
+    summed over |n| <= min(M, L - 1) for L weights.
+    """
+    mid = table.shape[1] // 2
+    lags = min(mid, w.shape[0] - 1)
+    # an elementwise product and sum, not a BLAS call: no thread start-up, and
+    # the summation order does not depend on the BLAS build or thread count
+    sums = np.sum(table[:, mid - lags : mid + lags + 1] * _autocorrelation(w, lags), axis=-1)
+    return tuple(sums)
 
 
 def build_initial(profile: InitialProfile, spin: Spinor) -> WalkerState:
@@ -403,39 +431,38 @@ def evolve_basis(
 
 
 @functools.lru_cache(maxsize=4)
-def _local_final(coin: bytes, steps: int) -> NDArray[np.complex128]:
-    """Final amplitudes [spin][a, b][site] of the Local basis-pair walk.
+def _local_table(coin: bytes, steps: int) -> NDArray[np.complex128]:
+    """The (coin, steps) lag table of the seven basis sums, from the Local walk.
 
-    `coin` is the coin matrix as bytes, which the cache can key on.  The
-    2 x 2 x (2 * steps + 3) array is read-only, since every caller of one
-    (coin, steps) shares it; four entries hold both coins at two times.
+    Row i, column 2 * steps + n holds C_i(n) = sum_j x(j) conj(y(j + n)) for
+    the final amplitudes (x, y) that sum i pairs, as in `core.spin_moments`
+    and `kspace._coefficients`, all from one zero-padded FFT.  `coin` is the
+    coin matrix as bytes, for the cache key; the shared table is read-only
+    (448 KB at steps = 1000).
     """
     matrix = np.frombuffer(coin, dtype=np.complex128).reshape(2, 2)
     run = walk(Local(), _BASIS, matrix, steps, times=(steps,))
-    final = np.array([(s.a, s.b) for s in run.final])
-    final.flags.writeable = False
-    return final
+    (au, bu), (ad, bd) = ((s.a, s.b) for s in run.final)
+    size = 1 << (2 * au.shape[0] - 2).bit_length()  # no circular wrap reaches a kept lag
+    f = np.fft.fft(np.array([au, ad, bu, bd]), size)
+    # ifft(X conj(Y)) at lag m is sum_j x(j + m) conj(y(j)), C_i at n = -m;
+    # row by row, so no (7, size) temporaries outlive one row
+    lags = -np.arange(-2 * steps, 2 * steps + 1) % size
+    pairs = ((0, 0), (0, 1), (1, 1), (0, 2), (0, 3), (1, 2), (1, 3))
+    table = np.array([np.fft.ifft(f[x] * np.conj(f[y]))[lags] for x, y in pairs])
+    table.flags.writeable = False
+    return table
 
 
 def basis_sums(profile: InitialProfile, coin: CoinOperator, steps: int):
     """The seven basis sums of `core.spin_moments` at t = steps, from the Local walk.
 
-    The amplitudes of the basis-pair walk from `profile` are those of the
-    cached Local walk convolved with the profile's weights, by one
-    zero-padded FFT; the sums pair them as `walk` records them.  They agree
-    with `evolve_basis(profile, coin, steps, times=[steps])` to rounding.
-    The profile's final window, L + 2 * steps + 2 sites, must fit
+    `table_sums` of the profile against the Local walk's `_local_table`; they
+    agree with `evolve_basis(profile, coin, steps, times=[steps])` to
+    rounding.  The profile's final window, L + 2 * steps + 2 sites, must fit
     DEFAULT_MAX_SITES, as it must for `walk`; it is checked first.
     """
     steps = as_time(steps, "steps")
     _, w = profile_weights(profile)
     _check_capacity(w.shape[0] + 2 * steps + 2, None)
-    local = _local_final(np.asarray(coin, dtype=np.complex128).tobytes(), steps)
-    n = local.shape[-1] + w.shape[0] - 1
-    size = 1 << (n - 1).bit_length()  # >= n, so the circular convolution is the linear one
-    psi = np.fft.ifft(np.fft.fft(local, size) * np.fft.fft(w, size))[..., :n]
-    cross_a = np.empty((2, 2), dtype=np.complex128)
-    cross_b = np.empty((2, 2), dtype=np.complex128)
-    _record(psi, 0, n, cross_a, cross_b, np.empty((2, n)))
-    return (cross_a[0, 0].real, cross_a[0, 1], cross_a[1, 1].real,
-            cross_b[0, 0], cross_b[0, 1], cross_b[1, 0], cross_b[1, 1])
+    return table_sums(_local_table(np.asarray(coin, dtype=np.complex128).tobytes(), steps), w)

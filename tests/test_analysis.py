@@ -26,12 +26,12 @@ from qwalklab import (
     grid_from_step,
     hadamard_coin,
     paper_grid,
+    spin_amplitudes,
     spin_from_angles,
     sweep_asymptotic,
     sweep_simulated,
 )
-from qwalklab import BlochAngles
-from qwalklab.analysis import _spin_amplitude_grid
+from qwalklab import BlochAngles, CapacityError
 from qwalklab.kspace import _coin_matrix
 
 
@@ -69,6 +69,46 @@ class TestGrids:
         with pytest.raises(DomainError):
             SweepGrid(alphas=np.array([]), betas=np.array([0.0]))
 
+    @pytest.mark.parametrize("step", [1e-3, 1e-9, 1e-300, 5e-324])
+    def test_grid_above_the_cap_refused_before_it_is_built(self, step):
+        # 1e-9 would be a 3.1e9 x 6.3e9 grid; 5e-324 makes pi / step infinite
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError):
+                grid_from_step(step)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_grid_at_the_cap_is_built(self, monkeypatch):
+        from qwalklab import analysis
+
+        monkeypatch.setattr(analysis, "DEFAULT_MAX_SITES", 11 * 21)
+        assert grid_from_step(0.3).n_points == 231
+        monkeypatch.setattr(analysis, "DEFAULT_MAX_SITES", 11 * 21 - 1)
+        with pytest.raises(CapacityError):
+            grid_from_step(0.3)
+
+
+class TestSpinAmplitudes:
+    def test_paper_grid_equals_spin_from_angles_bit_for_bit(self):
+        grid = paper_grid()
+        up, down = spin_amplitudes(grid.alphas[:, None], grid.betas[None, :])
+        assert up.shape == down.shape == (32, 63)
+        for i, alpha in enumerate(grid.alphas):
+            for j, beta in enumerate(grid.betas):
+                spin = spin_from_angles(BlochAngles(float(alpha), float(beta)))
+                assert (spin.up, spin.down) == (complex(up[i, j]), complex(down[i, j])), \
+                    (alpha, beta)
+
+    def test_beta_reduced_once(self):
+        # 2 pi + 0.5 and 0.5 are one spin; a beta in [-pi, pi) is kept as given
+        up, down = spin_amplitudes(1.0, np.array([0.5, 0.5 + 2 * math.pi]))
+        assert down[0] == pytest.approx(down[1], abs=1e-15) and up[0] == up[1]
+        assert BlochAngles(1.0, 0.5).beta == 0.5
+        assert BlochAngles(1.0, math.pi).beta == -math.pi
+
 
 class TestSweeps:
     def test_statistics_consistent_with_values(self):
@@ -101,10 +141,10 @@ class TestSweeps:
 
         for coin in ("hadamard", "fourier"):
             for profile in (Local(), Gaussian(2.0), Rectangular(5)):
-                lattice._local_final.cache_clear()
+                lattice._local_table.cache_clear()
                 cold = sweep_simulated(coin, profile, paper_grid(), 200)
                 warm = sweep_simulated(coin, profile, paper_grid(), 200)
-                assert lattice._local_final.cache_info().hits == 1
+                assert lattice._local_table.cache_info().hits == 1
                 assert cold.values.tobytes() == warm.values.tobytes()
                 assert (cold.mean, cold.argmin, cold.argmax) == \
                     (warm.mean, warm.argmin, warm.argmax)
@@ -145,7 +185,8 @@ class TestAverageTrace:
     def test_equals_the_unblocked_mean_bit_for_bit(self, steps, coin, profile, grid):
         # the whole (na, nb, steps + 1) table at once, reduced by numpy's mean
         basis = evolve_basis(profile, _coin_matrix(coin), steps)
-        a_vals, b_vals = basis.moments_arrays(*_spin_amplitude_grid(grid))
+        spins = spin_amplitudes(grid.alphas[:, None], grid.betas[None, :])
+        a_vals, b_vals = basis.moments_arrays(*spins)
         entropies = entropy_from_moments(CoinMoments(a_vals, b_vals))
         means = entropies.reshape(-1, steps + 1).mean(axis=0)
         assert average_trace(coin, profile, grid, steps) == [
@@ -236,10 +277,6 @@ class TestAsymptoteOffset:
             alphas=np.array([math.pi / 2]), betas=np.array([math.pi / 2])
         )
         assert asymptote_offset("hadamard", grid=grid) == pytest.approx(1.0)
-
-    def test_unknown_family(self):
-        with pytest.raises(DomainError):
-            asymptote_offset("hadamard", family="triangular")
 
     @pytest.mark.parametrize("coin, f_limit", [("hadamard", 0.0), ("fourier", 0.25)])
     def test_closed_form_at_the_limiting_f(self, coin, f_limit):

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -6,7 +7,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qwalklab.cli import main
+from qwalklab.cli import build_parser, main
 
 
 def run(argv, capsys):
@@ -253,7 +254,8 @@ class TestConfigHandling:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({key: "abc"}))
         out = tmp_path / "run.csv"
-        code, _, err = run(["evolve", "--config", str(cfg), "--out", str(out)], capsys)
+        command = "sweep" if key == "grid_step" else "evolve"  # evolve has no grid
+        code, _, err = run([command, "--config", str(cfg), "--out", str(out)], capsys)
         assert code == 2
         assert f"error: {key}:" in err and "Traceback" not in err
         assert not out.exists()
@@ -323,13 +325,90 @@ class TestConfigHandling:
         assert echoed["coin"] == "hadamard"
 
 
+#: Every option each command does not read, with a value.
+_UNREAD = {
+    "evolve": ["--grid-step=0.5", "--mode=simulated", "--sigmas=1,2,3", "--quantity=min"],
+    "asymptotic": ["--steps=5", "--grid-step=9", "--mode=simulated", "--sigmas=1,2,3",
+                   "--quantity=min", "--max-window=9"],
+    "sweep": ["--alpha=2", "--beta=1", "--degrees", "--sigmas=9", "--quantity=min",
+              "--max-window=9"],
+    "compare": ["--sigma=7", "--a=3", "--alpha=1", "--beta=1", "--degrees",
+                "--mode=asymptotic", "--quantity=min", "--max-window=9"],
+    "fit": ["--sigma=7", "--a=3", "--alpha=1", "--beta=1", "--degrees", "--steps=5",
+            "--mode=asymptotic", "--max-window=9"],
+}
+
+
+class TestOptions:
+    """Each command accepts exactly the options it reads."""
+
+    @pytest.mark.parametrize(
+        "command, flag", [(c, f) for c, flags in _UNREAD.items() for f in flags]
+    )
+    def test_unread_flag_exits_2(self, command, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, flag])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["compare", "--sigma=1"], ["asymptotic", "--alph=1"],
+                                      ["sweep", "--grid=0.5"]])
+    def test_abbreviations_exit_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command", sorted(_UNREAD))
+    def test_every_option_is_read_or_unread(self, command):
+        unread = {flag.split("=")[0] for flag in _UNREAD[command]}
+        every = set().union(*(_flags(c) for c in _UNREAD))
+        assert _flags(command) | unread == every and not _flags(command) & unread
+        assert len(every) == 15
+
+    def test_effective_config_holds_the_commands_options(self, capsys):
+        code, _, err = run(["fit", "--profile", "gaussian", "--sigmas", "1,2,4",
+                            "--grid-step", "1.0"], capsys)
+        assert code == 0
+        assert set(json.loads(err.splitlines()[0])) == {
+            "command", "coin", "profile", "sigmas", "grid_step", "quantity", "out"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["evolve", "--steps", "-1", "--out", "{tmp}/run.csv"],
+    ["sweep", "--mode", "simulated", "--steps", "-1", "--grid-step", "1.0"],
+    ["compare", "--profile", "gaussian", "--sigmas", "1", "--steps", "0"],
+])
+def test_steps_below_the_walks_minimum_exit_2(argv, tmp_path, capsys):
+    code, out, err = run([arg.format(tmp=tmp_path) for arg in argv], capsys)
+    assert code == 2 and out == "" and "steps must be" in err
+    assert not (tmp_path / "run.csv").exists()
+
+
+class TestCapacity:
+    """Sizes past the capacity rule exit 3 before anything is built."""
+
+    @pytest.mark.parametrize("argv", [
+        ["asymptotic", "--profile", "rect", "--a", "1000000000"],
+        ["asymptotic", "--profile", "rect", "--a", "1000000"],  # 2,000,001 sites
+        ["asymptotic", "--profile", "rect", "--a", "1" + "0" * 400],
+        ["asymptotic", "--profile", "gaussian", "--sigma", "1e300"],
+        ["sweep", "--grid-step", "1e-9"],
+        ["compare", "--profile", "gaussian", "--sigmas", "1", "--grid-step", "1e-9"],
+        ["fit", "--profile", "gaussian", "--sigmas", "1,2,3", "--grid-step", "1e-9"],
+    ], ids=lambda argv: " ".join(argv)[:40])
+    def test_exits_3(self, argv, capsys):
+        code, out, err = run(argv, capsys)
+        assert code == 3 and out == ""
+        assert "numerical error:" in err and "Traceback" not in err
+
+
 def _floats(low, high):
     return st.floats(min_value=low, max_value=high).map(repr)
 
 
-#: Valid values of every flag `add_common` registers, other than --out and
-#: --config.  Sizes are bounded so that no draw walks far or builds a large
-#: profile: --steps <= 20, --grid-step >= 0.5, dispersions and half-widths <= 20.
+#: Valid values of every option but --out, --config and --degrees.  Sizes
+#: are bounded so that no draw walks far or builds a large profile:
+#: --steps <= 20, --grid-step >= 0.5, dispersions and half-widths <= 20.
 _VALID = {
     "--coin": st.sampled_from(["hadamard", "fourier"]),
     "--profile": st.sampled_from(["local", "gaussian", "rect"]),
@@ -342,12 +421,21 @@ _VALID = {
     "--mode": st.sampled_from(["asymptotic", "simulated"]),
     "--sigmas": st.lists(_floats(0.3, 20.0), min_size=1, max_size=4).map(",".join),
     "--quantity": st.sampled_from(["avg", "min"]),
+    "--max-window": st.integers(min_value=1, max_value=100).map(str),
+}
+
+#: Sizes far past the capacity rule, which must be refused before anything
+#: of their size is built.
+_PAST_CAP = {
+    "--sigma": _floats(1e5, 1e300),
+    "--a": st.integers(min_value=10**6, max_value=10**400).map(str),
+    "--grid-step": _floats(1e-300, 1e-3),
 }
 
 _NON_FINITE = ["nan", "inf", "-inf", "1e400"]
 
-#: Invalid and non-finite values; --max-window is invalid on every command
-#: but evolve.
+#: Invalid and non-finite values.  A flag its command does not read is
+#: invalid whatever its value.
 _INVALID = {
     "--coin": ["grover", ""],
     "--profile": ["delta"],
@@ -363,8 +451,9 @@ _INVALID = {
     "--max-window": ["-1", "0", "2.5", "x", "nan", "4"],
 }
 
-#: --config file contents: one valid file, and files a command must reject.
+#: --config file contents: valid files, and files a command must reject.
 _CONFIGS = [
+    '{"coin": "fourier"}',
     '{"coin": "fourier", "steps": 5, "grid_step": 1.0}',
     "{",
     "[1, 2]",
@@ -380,18 +469,27 @@ _CONFIGS = [
 ]
 
 
+def _flags(command):
+    """The option strings of `command`'s own parser, -h/--help aside."""
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    actions = sub.choices[command]._actions
+    return {flag for action in actions for flag in action.option_strings} - {"-h", "--help"}
+
+
 @st.composite
 def _argv(draw, command, tmp):
-    """A `qwalk <command>` argv drawn from the command's flags.
+    """A `qwalk <command>` argv drawn from the flags of the command's parser.
 
-    Every draw sets --steps and --grid-step, and compare and fit a dispersion
-    family and list; half the draws then give one flag an invalid or
-    non-finite value, and most carry a --config file, valid, bad or missing.
+    Every draw sets the command's --steps and --grid-step, and compare and fit
+    a dispersion family and list; half the draws then give one flag, the
+    command's or another's, an invalid or non-finite value, half give one of
+    the command's sizes a value past the capacity rule, and most carry a
+    --config file, valid, bad or missing.
     """
-    options = dict(_VALID)
-    if command == "evolve":
-        options["--max-window"] = st.integers(min_value=1, max_value=100).map(str)
-    values = {"--steps": draw(options["--steps"]), "--grid-step": draw(options["--grid-step"])}
+    flags = _flags(command)
+    options = {flag: _VALID[flag] for flag in sorted(flags & set(_VALID))}
+    values = {flag: draw(options[flag]) for flag in ("--steps", "--grid-step") if flag in options}
     if command in ("compare", "fit"):
         values["--profile"] = draw(st.sampled_from(["gaussian", "rect"]))
         values["--sigmas"] = draw(options["--sigmas"])
@@ -400,8 +498,11 @@ def _argv(draw, command, tmp):
     if draw(st.booleans()):
         flag = draw(st.sampled_from(sorted(_INVALID)))
         values[flag] = draw(st.sampled_from(_INVALID[flag]))
-    argv = [command] + [f"{flag}={value}" for flag, value in values.items()]
     if draw(st.booleans()):
+        flag = draw(st.sampled_from(sorted(flags & set(_PAST_CAP))))
+        values[flag] = draw(_PAST_CAP[flag])
+    argv = [command] + [f"{flag}={value}" for flag, value in values.items()]
+    if "--degrees" in flags and draw(st.booleans()):
         argv.append("--degrees")
     contents = draw(st.sampled_from([None, "missing", *_CONFIGS]))
     if contents == "missing":

@@ -36,16 +36,17 @@ from qwalklab.core import fourier_coin, hadamard_coin
 from qwalklab.kspace import (
     LOCAL_F,
     _asymptotic_kernels,
-    _autocorrelation,
     _basis_sums,
     _coefficients,
     _nodes,
     profile_envelope,
 )
-from qwalklab.lattice import basis_sums, evolve_basis, profile_weights, walk
+from qwalklab import lattice
+from qwalklab.lattice import _autocorrelation, basis_sums, evolve_basis, profile_weights, walk
 
 SQRT2 = math.sqrt(2.0)
 UP = Spinor(1.0, 0.0)
+EPS = np.finfo(float).eps
 
 
 @pytest.fixture
@@ -261,8 +262,8 @@ class TestEvolveKMoments:
     def test_table_does_not_grow_with_profile_support(self, monkeypatch, t):
         # Gaussian(100) spans 10,899 sites; the table and the lags read are set by t
         seen = []
-        autocorrelation = kspace._autocorrelation
-        monkeypatch.setattr(kspace, "_autocorrelation",
+        autocorrelation = lattice._autocorrelation
+        monkeypatch.setattr(lattice, "_autocorrelation",
                             lambda w, lags: seen.append(lags) or autocorrelation(w, lags))
         evolve_k_moments(Gaussian(100.0), UP, "hadamard", t)
         assert _coefficients("hadamard", t).shape == (7, 4 * t + 1)
@@ -356,6 +357,34 @@ class TestExactEnvelope:
             exact = mpmath.quad(integrand, [-mpmath.pi, mpmath.pi]) / (2 * mpmath.pi)
         ka1 = _asymptotic_kernels("hadamard", Gaussian(0.5))[0]
         assert abs(ka1 - float(exact)) <= 1e-13
+
+
+class TestTableOracle:
+    """Both engines make one lag table per (coin, t) and share `table_sums`:
+    when the tables agree, every profile's sums agree."""
+
+    @pytest.mark.parametrize("t", [0, 1, 2, 3, 17, 64, 500, 1000, 2000])
+    @pytest.mark.parametrize("coin", ["hadamard", "fourier"])
+    def test_lattice_table_matches_kspace_table(self, coin, t):
+        walked = lattice._local_table(_coin_op(coin).tobytes(), t)
+        sampled = _coefficients(coin, t)
+        assert walked.shape == sampled.shape == (7, 4 * t + 1)
+        assert np.max(np.abs(walked - sampled)) <= 1e-13
+
+    @pytest.mark.parametrize("t", [0, 1, 64, 1000])
+    @pytest.mark.parametrize("coin", ["hadamard", "fourier"])
+    def test_sums_differ_by_at_most_the_table_bound(self, coin, t):
+        # |sum_n r(n) dC(n)| <= max_n |dC(n)| * sum_n |r(n)|, plus the rounding
+        # of the two sums: a few ulps per unit of sum_n |r(n)|, since |C| <= 1
+        walked = lattice._local_table(_coin_op(coin).tobytes(), t)
+        gap = np.max(np.abs(walked - _coefficients(coin, t)))
+        for profile in (Local(), Gaussian(0.3), Gaussian(2.0), Gaussian(30.0),
+                        Rectangular(0), Rectangular(17)):
+            _, w = profile_weights(profile)
+            r = _autocorrelation(w, min(2 * t, w.shape[0] - 1))
+            diff = np.subtract(basis_sums(profile, _coin_op(coin), t),
+                               _basis_sums(coin, profile, t))
+            assert np.max(np.abs(diff)) <= (gap + 4 * EPS) * np.sum(np.abs(r)), profile
 
 
 class TestPhysicalBounds:

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -60,6 +61,36 @@ class TestGaussianSupport:
         j_out = np.array([j_min - 1, j_min + w.size], dtype=float)
         assert np.all(np.exp(-(j_out**2) / (4.0 * sigma0**2)) * w.max() == 0.0)
         assert abs(math.fsum(w**2) - 1.0) <= 1e-15
+
+
+class TestProfileCapacity:
+    """profile_weights refuses an array above DEFAULT_MAX_SITES before building it."""
+
+    @pytest.mark.parametrize("profile", [Rectangular(10**9), Rectangular(10**400),
+                                         Gaussian(2e4), Gaussian(1e300)], ids=repr)
+    def test_refused_before_allocation(self, profile):
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError):
+                profile_weights(profile)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_rectangle_at_the_cap(self, monkeypatch):
+        monkeypatch.setattr(lattice, "DEFAULT_MAX_SITES", 11)
+        assert profile_weights(Rectangular(5))[1].size == 11
+        with pytest.raises(CapacityError):
+            profile_weights(Rectangular(6))
+
+    def test_gaussian_normalisation_grid_at_the_cap(self, monkeypatch):
+        # Gaussian(0.3) is normalised on |j| <= 1000, 2,001 sites
+        monkeypatch.setattr(lattice, "DEFAULT_MAX_SITES", 2001)
+        assert profile_weights(Gaussian(0.3))[1].size == 33
+        monkeypatch.setattr(lattice, "DEFAULT_MAX_SITES", 2000)
+        with pytest.raises(CapacityError):
+            profile_weights(Gaussian(0.3))
 
 
 class TestSigmaToA:
@@ -282,7 +313,7 @@ def _max_diff(got, want):
 
 
 class TestBasisSums:
-    """basis_sums: the Local walk convolved with the profile's weights."""
+    """basis_sums: the Local walk's lag table against the profile's weights."""
 
     PROFILES = [Local()] + [Gaussian(s) for s in (0.3, 0.5, 2.0, 10.0, 30.0)] \
         + [Rectangular(a) for a in (0, 5, 17)]
@@ -305,19 +336,19 @@ class TestBasisSums:
         assert _max_diff(got, _walked_sums(Gaussian(sigma0), coin, steps)) <= 1e-14
 
     def test_local_walk_cache_is_bounded_and_read_only(self):
-        info = lattice._local_final.cache_info()
+        info = lattice._local_table.cache_info()
         assert info.maxsize is not None
         for steps in range(info.maxsize + 2):
             basis_sums(Local(), hadamard_coin(), steps)
-        assert lattice._local_final.cache_info().currsize == info.maxsize
-        final = lattice._local_final(hadamard_coin().tobytes(), 3)
-        assert final.shape == (2, 2, 9) and not final.flags.writeable
+        assert lattice._local_table.cache_info().currsize == info.maxsize
+        table = lattice._local_table(hadamard_coin().tobytes(), 3)
+        assert table.shape == (7, 13) and not table.flags.writeable
 
     def test_one_walk_serves_every_profile_of_a_coin_and_time(self):
-        lattice._local_final.cache_clear()
+        lattice._local_table.cache_clear()
         for profile in self.PROFILES:
             basis_sums(profile, fourier_coin(), 20)
-        info = lattice._local_final.cache_info()
+        info = lattice._local_table.cache_info()
         assert (info.misses, info.hits) == (1, len(self.PROFILES) - 1)
 
     @pytest.mark.parametrize("profile", [Local(), Rectangular(3), Gaussian(0.3)])
@@ -334,12 +365,12 @@ class TestBasisSums:
                 basis_sums(profile, hadamard_coin(), steps)
 
     def test_capacity_checked_before_walking(self):
-        lattice._local_final.cache_clear()
+        lattice._local_table.cache_clear()
         # 2a + 1 + 2 * 1000 + 2 = DEFAULT_MAX_SITES + 1
         a = (lattice.DEFAULT_MAX_SITES - 2002) // 2
         with pytest.raises(CapacityError):
             basis_sums(Rectangular(a), hadamard_coin(), 1000)
-        assert lattice._local_final.cache_info().misses == 0
+        assert lattice._local_table.cache_info().misses == 0
 
     def test_rejects_negative_steps(self):
         with pytest.raises(DomainError):
