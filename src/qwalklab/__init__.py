@@ -44,11 +44,9 @@ from .errors import (
 )
 from .kspace import (
     LOCAL_F,
-    CoinSpectrum,
     DelocalizationFactor,
     asymptotic_moments,
     closed_delta,
-    coin_spectrum,
     dispersion,
     evolve_k_moments,
     extract_f,
@@ -63,14 +61,11 @@ from .lattice import (
     Rectangular,
     WalkerState,
     basis_sums,
-    build_initial,
-    coin_moments,
     evolve,
     evolve_basis,
     position_distribution,
     profile_weights,
     sigma_to_a,
-    step,
 )
 
 __version__ = "0.1.0"
@@ -79,7 +74,6 @@ __all__ = [
     "BlochAngles",
     "CapacityError",
     "CoinMoments",
-    "CoinSpectrum",
     "ComparisonReport",
     "DelocalizationFactor",
     "DomainError",
@@ -102,10 +96,7 @@ __all__ = [
     "average_trace",
     "basis_sums",
     "binary_entropy",
-    "build_initial",
     "closed_delta",
-    "coin_moments",
-    "coin_spectrum",
     "compare",
     "delta_from_moments",
     "dispersion",
@@ -128,7 +119,6 @@ __all__ = [
     "sigma_to_a",
     "spin_amplitudes",
     "spin_from_angles",
-    "step",
     "sweep_asymptotic",
     "sweep_simulated",
 ]

@@ -63,9 +63,6 @@ class Spinor:
     def is_normalized(self, tol: float = 1e-12) -> bool:
         return abs(self.norm_sq() - 1.0) <= tol
 
-    def as_array(self) -> NDArray[np.complex128]:
-        return np.array([self.up, self.down], dtype=np.complex128)
-
 
 #: A coin operator is a 2x2 complex unitary matrix.
 CoinOperator = NDArray[np.complex128]

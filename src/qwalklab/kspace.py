@@ -76,30 +76,6 @@ def _coin_matrix(tag: str) -> CoinOperator:
     return _HADAMARD if tag == "hadamard" else _FOURIER
 
 
-# ---------------------------------------------------------------------------
-# Initial amplitudes in k-space
-# ---------------------------------------------------------------------------
-
-
-def profile_envelope(profile: InitialProfile, k) -> NDArray[np.complex128]:
-    """Envelope g(k) = sum_j w_j e^{-ikj}, with (a_k, b_k) = g(k) * (spin up, spin down).
-
-    w_j are the lattice weights of `lattice.profile_weights`, so g is the exact
-    discrete-time Fourier transform of the state the lattice walk starts from:
-    a trigonometric polynomial, for every profile alike.  Evaluated here as the
-    direct sum at any k; the basis sums read it only through its square
-    |g|^2 = sum_n r(n) e^{-ikn} (`lattice._autocorrelation`).
-    """
-    j_min, w = profile_weights(profile)
-    j = np.arange(j_min, j_min + w.shape[0])
-    return np.exp(-1j * np.multiply.outer(np.asarray(k, dtype=float), j)) @ w
-
-
-# ---------------------------------------------------------------------------
-# Coin spectrum
-# ---------------------------------------------------------------------------
-
-
 def dispersion(coin, k: float) -> float:
     """Eigenphase frequency omega_k of the k-space step operator.
 
@@ -134,35 +110,6 @@ def _spectrum_at(tag: str, k: NDArray[np.float64]):
     if resid > 1e-10:
         raise NumericalError(f"eigen-residual {resid:.3e} exceeds 1e-10")
     return evals, evecs
-
-
-@dataclass(frozen=True)
-class CoinSpectrum:
-    """Eigenpairs of the 2x2 k-space step operator at one wavenumber.
-
-    Branch order is (+, -): for the Hadamard coin the + branch is +e^{-i
-    omega_k} (positive real part), for the Fourier coin e^{-i omega_k}
-    (negative imaginary part).
-    """
-
-    k: float
-    eigenvalues: NDArray[np.complex128]
-    eigenvectors: NDArray[np.complex128]  # columns
-
-
-def coin_spectrum(coin, k: float) -> CoinSpectrum:
-    """Eigen-decomposition of U_k with the branch ordering described above."""
-    tag = coin_tag(coin)
-    evals, evecs = _spectrum_at(tag, np.asarray([float(k)]))
-    evals, evecs = evals[0], evecs[0]
-    if tag == "hadamard":
-        plus_first = evals[0].real > evals[1].real
-    else:
-        plus_first = evals[0].imag < evals[1].imag
-    order = [0, 1] if plus_first else [1, 0]
-    return CoinSpectrum(
-        k=float(k), eigenvalues=evals[order], eigenvectors=evecs[:, order]
-    )
 
 
 # ---------------------------------------------------------------------------

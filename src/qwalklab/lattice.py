@@ -50,6 +50,10 @@ _EXP_UNDERFLOW = 746.0
 #: versions computed on it.
 _GAUSS_NORM_HALF_WIDTH = 1000
 
+#: Gaussian dispersions below this one are read as it; it and every sigma0
+#: below it keep only the site j = 0.
+_GAUSS_MIN_SIGMA = 0.01
+
 
 @dataclass(frozen=True)
 class Local:
@@ -98,15 +102,6 @@ class WalkerState:
     def positions(self) -> NDArray[np.int64]:
         return self.j_min + np.arange(self.n_sites)
 
-    def norm(self) -> float:
-        return float(np.sum(np.abs(self.a) ** 2 + np.abs(self.b) ** 2))
-
-    def spinor_at(self, j: int) -> Spinor:
-        i = j - self.j_min
-        if not 0 <= i < self.n_sites:
-            return Spinor(0.0, 0.0)
-        return Spinor(complex(self.a[i]), complex(self.b[i]))
-
 
 @dataclass(frozen=True)
 class EntanglementRecord:
@@ -126,6 +121,11 @@ def sigma_to_a(sigma0: float) -> int:
     """
     if not 0.0 < sigma0 < math.inf:
         raise DomainError(f"sigma0 must be finite and > 0, got {sigma0}")
+    if sigma0 > 1e150:
+        # 12 sigma0^2 overflows a double from about 1.3e154 on; this sigma0 is
+        # an integer, and with x = sqrt(12 sigma0^2 + 1), round((x - 1)/2) =
+        # floor(x/2) = isqrt(x^2) // 2 exactly (x^2 is odd: x/2 is no tie)
+        return math.isqrt(12 * int(sigma0) ** 2 + 1) // 2
     return max(0, round((math.sqrt(12.0 * sigma0**2 + 1.0) - 1.0) / 2.0))
 
 
@@ -141,8 +141,10 @@ def profile_weights(profile: InitialProfile) -> tuple[int, NDArray[np.float64]]:
     if isinstance(profile, Local):
         return 0, np.array([1.0])
     if isinstance(profile, Gaussian):
-        # clamped so its square cannot overflow: a sigma0 above the cap is refused
-        s2 = 4.0 * min(profile.sigma0, DEFAULT_MAX_SITES) ** 2
+        # clamped so its square can neither overflow nor underflow: a sigma0
+        # above the cap is refused, and every sigma0 below 0.0183 has the
+        # Local weights (0, [1.0])
+        s2 = 4.0 * min(max(profile.sigma0, _GAUSS_MIN_SIGMA), DEFAULT_MAX_SITES) ** 2
         half = max(_GAUSS_NORM_HALF_WIDTH, math.ceil(math.sqrt(s2 * _EXP_UNDERFLOW)))
         _check_capacity(2 * half + 1, None)
         j = np.arange(-half, half + 1, dtype=float)
@@ -185,19 +187,6 @@ def table_sums(table: NDArray[np.complex128], w: NDArray[np.float64]) -> tuple:
     return tuple(sums)
 
 
-def build_initial(profile: InitialProfile, spin: Spinor) -> WalkerState:
-    """Product state (position profile) x (spin), with a one-site guard band."""
-    if not spin.is_normalized():
-        raise DomainError(f"spin must be normalized, |spin|^2 = {spin.norm_sq()}")
-    j_min, w = profile_weights(profile)
-    n = w.shape[0] + 2
-    a = np.zeros(n, dtype=np.complex128)
-    b = np.zeros(n, dtype=np.complex128)
-    a[1:-1] = w * spin.up
-    b[1:-1] = w * spin.down
-    return WalkerState(j_min=j_min - 1, a=a, b=b, t=0)
-
-
 def _check_capacity(sites: int, max_sites: int | None) -> None:
     """The capacity rule: no window may hold more than max_sites sites
     (DEFAULT_MAX_SITES when None)."""
@@ -231,31 +220,6 @@ def _coin_shift(
     np.add(down[:, 0], down[:, 1], out=psi[:, 1, lo - 1 : hi - 1])  # down: j -> j-1
     psi[:, 0, lo] = 0.0
     psi[:, 1, hi - 1] = 0.0
-
-
-def step(
-    state: WalkerState, coin: CoinOperator, max_sites: int | None = None
-) -> WalkerState:
-    """One walk step: coin on every site spinor, then the conditional shift.
-
-    The window grows by one site on each side.  Raises CapacityError if it
-    would exceed max_sites.
-    """
-    n = state.n_sites
-    _check_capacity(n + 2, max_sites)
-    psi = np.zeros((1, 2, n + 2), dtype=np.complex128)
-    psi[0, 0, 1:-1] = state.a
-    psi[0, 1, 1:-1] = state.b
-    _coin_shift(psi, 1, n + 1, coin, np.empty((2, 1, 2, n), dtype=np.complex128))
-    return WalkerState(j_min=state.j_min - 1, a=psi[0, 0], b=psi[0, 1], t=state.t + 1)
-
-
-def coin_moments(state: WalkerState) -> CoinMoments:
-    """Moments A = sum |a_j|^2 and B = sum a_j b_j* of the current state."""
-    return CoinMoments(
-        A=float(np.sum(np.abs(state.a) ** 2)),
-        B=complex(np.vdot(state.b, state.a)),
-    )
 
 
 class Walk(NamedTuple):
@@ -316,22 +280,28 @@ def walk(
 ) -> Walk:
     """Walk every spin state in `spins` from `profile` for `steps` steps.
 
-    The one walk loop of the package.  Cross sums are recorded at `times`
-    (every t in [0, steps] when None).  The final window, n0 + 2 * steps
-    sites, is checked against max_sites before the walk buffer is allocated.
+    The one walk loop of the package.  Each walker starts in the product state
+    (profile weights) x (spin), with a one-site zero guard band on each side,
+    n0 sites in all; every spin must be normalized.  Cross sums are recorded
+    at `times` (every t in [0, steps] when None).  The final window,
+    n0 + 2 * steps sites, is checked against max_sites before the walk buffer
+    is allocated.
     """
     steps = as_time(steps, "steps")
     times = _recorded_times(steps, times)
-    initial = [build_initial(profile, spin) for spin in spins]
-    n0 = initial[0].n_sites
+    for spin in spins:
+        if not spin.is_normalized():
+            raise DomainError(f"spin must be normalized, |spin|^2 = {spin.norm_sq()}")
+    j_min, w = profile_weights(profile)
+    n0 = w.shape[0] + 2
     width = n0 + 2 * steps
     _check_capacity(width, max_sites)
 
-    n_states = len(initial)
+    n_states = len(spins)
     psi = np.zeros((n_states, 2, width), dtype=np.complex128)
-    for s, state in enumerate(initial):
-        psi[s, 0, steps : steps + n0] = state.a
-        psi[s, 1, steps : steps + n0] = state.b
+    for s, spin in enumerate(spins):
+        psi[s, 0, steps + 1 : steps + n0 - 1] = w * spin.up
+        psi[s, 1, steps + 1 : steps + n0 - 1] = w * spin.down
     scratch = np.empty((2, n_states, 2, width), dtype=np.complex128)
     squares = np.empty((n_states, width))
     cross_a = np.zeros((n_states, n_states, len(times)), dtype=np.complex128)
@@ -346,7 +316,7 @@ def walk(
         if t < steps:
             _coin_shift(psi, lo, hi, coin, scratch)
 
-    j_min = initial[0].j_min - steps
+    j_min -= 1 + steps  # the guard band, then one site per step
     final = tuple(WalkerState(j_min=j_min, a=psi[s, 0], b=psi[s, 1], t=steps)
                   for s in range(n_states))
     return Walk(times=times, cross_a=cross_a, cross_b=cross_b, final=final)
@@ -357,10 +327,9 @@ def evolve(
     spin: Spinor,
     coin: CoinOperator,
     steps: int,
-    max_sites: int | None = None,
 ) -> list[EntanglementRecord]:
     """Walk for `steps` steps, recording moments and entropy at every t."""
-    return walk(profile, (spin,), coin, steps, max_sites=max_sites).records()
+    return walk(profile, (spin,), coin, steps).records()
 
 
 def position_distribution(state: WalkerState) -> list[tuple[int, float]]:
@@ -413,15 +382,13 @@ def evolve_basis(
     profile: InitialProfile,
     coin: CoinOperator,
     steps: int,
-    max_sites: int | None = None,
-    times=None,
 ) -> BasisEvolution:
     """Evolve the spin-up and spin-down basis states of a profile together.
 
     Records the quadratic cross sums needed by BasisEvolution.moments_arrays
-    at `times` (every t in [0, steps] when None).
+    at every t in [0, steps].
     """
-    run = walk(profile, _BASIS, coin, steps, times=times, max_sites=max_sites)
+    run = walk(profile, _BASIS, coin, steps)
     a, b = run.cross_a, run.cross_b
     return BasisEvolution(
         steps=steps, times=run.times,
@@ -458,8 +425,8 @@ def basis_sums(profile: InitialProfile, coin: CoinOperator, steps: int):
     """The seven basis sums of `core.spin_moments` at t = steps, from the Local walk.
 
     `table_sums` of the profile against the Local walk's `_local_table`; they
-    agree with `evolve_basis(profile, coin, steps, times=[steps])` to
-    rounding.  The profile's final window, L + 2 * steps + 2 sites, must fit
+    agree to rounding with the cross sums of the profile's own basis-pair
+    `walk(profile, _BASIS, coin, steps, times=(steps,))`.  The profile's final window, L + 2 * steps + 2 sites, must fit
     DEFAULT_MAX_SITES, as it must for `walk`; it is checked first.
     """
     steps = as_time(steps, "steps")

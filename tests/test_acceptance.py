@@ -17,9 +17,7 @@ from qwalklab import (
     Rectangular,
     asymptote_offset,
     asymptotic_moments,
-    build_initial,
     closed_delta,
-    coin_moments,
     compare,
     delta_from_moments,
     entropy_from_delta,
@@ -33,11 +31,11 @@ from qwalklab import (
     max_entanglement_beta,
     paper_grid,
     spin_from_angles,
-    step,
     sweep_asymptotic,
 )
 from qwalklab.core import spin_moments
 from qwalklab.kspace import LOCAL_F, _asymptotic_kernels
+from qwalklab.lattice import walk
 
 SQRT2 = math.sqrt(2.0)
 RESULTS: list[str] = []
@@ -295,12 +293,11 @@ def test_criterion_09_unitarity_suite():
             profile = Rectangular(int(rng.integers(0, 11)))
         alpha = float(rng.uniform(0.0, math.pi))
         beta = float(rng.uniform(-math.pi, math.pi))
-        state = build_initial(profile, spin_from_angles(BlochAngles(alpha, beta)))
-        for t in range(1000):
-            state = step(state, coin)
-            if t % 100 == 99:
-                worst = max(worst, abs(state.norm() - 1.0))
-        worst = max(worst, abs(state.norm() - 1.0))
+        spin = spin_from_angles(BlochAngles(alpha, beta))
+        for steps in range(100, 1001, 100):
+            state = walk(profile, (spin,), coin, steps, times=(steps,)).final[0]
+            norm = float(np.sum(np.abs(state.a) ** 2 + np.abs(state.b) ** 2))
+            worst = max(worst, abs(norm - 1.0))
     _report(
         9,
         "norm drift over 1000 steps, 50 random configurations",
@@ -314,17 +311,14 @@ def test_criterion_10_cross_engine_oracle():
     checks = []
     for coin_name, coin in (("hadamard", hadamard_coin()), ("fourier", fourier_coin())):
         for profile in (Local(), Gaussian(1.0), Gaussian(2.0), Rectangular(1), Rectangular(5)):
-            state = build_initial(profile, spin)
-            lattice = {0: coin_moments(state)}
-            for t in range(1, 65):
-                state = step(state, coin)
-                if t in times:
-                    lattice[t] = coin_moments(state)
+            run = walk(profile, (spin,), coin, 64, times=times)
             worst = 0.0
-            for t in times:
+            for n, t in enumerate(times):
                 mk = evolve_k_moments(profile, spin, coin_name, t)
                 worst = max(
-                    worst, abs(mk.A - lattice[t].A), abs(mk.B - lattice[t].B)
+                    worst,
+                    abs(mk.A - run.cross_a[0, 0, n].real),
+                    abs(mk.B - run.cross_b[0, 0, n]),
                 )
             checks.append(
                 (f"{coin_name}/{profile}: worst diff {worst:.2e} < 1e-8", worst < 1e-8)

@@ -109,6 +109,14 @@ class TestAsymptotic:
         assert rec["f"] == pytest.approx(0.0327, abs=5e-4)
         assert rec["entropy"] == pytest.approx(0.349, abs=1e-3)
 
+    @pytest.mark.parametrize("sigma", ["1e-300", "5e-324"])
+    def test_tiny_gaussian_is_the_local_state(self, sigma, capsys):
+        local = run(["asymptotic", "--profile", "local", "--alpha", "1"], capsys)
+        code, out, err = run(["asymptotic", "--profile", "gaussian", "--sigma", sigma,
+                              "--alpha", "1"], capsys)
+        assert code == local[0] == 0 and "Traceback" not in err
+        assert json.loads(out)["delta"] == json.loads(local[1])["delta"]
+
     def test_fourier_local_maximum(self, capsys):
         code, out, _ = run(
             ["asymptotic", "--coin", "fourier", "--alpha", str(math.pi / 4),
@@ -395,6 +403,8 @@ class TestCapacity:
         ["sweep", "--grid-step", "1e-9"],
         ["compare", "--profile", "gaussian", "--sigmas", "1", "--grid-step", "1e-9"],
         ["fit", "--profile", "gaussian", "--sigmas", "1,2,3", "--grid-step", "1e-9"],
+        ["compare", "--profile", "rect", "--sigmas", "1e200,1", "--grid-step", "1"],
+        ["fit", "--profile", "rect", "--sigmas", "1,2,1.7e308", "--grid-step", "1"],
     ], ids=lambda argv: " ".join(argv)[:40])
     def test_exits_3(self, argv, capsys):
         code, out, err = run(argv, capsys)
@@ -409,17 +419,18 @@ def _floats(low, high):
 #: Valid values of every option but --out, --config and --degrees.  Sizes
 #: are bounded so that no draw walks far or builds a large profile:
 #: --steps <= 20, --grid-step >= 0.5, dispersions and half-widths <= 20.
+#: Dispersions start at the least positive double.
 _VALID = {
     "--coin": st.sampled_from(["hadamard", "fourier"]),
     "--profile": st.sampled_from(["local", "gaussian", "rect"]),
-    "--sigma": _floats(0.3, 20.0),
+    "--sigma": _floats(5e-324, 20.0),
     "--a": st.integers(min_value=0, max_value=20).map(str),
     "--alpha": _floats(0.0, math.pi),
     "--beta": _floats(-7.0, 7.0),
     "--steps": st.integers(min_value=0, max_value=20).map(str),
     "--grid-step": _floats(0.5, 4.0),
     "--mode": st.sampled_from(["asymptotic", "simulated"]),
-    "--sigmas": st.lists(_floats(0.3, 20.0), min_size=1, max_size=4).map(",".join),
+    "--sigmas": st.lists(_floats(5e-324, 20.0), min_size=1, max_size=4).map(",".join),
     "--quantity": st.sampled_from(["avg", "min"]),
     "--max-window": st.integers(min_value=1, max_value=100).map(str),
 }
@@ -428,6 +439,7 @@ _VALID = {
 #: of their size is built.
 _PAST_CAP = {
     "--sigma": _floats(1e5, 1e300),
+    "--sigmas": st.lists(_floats(1e6, 1e300), min_size=3, max_size=4).map(",".join),
     "--a": st.integers(min_value=10**6, max_value=10**400).map(str),
     "--grid-step": _floats(1e-300, 1e-3),
 }

@@ -240,11 +240,10 @@ class TestConsistencyProperties:
 
 
 class TestSpinor:
-    def test_norm_and_array(self):
+    def test_norm(self):
         s = Spinor(0.6, 0.8j)
         assert s.norm_sq() == pytest.approx(1.0)
         assert s.is_normalized()
-        assert np.allclose(s.as_array(), [0.6, 0.8j])
 
     def test_not_normalized(self):
         assert not Spinor(1.0, 1.0).is_normalized()

@@ -17,10 +17,7 @@ from qwalklab import (
     Rectangular,
     Spinor,
     asymptotic_moments,
-    build_initial,
     closed_delta,
-    coin_moments,
-    coin_spectrum,
     delta_from_moments,
     dispersion,
     entropy_from_delta,
@@ -39,7 +36,8 @@ from qwalklab.kspace import (
     _basis_sums,
     _coefficients,
     _nodes,
-    profile_envelope,
+    _spectrum_at,
+    coin_tag,
 )
 from qwalklab import lattice
 from qwalklab.lattice import _autocorrelation, basis_sums, evolve_basis, profile_weights, walk
@@ -133,25 +131,21 @@ class TestCoefficients:
 
 
 class TestKAmplitudes:
-    """The k-space amplitudes g(k) * spin: the envelope g, and the spin check."""
-
-    def test_local_constant(self):
-        assert np.allclose(profile_envelope(Local(), np.array([-1.0, 0.0, 2.0])), 1.0)
+    """The k-space amplitudes g(k) * spin: the weights behind g, and the spin check."""
 
     def test_gaussian_peak_value(self):
-        a = profile_envelope(Gaussian(1.0), np.array([0.0]))
         # g(0) is the sum of the lattice weights; the continuum transform
         # (8 pi)^(1/4) differs from it by 2.8e-9 relative (Poisson summation)
-        assert a[0] == pytest.approx(2.2390302638504442, abs=1e-14)
-        assert a[0] == pytest.approx(2.2392, abs=1e-3)
+        g0 = math.fsum(profile_weights(Gaussian(1.0))[1])
+        assert g0 == pytest.approx(2.2390302638504442, abs=1e-14)
+        assert g0 == pytest.approx(2.2392, abs=1e-3)
 
     def test_rectangular_zero_width_is_local(self):
-        k = np.linspace(-math.pi, math.pi, 33)
-        assert np.allclose(profile_envelope(Rectangular(0), k), 1.0)
+        (j0, w0), (j1, w1) = profile_weights(Rectangular(0)), profile_weights(Local())
+        assert j0 == j1 and w0.tolist() == w1.tolist()
 
-    def test_rectangular_center_limit(self):
-        a = profile_envelope(Rectangular(2), np.array([0.0, 1e-12]))
-        assert np.allclose(a, math.sqrt(5.0))
+    def test_rectangular_center_value(self):
+        assert math.fsum(profile_weights(Rectangular(2))[1]) == pytest.approx(math.sqrt(5.0))
 
     @pytest.mark.parametrize(
         "profile", [Local(), Gaussian(1.0), Gaussian(10.0), Rectangular(1), Rectangular(17)]
@@ -161,15 +155,6 @@ class TestKAmplitudes:
         _, w = profile_weights(profile)
         r = _autocorrelation(w, w.shape[0] - 1)
         assert r[w.shape[0] - 1] == pytest.approx(1.0, abs=1e-15)
-
-    def test_dirichlet_identity_against_direct_sum(self):
-        rng = np.random.default_rng(12)
-        for _ in range(1000):
-            a = int(rng.integers(0, 51))
-            k = float(rng.uniform(-math.pi, math.pi))
-            direct = sum(cmath.exp(-1j * k * j) for j in range(-a, a + 1))
-            direct = direct.real / math.sqrt(2 * a + 1)
-            assert profile_envelope(Rectangular(a), k) == pytest.approx(direct, abs=1e-12)
 
     def test_rejects_unnormalized_spin(self):
         with pytest.raises(DomainError):
@@ -184,40 +169,40 @@ class TestDispersion:
 
     @pytest.mark.parametrize("coin", ["hadamard", "fourier"])
     def test_eigenphase_consistency(self, coin):
-        for k in np.linspace(-math.pi, math.pi, 81):
-            spec = coin_spectrum(coin, float(k))
-            omega = dispersion(coin, float(k))
-            lam_plus = spec.eigenvalues[0]
-            assert abs(lam_plus - cmath.exp(-1j * omega)) < 1e-12 or abs(
-                lam_plus + cmath.exp(-1j * omega)
-            ) < 1e-12
+        # at every k one eigenvalue of U_k is +-e^{-i omega_k}
+        k = np.linspace(-math.pi, math.pi, 81)
+        evals, _ = _spectrum_at(coin, k)
+        e = np.exp(-1j * np.array([[dispersion(coin, float(x))] for x in k]))
+        assert np.max(np.min(np.minimum(np.abs(evals - e), np.abs(evals + e)), axis=1)) < 1e-12
 
 
 class TestCoinSpectrum:
+    """The batched eigenpairs of U_k that every k-space table is built from."""
+
     def test_hadamard_center(self):
-        spec = coin_spectrum("hadamard", 0.0)
-        assert sorted(np.round(spec.eigenvalues.real, 12)) == [-1.0, 1.0]
-        assert np.max(np.abs(spec.eigenvalues.imag)) < 1e-12
+        evals, _ = _spectrum_at("hadamard", np.array([0.0]))
+        assert sorted(np.round(evals[0].real, 12)) == [-1.0, 1.0]
+        assert np.max(np.abs(evals[0].imag)) < 1e-12
 
     def test_fourier_center(self):
-        spec = coin_spectrum("fourier", 0.0)
+        evals, _ = _spectrum_at("fourier", np.array([0.0]))
         expected = {cmath.exp(-1j * math.pi / 4), cmath.exp(1j * math.pi / 4)}
-        for lam in spec.eigenvalues:
+        for lam in evals[0]:
             assert min(abs(lam - e) for e in expected) < 1e-12
 
     @pytest.mark.parametrize("coin", ["hadamard", "fourier"])
     def test_unit_modulus_and_orthonormal(self, coin):
-        for k in np.linspace(-math.pi, math.pi, 41):
-            spec = coin_spectrum(coin, float(k))
-            assert np.max(np.abs(np.abs(spec.eigenvalues) - 1.0)) < 1e-12
-            v = spec.eigenvectors
-            assert np.max(np.abs(v.conj().T @ v - np.eye(2))) < 1e-12
+        evals, v = _spectrum_at(coin, np.linspace(-math.pi, math.pi, 41))
+        assert np.max(np.abs(np.abs(evals) - 1.0)) < 1e-12
+        gram = np.conj(np.swapaxes(v, -1, -2)) @ v
+        assert np.max(np.abs(gram - np.eye(2))) < 1e-12
 
     def test_unknown_coin_rejected(self):
-        with pytest.raises(DomainError):
-            coin_spectrum("grover", 0.0)
-        with pytest.raises(DomainError):
-            coin_spectrum(np.eye(2), 0.0)
+        for coin in ("grover", np.eye(2)):
+            with pytest.raises(DomainError):
+                coin_tag(coin)
+            with pytest.raises(DomainError):
+                dispersion(coin, 0.0)
 
 
 class TestEvolveKMoments:
@@ -227,7 +212,7 @@ class TestEvolveKMoments:
     def test_t_zero_matches_lattice(self, profile):
         spin = spin_from_angles(BlochAngles(0.9, 0.4))
         mk = evolve_k_moments(profile, spin, "hadamard", 0)
-        ml = coin_moments(build_initial(profile, spin))
+        ml = walk(profile, (spin,), hadamard_coin(), 0).records()[0].moments
         assert mk.A == pytest.approx(ml.A, abs=1e-10)
         assert mk.B == pytest.approx(ml.B, abs=1e-10)
 
@@ -310,12 +295,12 @@ class TestExactEnvelope:
         # the seven sums fix the moments of every spin at once
         times = (0, 1, 64, 1000)
         coin_op = hadamard_coin() if coin == "hadamard" else fourier_coin()
-        basis = evolve_basis(profile, coin_op, 1000, times=times)
+        basis = evolve_basis(profile, coin_op, 1000)
         fields = ("auu", "aud", "add", "buu", "bud", "bdu", "bdd")
-        for n, t in enumerate(times):
+        for t in times:
             sums = _basis_sums(coin, profile, t)
             for name, value in zip(fields, sums):
-                assert abs(value - getattr(basis, name)[n]) <= 1e-12, (name, t)
+                assert abs(value - getattr(basis, name)[t]) <= 1e-12, (name, t)
 
     @pytest.mark.parametrize("n", [1024, 2048])
     @pytest.mark.parametrize(
@@ -324,14 +309,15 @@ class TestExactEnvelope:
     def test_node_fft_matches_direct_sum(self, profile, n):
         # r(m) by FFT against sum_j w_{j+m} w_j, and against the n-node
         # trapezoid mean of |g(k)|^2 e^{ikm}, g by its direct sum
-        _, w = profile_weights(profile)
+        j_min, w = profile_weights(profile)
         lags = min(w.shape[0] - 1, 127)
         r = _autocorrelation(w, lags)
         m = np.arange(-lags, lags + 1)
         direct = [np.dot(w[abs(l):], w[: w.shape[0] - abs(l)]) for l in m]
         assert np.max(np.abs(r - direct)) <= 1e-15
         k = _nodes(n)
-        g2 = np.abs(profile_envelope(profile, k)) ** 2
+        g = np.exp(-1j * np.multiply.outer(k, j_min + np.arange(w.shape[0]))) @ w
+        g2 = np.abs(g) ** 2
         nodal = (g2 * np.exp(1j * np.multiply.outer(m, k))).mean(axis=1)
         assert np.max(np.abs(r - nodal)) <= 1e-13
 

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -15,8 +16,6 @@ from qwalklab import (
     Rectangular,
     Spinor,
     basis_sums,
-    build_initial,
-    coin_moments,
     evolve,
     evolve_basis,
     fourier_coin,
@@ -25,7 +24,6 @@ from qwalklab import (
     profile_weights,
     sigma_to_a,
     spin_from_angles,
-    step,
 )
 from qwalklab import lattice
 
@@ -61,6 +59,15 @@ class TestGaussianSupport:
         j_out = np.array([j_min - 1, j_min + w.size], dtype=float)
         assert np.all(np.exp(-(j_out**2) / (4.0 * sigma0**2)) * w.max() == 0.0)
         assert abs(math.fsum(w**2) - 1.0) <= 1e-15
+
+    @settings(max_examples=100, deadline=None)
+    @given(strategies.floats(min_value=5e-324, max_value=0.0183))
+    def test_tiny_dispersion_is_the_local_profile(self, sigma0):
+        # (j/2 sigma0)^2 would overflow, and 4 sigma0^2 underflow to 0 below 1.1e-162
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            j_min, w = profile_weights(Gaussian(sigma0))
+        assert (j_min, w.tolist()) == (0, [1.0])
 
 
 class TestProfileCapacity:
@@ -107,81 +114,103 @@ class TestSigmaToA:
         with pytest.raises(DomainError):
             sigma_to_a(math.inf)
 
+    @settings(max_examples=100, deadline=None)
+    @given(strategies.floats(min_value=1e150, max_value=np.finfo(float).max, exclude_min=True))
+    def test_any_finite_dispersion_gives_the_rounded_half_width(self, sigma0):
+        # 12 sigma0^2 overflows a double from about 1.3e154 on; sigma0 is an
+        # integer here, and a = round((x - 1)/2) = floor(x/2) for
+        # x = sqrt(12 sigma0^2 + 1), so (2a)^2 <= x^2 < (2a + 2)^2
+        a, n = sigma_to_a(sigma0), int(sigma0)
+        assert type(a) is int
+        assert (2 * a) ** 2 <= 12 * n * n + 1 < (2 * a + 2) ** 2
+
+
+def _walked(profile, spin, coin, steps):
+    """The walk of one spin state, recorded at t = steps only."""
+    return lattice.walk(profile, (spin,), coin, steps, times=(steps,))
+
+
+def _final(profile, spin, coin, steps):
+    """The walker after `steps` steps."""
+    return _walked(profile, spin, coin, steps).final[0]
+
+
+def _norm(state):
+    return float(np.sum(np.abs(state.a) ** 2 + np.abs(state.b) ** 2))
+
+
+def _at(state, j):
+    """The amplitudes (a_j, b_j) of site j, which must lie in the window."""
+    return state.a[j - state.j_min], state.b[j - state.j_min]
+
 
 class TestBuildInitial:
+    """The product state a walk starts from: its final walker at steps = 0."""
+
     def test_local_single_site(self):
-        st = build_initial(Local(), UP)
+        st = _final(Local(), UP, hadamard_coin(), 0)
         assert position_distribution(st) == [(0, pytest.approx(1.0))]
-        assert st.spinor_at(0).up == pytest.approx(1.0)
+        assert _at(st, 0)[0] == pytest.approx(1.0)
 
     def test_guard_band_zero(self):
-        st = build_initial(Local(), UP)
+        st = _final(Local(), UP, hadamard_coin(), 0)
         assert st.a[0] == 0 and st.a[-1] == 0
         assert st.b[0] == 0 and st.b[-1] == 0
 
     def test_rectangular_flat_amplitudes(self):
-        st = build_initial(Rectangular(1), UP)
+        st = _final(Rectangular(1), UP, hadamard_coin(), 0)
         for j in (-1, 0, 1):
-            assert st.spinor_at(j).up == pytest.approx(1 / math.sqrt(3))
+            assert _at(st, j)[0] == pytest.approx(1 / math.sqrt(3))
 
     def test_gaussian_normalized_with_reference_ratio(self):
-        st = build_initial(Gaussian(1.0), UP)
-        assert st.norm() == pytest.approx(1.0, abs=1e-14)
+        st = _final(Gaussian(1.0), UP, hadamard_coin(), 0)
+        assert _norm(st) == pytest.approx(1.0, abs=1e-14)
         p = dict(position_distribution(st))
         assert p[0] / p[1] == pytest.approx(math.exp(0.5), rel=1e-12)
 
     def test_rejects_unnormalized_spin(self):
         with pytest.raises(DomainError):
-            build_initial(Local(), Spinor(1.0, 1.0))
+            lattice.walk(Local(), (Spinor(1.0, 1.0),), hadamard_coin(), 0)
+        with pytest.raises(DomainError):
+            lattice.walk(Local(), (UP, Spinor(0.0, 0.5)), hadamard_coin(), 3)
 
 
 class TestStep:
+    """The first few steps of `walk`, by hand."""
+
     def test_single_hadamard_step(self):
-        st = step(build_initial(Local(), UP), hadamard_coin())
+        run = _walked(Local(), UP, hadamard_coin(), 1)
+        st = run.final[0]
         assert st.t == 1
-        assert st.spinor_at(1).up == pytest.approx(1 / SQRT2)
-        assert st.spinor_at(-1).down == pytest.approx(1 / SQRT2)
-        m = coin_moments(st)
+        assert _at(st, 1)[0] == pytest.approx(1 / SQRT2)
+        assert _at(st, -1)[1] == pytest.approx(1 / SQRT2)
+        m = run.records()[0].moments
         assert m.A == pytest.approx(0.5) and abs(m.B) < 1e-15
 
     def test_two_hadamard_steps(self):
-        st = build_initial(Local(), UP)
-        for _ in range(2):
-            st = step(st, hadamard_coin())
-        p = dict(position_distribution(st))
+        run = _walked(Local(), UP, hadamard_coin(), 2)
+        p = dict(position_distribution(run.final[0]))
         assert p[2] == pytest.approx(0.25)
         assert p[0] == pytest.approx(0.5)
         assert p[-2] == pytest.approx(0.25)
-        m = coin_moments(st)
+        m = run.records()[0].moments
         assert m.A == pytest.approx(0.5) and m.B == pytest.approx(0.25)
 
     def test_identity_coin_translates(self):
-        st = build_initial(Local(), UP)
-        for _ in range(5):
-            st = step(st, np.eye(2, dtype=complex))
-        assert position_distribution(st) == [(5, pytest.approx(1.0))]
-        assert coin_moments(st).A == pytest.approx(1.0)
+        run = _walked(Local(), UP, np.eye(2, dtype=complex), 5)
+        assert position_distribution(run.final[0]) == [(5, pytest.approx(1.0))]
+        assert run.records()[0].moments.A == pytest.approx(1.0)
 
     def test_norm_preserved_per_step(self):
-        st = build_initial(Gaussian(1.0), spin_from_angles(BlochAngles(0.7, 0.3)))
-        for _ in range(20):
-            st = step(st, fourier_coin())
-            assert st.norm() == pytest.approx(1.0, abs=1e-14)
+        spin = spin_from_angles(BlochAngles(0.7, 0.3))
+        for steps in range(1, 21):
+            st = _final(Gaussian(1.0), spin, fourier_coin(), steps)
+            assert _norm(st) == pytest.approx(1.0, abs=1e-14)
 
     def test_capacity_limit(self):
-        st = build_initial(Local(), UP)
+        # Local: 3 sites with the guard band, 5 after one step
         with pytest.raises(CapacityError):
-            step(st, hadamard_coin(), max_sites=4)
-
-    @pytest.mark.parametrize("coin", [hadamard_coin(), fourier_coin()])
-    def test_step_chain_matches_walk_bit_for_bit(self, coin):
-        spin = spin_from_angles(BlochAngles(1.3, -0.4))
-        st = build_initial(Rectangular(2), spin)
-        moments = [coin_moments(st)]
-        for _ in range(30):
-            st = step(st, coin)
-            moments.append(coin_moments(st))
-        assert [r.moments for r in evolve(Rectangular(2), spin, coin, 30)] == moments
+            lattice.walk(Local(), (UP,), hadamard_coin(), 1, max_sites=4)
 
 
 class TestEvolve:
@@ -210,27 +239,49 @@ class TestEvolve:
             evolve(Local(), UP, hadamard_coin(), -1)
 
 
+_SPINS = strategies.builds(
+    lambda alpha, beta: spin_from_angles(BlochAngles(alpha, beta)),
+    strategies.floats(min_value=0.0, max_value=math.pi),
+    strategies.floats(min_value=-math.pi, max_value=math.pi, exclude_max=True),
+)
+
+_PROFILES = strategies.one_of(
+    strategies.just(Local()),
+    strategies.floats(min_value=0.2, max_value=10.0).map(Gaussian),
+    strategies.integers(min_value=0, max_value=20).map(Rectangular),
+)
+
+
+class TestUnitarity:
+    @settings(max_examples=60, deadline=None)
+    @given(_SPINS, _SPINS, strategies.booleans(), _PROFILES,
+           strategies.integers(min_value=0, max_value=200))
+    def test_walk_keeps_inner_products(self, s1, s2, hadamard, profile, steps):
+        # <psi1|psi2> = <s1|s2> <w|w> = <s1|s2>, and both norms stay 1
+        coin = hadamard_coin() if hadamard else fourier_coin()
+        psi1, psi2 = lattice.walk(profile, (s1, s2), coin, steps, times=(steps,)).final
+        inner = np.vdot(psi1.a, psi2.a) + np.vdot(psi1.b, psi2.b)
+        want = np.conj(s1.up) * s2.up + np.conj(s1.down) * s2.down
+        assert abs(inner - want) <= 1e-12
+        assert abs(_norm(psi1) - 1.0) <= 1e-12 and abs(_norm(psi2) - 1.0) <= 1e-12
+
+
 class TestInvariantsAndSymmetries:
     def test_light_cone_support(self):
         recs_t = 40
-        st = build_initial(Rectangular(2), UP)
-        for _ in range(recs_t):
-            st = step(st, hadamard_coin())
+        st = _final(Rectangular(2), UP, hadamard_coin(), recs_t)
         for j, p in position_distribution(st):
             assert abs(j) <= recs_t + 2
 
     def test_parity_from_local_state(self):
-        st = build_initial(Local(), UP)
         for t in range(1, 30):
-            st = step(st, hadamard_coin())
+            st = _final(Local(), UP, hadamard_coin(), t)
             for j, p in position_distribution(st):
                 assert (j + t) % 2 == 0
 
     def test_fourier_reflection_symmetry(self):
         spin = spin_from_angles(BlochAngles(math.pi / 2, 0.0))
-        st = build_initial(Local(), spin)
-        for _ in range(40):
-            st = step(st, fourier_coin())
+        st = _final(Local(), spin, fourier_coin(), 40)
         p = dict(position_distribution(st))
         for j, prob in p.items():
             assert prob == pytest.approx(p[-j], abs=1e-14)
@@ -238,15 +289,13 @@ class TestInvariantsAndSymmetries:
 
 class TestPositionDistribution:
     def test_sums_to_one(self):
-        st = build_initial(Gaussian(2.0), UP)
-        for _ in range(15):
-            st = step(st, hadamard_coin())
+        st = _final(Gaussian(2.0), UP, hadamard_coin(), 15)
         assert sum(p for _, p in position_distribution(st)) == pytest.approx(
             1.0, abs=1e-12
         )
 
     def test_rectangular_initial(self):
-        st = build_initial(Rectangular(1), UP)
+        st = _final(Rectangular(1), UP, hadamard_coin(), 0)
         dist = position_distribution(st)
         assert len(dist) == 3
         for _, p in dist:
@@ -268,25 +317,32 @@ class TestBasisEvolution:
     @pytest.mark.parametrize("profile", [Local(), Rectangular(3), Gaussian(1.5)])
     def test_recorded_times_match_the_all_times_run(self, profile, coin):
         steps = 40
-        full = evolve_basis(profile, coin, steps)
+        full = lattice.walk(profile, lattice._BASIS, coin, steps)
         for times in ([steps], [0, 7, steps]):
-            part = evolve_basis(profile, coin, steps, times=times)
+            part = lattice.walk(profile, lattice._BASIS, coin, steps, times=times)
             assert part.times == tuple(times)
-            for name in ("auu", "add", "aud", "buu", "bud", "bdu", "bdd"):
-                assert getattr(part, name).tobytes() == getattr(full, name)[times].tobytes()
+            assert part.cross_a.tobytes() == full.cross_a[..., times].tobytes()
+            assert part.cross_b.tobytes() == full.cross_b[..., times].tobytes()
 
     def test_rejects_times_outside_the_walk(self):
         for times in ([], [-1], [11], [2.5]):
             with pytest.raises(DomainError):
-                evolve_basis(Local(), hadamard_coin(), 10, times=times)
+                lattice.walk(Local(), (UP,), hadamard_coin(), 10, times=times)
 
-    def test_capacity_checked_before_walking(self):
+    def test_capacity_checked_before_walking(self, monkeypatch):
         # Local: 3 sites with the guard band, 23 after 10 steps
+        for spins in ((UP,), lattice._BASIS):
+            with pytest.raises(CapacityError):
+                lattice.walk(Local(), spins, hadamard_coin(), 10, max_sites=22)
+        assert len(lattice.walk(Local(), (UP,), hadamard_coin(), 10, max_sites=23).times) == 11
+        # evolve and evolve_basis walk under the default ceiling
+        monkeypatch.setattr(lattice, "DEFAULT_MAX_SITES", 22)
         with pytest.raises(CapacityError):
-            evolve_basis(Local(), hadamard_coin(), 10, max_sites=22)
+            evolve_basis(Local(), hadamard_coin(), 10)
         with pytest.raises(CapacityError):
-            evolve(Local(), UP, hadamard_coin(), 10, max_sites=22)
-        assert len(evolve(Local(), UP, hadamard_coin(), 10, max_sites=23)) == 11
+            evolve(Local(), UP, hadamard_coin(), 10)
+        monkeypatch.setattr(lattice, "DEFAULT_MAX_SITES", 23)
+        assert len(evolve(Local(), UP, hadamard_coin(), 10)) == 11
 
     def test_is_frozen(self):
         basis = evolve_basis(Local(), hadamard_coin(), 3)
@@ -304,8 +360,9 @@ class TestBasisEvolution:
 
 def _walked_sums(profile, coin, steps):
     """The seven sums, in spin_moments order, of the profile's own basis-pair walk."""
-    b = evolve_basis(profile, coin, steps, times=[steps])
-    return tuple(x[0] for x in (b.auu, b.aud, b.add, b.buu, b.bud, b.bdu, b.bdd))
+    run = lattice.walk(profile, lattice._BASIS, coin, steps, times=(steps,))
+    a, b = run.cross_a[..., 0], run.cross_b[..., 0]
+    return a[0, 0].real, a[0, 1], a[1, 1].real, b[0, 0], b[0, 1], b[1, 0], b[1, 1]
 
 
 def _max_diff(got, want):
@@ -357,7 +414,7 @@ class TestBasisSums:
         monkeypatch.setattr(lattice, "DEFAULT_MAX_SITES", 60)
         for steps in range(0, 35):
             try:
-                evolve_basis(profile, hadamard_coin(), steps, times=[steps])
+                lattice.walk(profile, lattice._BASIS, hadamard_coin(), steps, times=(steps,))
             except CapacityError:
                 with pytest.raises(CapacityError):
                     basis_sums(profile, hadamard_coin(), steps)
