@@ -30,7 +30,14 @@ from .errors import (
     NumericalError,
 )
 from .kspace import LOCAL_F, asymptotic_moments, closed_delta, extract_f
-from .lattice import Gaussian, Local, Rectangular, position_distribution, walk
+from .lattice import (
+    Gaussian,
+    Local,
+    Rectangular,
+    position_distribution,
+    profile_weights,
+    walk,
+)
 
 
 class ConfigError(Exception):
@@ -286,10 +293,16 @@ def cmd_fit(cfg: dict) -> int:
     sigmas = _family_sigmas(cfg)
     if len(sigmas) < 3:
         raise ConfigError(f"fit needs at least 3 sigmas, got {len(sigmas)}")
+    profiles = [analysis.family_profile(cfg["profile"], s0) for s0 in sigmas]
+    # sigma0 that give one initial state (rect sigma0 that round to one
+    # half-width, Gaussians below the one-site edge) are one point, not several
+    states = {(j_min, w.tobytes()) for j_min, w in map(profile_weights, profiles)}
+    if len(states) < 3:
+        raise FitError(
+            f"fit needs at least 3 distinct initial states, --sigmas gives {len(states)}")
     grid = _grid(cfg)
     points = []
-    for s0 in sigmas:
-        profile = analysis.family_profile(cfg["profile"], s0)
+    for s0, profile in zip(sigmas, profiles):
         sweep = analysis.sweep_asymptotic(cfg["coin"], profile, grid)
         points.append((s0, sweep.mean if cfg["quantity"] == "avg" else sweep.min))
     # grid means decay toward the large-dispersion asymptote; minima decay to 0

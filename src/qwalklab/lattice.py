@@ -3,11 +3,13 @@
 Each step applies the coin to every site spinor and then shifts up-amplitudes
 one site right and down-amplitudes one site left.  All walks run through one
 loop, `walk`: the amplitudes of every initial spin state of one profile are
-stacked in a (spin states, 2, sites) buffer that is allocated once at its final
-width, n0 + 2 * steps sites, and evolved in place.  At time t the walk occupies
-the window of n0 + 2t sites centred in the buffer, a one-site zero guard band
-included; each step reads that window and writes the one a site wider on each
-side.  Moments are recorded only at the times the caller asks for.
+stacked in one (spin states, 2, slots) buffer, evolved in place in the frame
+that moves with the down-component.  Slot f at time t holds site
+j_min - t + f * (2 / c); c = min(2, L) is the number of parity classes a
+profile of L contiguous sites occupies.  A one-site profile reaches only the
+sites with j + t even, so c = 1 and no slot holds a site it cannot occupy.  Each
+step leaves b on its slot and moves a up c slots: the window [0, L + c t) grows
+by c slots.  Moments are recorded only at the times the caller asks for.
 
 The walk is also linear and translation invariant in position, so each of
 the seven basis sums of a profile w at time T is sum_n r(n) C(n): r is the
@@ -195,31 +197,25 @@ def _check_capacity(sites: int, max_sites: int | None) -> None:
         raise CapacityError(f"window of {sites} sites exceeds max_sites={limit}")
 
 
-def _coin_shift(
-    psi: NDArray[np.complex128],
-    lo: int,
-    hi: int,
-    coin: CoinOperator,
-    scratch: NDArray[np.complex128],
-) -> None:
-    """One walk step, in place, on the window [lo, hi) of psi (states x 2 x sites).
+def _coin_shift(psi: NDArray[np.complex128], n: int, c: int, coin: CoinOperator,
+                scratch: NDArray[np.complex128]) -> None:
+    """One walk step, in place, on the slots [0, n) of psi (states x 2 x slots).
 
-    The window becomes [lo - 1, hi + 1); psi must be zero on those two new
-    sites.  scratch is a (2, states, 2, >= hi - lo) work buffer.
+    In the frame that moves with the down-component, b stays on its slot and a
+    moves up c slots; the window becomes [0, n + c).  psi's b must be zero on
+    [n, n + c).  scratch is a (2, states, 2, >= n) work buffer.
     """
-    n = hi - lo
-    a = psi[:, 0, lo:hi]
-    b = psi[:, 1, lo:hi]
+    a = psi[:, 0, :n]
+    b = psi[:, 1, :n]
     up = scratch[0, :, :, :n]
     down = scratch[1, :, :, :n]
     np.multiply(coin[0, 0], a, out=up[:, 0])
     np.multiply(coin[0, 1], b, out=up[:, 1])
     np.multiply(coin[1, 0], a, out=down[:, 0])
     np.multiply(coin[1, 1], b, out=down[:, 1])
-    np.add(up[:, 0], up[:, 1], out=psi[:, 0, lo + 1 : hi + 1])  # up-amplitude: j -> j+1
-    np.add(down[:, 0], down[:, 1], out=psi[:, 1, lo - 1 : hi - 1])  # down: j -> j-1
-    psi[:, 0, lo] = 0.0
-    psi[:, 1, hi - 1] = 0.0
+    np.add(up[:, 0], up[:, 1], out=psi[:, 0, c : n + c])  # up-amplitude: j -> j+1
+    np.add(down[:, 0], down[:, 1], out=b)  # down: j -> j-1, the frame's own motion
+    psi[:, 0, :c] = 0.0
 
 
 class Walk(NamedTuple):
@@ -254,15 +250,12 @@ def _recorded_times(steps: int, times) -> tuple[int, ...]:
     return tuple(sorted({int(t) for t in times}))
 
 
-def _record(psi, lo, hi, cross_a, cross_b, squares) -> None:
-    """Store the cross sums of the window [lo, hi) in cross_a, cross_b (states x states)."""
-    a = psi[:, 0, lo:hi]
-    b = psi[:, 1, lo:hi]
-    sq = squares[:, : hi - lo]
-    np.square(np.abs(a, out=sq), out=sq)
-    sums = np.add.reduce(sq, axis=-1)
+def _record(psi, n, cross_a, cross_b) -> None:
+    """Store the cross sums of the slots [0, n) in cross_a, cross_b (states x states)."""
+    a = psi[:, 0, :n]
+    b = psi[:, 1, :n]
     for i, a_i in enumerate(a):
-        cross_a[i, i] = sums[i]
+        cross_a[i, i] = np.vdot(a_i, a_i).real
         for k, b_k in enumerate(b):
             cross_b[i, k] = np.vdot(b_k, a_i)
         for k in range(i + 1, len(a)):
@@ -281,11 +274,11 @@ def walk(
     """Walk every spin state in `spins` from `profile` for `steps` steps.
 
     The one walk loop of the package.  Each walker starts in the product state
-    (profile weights) x (spin), with a one-site zero guard band on each side,
-    n0 sites in all; every spin must be normalized.  Cross sums are recorded
-    at `times` (every t in [0, steps] when None).  The final window,
-    n0 + 2 * steps sites, is checked against max_sites before the walk buffer
-    is allocated.
+    (profile weights) x (spin) on the profile's L sites; every spin must be
+    normalized.  Cross sums are recorded at `times` (every t in [0, steps]
+    when None).  `final` holds each walker on the site window of
+    L + 2 + 2 * steps sites, a zero guard site on each side included; that
+    window is checked against max_sites before anything is allocated.
     """
     steps = as_time(steps, "steps")
     times = _recorded_times(steps, times)
@@ -293,31 +286,37 @@ def walk(
         if not spin.is_normalized():
             raise DomainError(f"spin must be normalized, |spin|^2 = {spin.norm_sq()}")
     j_min, w = profile_weights(profile)
-    n0 = w.shape[0] + 2
-    width = n0 + 2 * steps
+    n0 = w.shape[0]
+    width = n0 + 2 + 2 * steps
     _check_capacity(width, max_sites)
 
+    # slot f of the moving frame holds site j_min - t + f * (2 // c): one
+    # parity class (c = 1) for a one-site profile, both (c = 2) otherwise
+    c = min(2, n0)
     n_states = len(spins)
-    psi = np.zeros((n_states, 2, width), dtype=np.complex128)
+    sites = np.zeros((n_states, 2, width), dtype=np.complex128)
+    # both classes: the site window's interior, so `final` is a view of it
+    psi = sites[..., 1:-1] if c == 2 else np.zeros((n_states, 2, 1 + steps), dtype=np.complex128)
     for s, spin in enumerate(spins):
-        psi[s, 0, steps + 1 : steps + n0 - 1] = w * spin.up
-        psi[s, 1, steps + 1 : steps + n0 - 1] = w * spin.down
-    scratch = np.empty((2, n_states, 2, width), dtype=np.complex128)
-    squares = np.empty((n_states, width))
+        psi[s, 0, :n0] = w * spin.up
+        psi[s, 1, :n0] = w * spin.down
+    scratch = np.empty((2, *psi.shape), dtype=np.complex128)
     cross_a = np.zeros((n_states, n_states, len(times)), dtype=np.complex128)
     cross_b = np.zeros((n_states, n_states, len(times)), dtype=np.complex128)
 
     k = 0
     for t in range(steps + 1):
-        lo, hi = steps - t, steps + n0 + t
+        n = n0 + c * t
         if k < len(times) and times[k] == t:
-            _record(psi, lo, hi, cross_a[..., k], cross_b[..., k], squares)
+            _record(psi, n, cross_a[..., k], cross_b[..., k])
             k += 1
         if t < steps:
-            _coin_shift(psi, lo, hi, coin, scratch)
+            _coin_shift(psi, n, c, coin, scratch)
 
-    j_min -= 1 + steps  # the guard band, then one site per step
-    final = tuple(WalkerState(j_min=j_min, a=psi[s, 0], b=psi[s, 1], t=steps)
+    if c == 1:
+        sites[..., 1::2] = psi
+    j_min -= 1 + steps  # the guard site, then one site per step
+    final = tuple(WalkerState(j_min=j_min, a=sites[s, 0], b=sites[s, 1], t=steps)
                   for s in range(n_states))
     return Walk(times=times, cross_a=cross_a, cross_b=cross_b, final=final)
 
@@ -426,8 +425,9 @@ def basis_sums(profile: InitialProfile, coin: CoinOperator, steps: int):
 
     `table_sums` of the profile against the Local walk's `_local_table`; they
     agree to rounding with the cross sums of the profile's own basis-pair
-    `walk(profile, _BASIS, coin, steps, times=(steps,))`.  The profile's final window, L + 2 * steps + 2 sites, must fit
-    DEFAULT_MAX_SITES, as it must for `walk`; it is checked first.
+    `walk(profile, _BASIS, coin, steps, times=(steps,))`.  The profile's final
+    window, L + 2 * steps + 2 sites, must fit DEFAULT_MAX_SITES, as it must for
+    `walk`; it is checked first.
     """
     steps = as_time(steps, "steps")
     _, w = profile_weights(profile)

@@ -228,6 +228,25 @@ class TestFit:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("profile, sigmas", [
+        ("rect", "0.1,0.2,0.3"),  # a = 0, 0, 0
+        ("rect", "1,1.2,1.4"),  # a = 1, 2, 2
+        ("gaussian", "0.001,0.005,0.01"),  # each below the one-site edge
+    ])
+    def test_fewer_than_three_distinct_states_rejected(self, profile, sigmas, capsys):
+        code, out, err = run(
+            ["fit", "--profile", profile, "--sigmas", sigmas, "--grid-step", "1"], capsys
+        )
+        assert code == 3 and out == ""
+        assert "at least 3 distinct initial states" in err
+
+    def test_repeated_states_among_three_distinct_fit(self, capsys):
+        # a = 1, 2, 2, 3: three distinct states, one of them at two sigma0
+        code, out, _ = run(
+            ["fit", "--profile", "rect", "--sigmas", "1,1.2,1.4,2", "--grid-step", "1"], capsys
+        )
+        assert code == 0 and json.loads(out)["exponent"] < 0.0
+
     def test_bad_sigma_list_rejected(self, capsys):
         code, _, _ = run(
             ["fit", "--profile", "gaussian", "--sigmas", "1,x,3"], capsys

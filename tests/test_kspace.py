@@ -243,6 +243,20 @@ class TestEvolveKMoments:
         assert abs(m.A - run.cross_a[0, 0, -1].real) <= 1e-10
         assert abs(m.B - run.cross_b[0, 0, -1]) <= 1e-10
 
+    @pytest.mark.parametrize("coin", ["hadamard", "fourier"])
+    @pytest.mark.parametrize("profile", [Local(), Gaussian(2.0)])
+    def test_every_t_walk_matches_past_t_64(self, profile, coin):
+        # criterion 10 stops at t = 64; here the records of one every-t walk
+        # (Local on its one parity class) meet k-space up to t = 1000
+        spin = spin_from_angles(BlochAngles(0.7, 1.1))
+        matrix = hadamard_coin() if coin == "hadamard" else fourier_coin()
+        records = walk(profile, (spin,), matrix, 1000).records()
+        for t in (65, 257, 1000):
+            mk = evolve_k_moments(profile, spin, coin, t)
+            assert records[t].t == t
+            assert abs(mk.A - records[t].moments.A) <= 1e-12
+            assert abs(mk.B - records[t].moments.B) <= 1e-12
+
     @pytest.mark.parametrize("t", [0, 64, 1000])
     def test_table_does_not_grow_with_profile_support(self, monkeypatch, t):
         # Gaussian(100) spans 10,899 sites; the table and the lags read are set by t

@@ -1,3 +1,4 @@
+import cmath
 import dataclasses
 import math
 import tracemalloc
@@ -264,6 +265,100 @@ class TestUnitarity:
         want = np.conj(s1.up) * s2.up + np.conj(s1.down) * s2.down
         assert abs(inner - want) <= 1e-12
         assert abs(_norm(psi1) - 1.0) <= 1e-12 and abs(_norm(psi2) - 1.0) <= 1e-12
+
+
+def _site_layout_walk(profile, spins, coin, steps):
+    """The walk on its full site window: the reference for `lattice.walk`.
+
+    Every site of the window of n0 + 2t sites (the profile's sites plus a zero
+    guard site on each side) is stepped, whichever parity class it is in.  The
+    four coin products and two adds per site are the ones `walk` makes, so
+    the final amplitudes must agree bit for bit; the cross sums are plain
+    sums of products, so they agree only to rounding.
+    """
+    j_min, w = profile_weights(profile)
+    n0 = w.shape[0] + 2
+    width = n0 + 2 * steps
+    psi = np.zeros((len(spins), 2, width), dtype=np.complex128)
+    for s, spin in enumerate(spins):
+        psi[s, 0, steps + 1 : steps + n0 - 1] = w * spin.up
+        psi[s, 1, steps + 1 : steps + n0 - 1] = w * spin.down
+    cross_a = np.zeros((len(spins), len(spins), steps + 1), dtype=np.complex128)
+    cross_b = np.zeros_like(cross_a)
+    for t in range(steps + 1):
+        lo, hi = steps - t, steps + n0 + t
+        a, b = psi[:, 0, lo:hi], psi[:, 1, lo:hi]
+        for i in range(len(spins)):
+            for k in range(len(spins)):
+                cross_a[i, k, t] = np.sum(a[i] * np.conj(a[k]))
+                cross_b[i, k, t] = np.sum(a[i] * np.conj(b[k]))
+        if t < steps:
+            up = coin[0, 0] * a, coin[0, 1] * b
+            down = coin[1, 0] * a, coin[1, 1] * b
+            psi[:, 0, lo + 1 : hi + 1] = up[0] + up[1]  # j -> j + 1
+            psi[:, 1, lo - 1 : hi - 1] = down[0] + down[1]  # j -> j - 1
+            psi[:, 0, lo] = 0.0
+            psi[:, 1, hi - 1] = 0.0
+    return j_min - 1 - steps, psi, cross_a, cross_b
+
+
+def _general_coin(theta, phi_a, phi_b, phase):
+    """A U(2) coin with four nonzero complex entries."""
+    c, s = math.cos(theta), math.sin(theta)
+    return cmath.exp(1j * phase) * np.array(
+        [[c * cmath.exp(1j * phi_a), s * cmath.exp(1j * phi_b)],
+         [-s * cmath.exp(-1j * phi_b), c * cmath.exp(-1j * phi_a)]])
+
+
+_ANGLE = strategies.floats(min_value=-math.pi, max_value=math.pi)
+
+#: The one-site profiles, and the Gaussians either side of the one-site edge
+#: (sigma0 ~ 0.0183), drawn as often as the wide profiles.
+_ORACLE_PROFILES = strategies.one_of(
+    strategies.sampled_from([Local(), Rectangular(0), Gaussian(0.01), Gaussian(0.02)]),
+    strategies.integers(min_value=0, max_value=20).map(Rectangular),
+    strategies.floats(min_value=0.01, max_value=10.0).map(Gaussian),
+)
+
+
+class TestSiteLayoutOracle:
+    """`walk` steps only the slots its profile can occupy (one parity class
+    for a one-site profile) in the frame of the down-component; the full
+    site-window walk must give the same walk."""
+
+    #: Cross sums: a BLAS dot over the occupied slots against a plain sum
+    #: over the whole site window; the largest difference seen in 400 random
+    #: draws of these inputs is 6.7e-16.
+    CROSS_TOL = 1e-15
+
+    @settings(max_examples=80, deadline=None)
+    @given(_ORACLE_PROFILES,
+           strategies.one_of(strategies.sampled_from([hadamard_coin(), fourier_coin()]),
+                             strategies.builds(_general_coin, _ANGLE, _ANGLE, _ANGLE, _ANGLE)),
+           strategies.lists(_SPINS, min_size=1, max_size=3),
+           strategies.integers(min_value=0, max_value=200))
+    def test_matches_the_site_layout_walk(self, profile, coin, spins, steps):
+        j_min, psi, cross_a, cross_b = _site_layout_walk(profile, spins, coin, steps)
+        run = lattice.walk(profile, spins, coin, steps)
+        for s, state in enumerate(run.final):
+            assert state.j_min == j_min and state.t == steps
+            # every amplitude is equal bit for bit; adding +0.0 turns -0.0
+            # into 0.0, since the sign of a zero outside the walk's support
+            # depends on the coin's signs in the site-window walk only
+            assert (state.a + 0.0).tobytes() == (psi[s, 0] + 0.0).tobytes()
+            assert (state.b + 0.0).tobytes() == (psi[s, 1] + 0.0).tobytes()
+        assert np.max(np.abs(run.cross_a - cross_a)) <= self.CROSS_TOL
+        assert np.max(np.abs(run.cross_b - cross_b)) <= self.CROSS_TOL
+
+    @pytest.mark.parametrize("coin", [hadamard_coin(), fourier_coin()])
+    @pytest.mark.parametrize("profile", [Local(), Gaussian(0.02), Rectangular(3), Gaussian(2.0)])
+    def test_named_coins_keep_every_byte(self, profile, coin):
+        # with the package's coins even the signs of the zeros agree
+        spins = (UP, Spinor(0.0, 1.0), spin_from_angles(BlochAngles(0.7, 1.1)))
+        _, psi, _, _ = _site_layout_walk(profile, spins, coin, 57)
+        for s, state in enumerate(lattice.walk(profile, spins, coin, 57).final):
+            assert state.a.tobytes() == psi[s, 0].tobytes()
+            assert state.b.tobytes() == psi[s, 1].tobytes()
 
 
 class TestInvariantsAndSymmetries:
