@@ -34,8 +34,6 @@ from .lattice import (
     sigma_to_a,
 )
 
-GRID_STEP = 0.1
-
 
 @dataclass(frozen=True)
 class SweepGrid:

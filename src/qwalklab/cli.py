@@ -29,7 +29,7 @@ from .errors import (
     FitError,
     NumericalError,
 )
-from .kspace import LOCAL_F, asymptotic_moments, closed_delta, extract_f
+from .kspace import asymptotic_moments, closed_delta, extract_f
 from .lattice import (
     Gaussian,
     Local,
@@ -226,13 +226,9 @@ def cmd_asymptotic(cfg: dict) -> int:
         "delta": delta,
         "entropy": entropy_from_delta(delta),
         "method": "kspace",
+        "f": extract_f(cfg["coin"], profile).f,
     }
-    if isinstance(profile, Local):
-        f = LOCAL_F
-    else:
-        f = extract_f(cfg["coin"], profile).f
-        record["f"] = f
-    closed = closed_delta(cfg["coin"], f, angles.alpha, angles.beta)
+    closed = closed_delta(cfg["coin"], record["f"], angles.alpha, angles.beta)
     record["closed_form"] = {
         "delta": closed,
         "entropy": entropy_from_delta(closed),

@@ -23,6 +23,13 @@ TWO_PI = 2.0 * math.pi
 #: Tolerance for eigenvalue clamping: violations beyond this signal a real bug.
 CLAMP_TOL = 1e-9
 
+#: Tolerance of the unit checks |spin|^2 = 1 and C C^dagger = 1.
+UNIT_TOL = 1e-12
+
+#: The seven basis sums auu, aud, add, buu, bud, bdu, bdd of `spin_moments`, as
+#: indices (y, s, r) of cross[y, s, r] = sum_j a_s conj(x_r), x = a (y = 0) or b (y = 1).
+BASIS_SUMS = ((0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 0, 0), (1, 0, 1), (1, 1, 0), (1, 1, 1))
+
 
 @dataclass(frozen=True)
 class BlochAngles:
@@ -60,8 +67,14 @@ class Spinor:
     def norm_sq(self) -> float:
         return abs(self.up) ** 2 + abs(self.down) ** 2
 
-    def is_normalized(self, tol: float = 1e-12) -> bool:
-        return abs(self.norm_sq() - 1.0) <= tol
+    def is_normalized(self) -> bool:
+        return abs(self.norm_sq() - 1.0) <= UNIT_TOL
+
+
+def require_normalized(spin: Spinor) -> None:
+    """DomainError unless `spin` is normalized."""
+    if not spin.is_normalized():
+        raise DomainError(f"spin must be normalized, |spin|^2 = {spin.norm_sq()}")
 
 
 #: A coin operator is a 2x2 complex unitary matrix.
@@ -122,6 +135,18 @@ def hadamard_coin() -> CoinOperator:
 def fourier_coin() -> CoinOperator:
     """The Fourier (Kempe) coin (1/sqrt2) [[1, i], [i, 1]]."""
     return np.array([[1.0, 1j], [1j, 1.0]], dtype=np.complex128) / math.sqrt(2.0)
+
+
+def unitary_coin(coin) -> CoinOperator:
+    """`coin` as a complex array; DomainError unless max |C C^dagger - 1| <= UNIT_TOL."""
+    m = np.asarray(coin, dtype=np.complex128)
+    # C C^dagger - 1 on Python complexes, 4x cheaper than numpy; NaN and inf fail it
+    (a, b), (c, d) = m.tolist() if m.shape == (2, 2) else ((math.nan,) * 2,) * 2
+    gaps = (abs(a) ** 2 + abs(b) ** 2 - 1.0, abs(c) ** 2 + abs(d) ** 2 - 1.0,
+            a * c.conjugate() + b * d.conjugate())
+    if not all(abs(x) <= UNIT_TOL for x in gaps):
+        raise DomainError(f"coin must be a finite unitary 2x2 matrix to {UNIT_TOL}")
+    return m
 
 
 def binary_entropy(lam):

@@ -31,12 +31,15 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .core import (
+    BASIS_SUMS,
     CoinMoments,
     CoinOperator,
     Spinor,
     as_time,
     entropy_from_moments,
+    require_normalized,
     spin_moments,
+    unitary_coin,
 )
 from .errors import CapacityError, DomainError
 
@@ -221,21 +224,20 @@ def _coin_shift(psi: NDArray[np.complex128], n: int, c: int, coin: CoinOperator,
 class Walk(NamedTuple):
     """Cross sums of the walks of several initial spins of one profile.
 
-    For spin states i, k and the recorded time times[n]:
-        cross_a[i, k, n] = sum_j a_i(j) conj(a_k(j)),
-        cross_b[i, k, n] = sum_j a_i(j) conj(b_k(j)),
-    so cross_a[i, i] holds the moment A and cross_b[i, i] the moment B of
-    spin state i.  `final` holds every walker after the last step.
+    For spin states s, r and the recorded time times[n]:
+        cross[0, s, r, n] = sum_j a_s(j) conj(a_r(j)),
+        cross[1, s, r, n] = sum_j a_s(j) conj(b_r(j)),
+    so cross[0, s, s] holds the moment A and cross[1, s, s] the moment B of
+    spin state s.  `final` holds every walker after the last step.
     """
 
     times: tuple[int, ...]
-    cross_a: NDArray[np.complex128]
-    cross_b: NDArray[np.complex128]
+    cross: NDArray[np.complex128]
     final: tuple[WalkerState, ...]
 
     def records(self) -> list[EntanglementRecord]:
         """Moments and entropy of the first spin state at every recorded time."""
-        a, b = self.cross_a[0, 0].real, self.cross_b[0, 0]
+        a, b = self.cross[0, 0, 0].real, self.cross[1, 0, 0]
         entropies = entropy_from_moments(CoinMoments(A=a, B=b))
         return [EntanglementRecord(t=t, moments=CoinMoments(A=float(at), B=complex(bt)),
                                    entropy=float(s))
@@ -250,17 +252,17 @@ def _recorded_times(steps: int, times) -> tuple[int, ...]:
     return tuple(sorted({int(t) for t in times}))
 
 
-def _record(psi, n, cross_a, cross_b) -> None:
-    """Store the cross sums of the slots [0, n) in cross_a, cross_b (states x states)."""
+def _record(psi, n, cross) -> None:
+    """Store the cross sums of the slots [0, n) in cross (2 x states x states)."""
     a = psi[:, 0, :n]
     b = psi[:, 1, :n]
     for i, a_i in enumerate(a):
-        cross_a[i, i] = np.vdot(a_i, a_i).real
+        cross[0, i, i] = np.vdot(a_i, a_i).real
         for k, b_k in enumerate(b):
-            cross_b[i, k] = np.vdot(b_k, a_i)
+            cross[1, i, k] = np.vdot(b_k, a_i)
         for k in range(i + 1, len(a)):
-            cross_a[i, k] = np.vdot(a[k], a_i)
-            cross_a[k, i] = np.conj(cross_a[i, k])
+            cross[0, i, k] = np.vdot(a[k], a_i)
+            cross[0, k, i] = np.conj(cross[0, i, k])
 
 
 def walk(
@@ -275,50 +277,45 @@ def walk(
 
     The one walk loop of the package.  Each walker starts in the product state
     (profile weights) x (spin) on the profile's L sites; every spin must be
-    normalized.  Cross sums are recorded at `times` (every t in [0, steps]
-    when None).  `final` holds each walker on the site window of
-    L + 2 + 2 * steps sites, a zero guard site on each side included; that
-    window is checked against max_sites before anything is allocated.
+    normalized and the coin a unitary 2x2 matrix.  Cross sums are recorded at
+    `times` (every t in [0, steps] when None).  `final` holds each walker on
+    the L + 2 * steps sites it can reach, from j_min - steps on; that window
+    is checked against max_sites before anything is allocated.
     """
     steps = as_time(steps, "steps")
     times = _recorded_times(steps, times)
     for spin in spins:
-        if not spin.is_normalized():
-            raise DomainError(f"spin must be normalized, |spin|^2 = {spin.norm_sq()}")
+        require_normalized(spin)
+    coin = unitary_coin(coin)
     j_min, w = profile_weights(profile)
     n0 = w.shape[0]
-    width = n0 + 2 + 2 * steps
+    width = n0 + 2 * steps
     _check_capacity(width, max_sites)
 
     # slot f of the moving frame holds site j_min - t + f * (2 // c): one
     # parity class (c = 1) for a one-site profile, both (c = 2) otherwise
     c = min(2, n0)
     n_states = len(spins)
-    sites = np.zeros((n_states, 2, width), dtype=np.complex128)
-    # both classes: the site window's interior, so `final` is a view of it
-    psi = sites[..., 1:-1] if c == 2 else np.zeros((n_states, 2, 1 + steps), dtype=np.complex128)
+    psi = np.zeros((n_states, 2, n0 + c * steps), dtype=np.complex128)
     for s, spin in enumerate(spins):
         psi[s, 0, :n0] = w * spin.up
         psi[s, 1, :n0] = w * spin.down
     scratch = np.empty((2, *psi.shape), dtype=np.complex128)
-    cross_a = np.zeros((n_states, n_states, len(times)), dtype=np.complex128)
-    cross_b = np.zeros((n_states, n_states, len(times)), dtype=np.complex128)
+    cross = np.zeros((2, n_states, n_states, len(times)), dtype=np.complex128)
 
     k = 0
     for t in range(steps + 1):
         n = n0 + c * t
         if k < len(times) and times[k] == t:
-            _record(psi, n, cross_a[..., k], cross_b[..., k])
+            _record(psi, n, cross[..., k])
             k += 1
         if t < steps:
             _coin_shift(psi, n, c, coin, scratch)
 
-    if c == 1:
-        sites[..., 1::2] = psi
-    j_min -= 1 + steps  # the guard site, then one site per step
-    final = tuple(WalkerState(j_min=j_min, a=sites[s, 0], b=sites[s, 1], t=steps)
-                  for s in range(n_states))
-    return Walk(times=times, cross_a=cross_a, cross_b=cross_b, final=final)
+    sites = np.zeros((n_states, 2, width), dtype=np.complex128)
+    sites[..., :: 2 // c] = psi
+    final = tuple(WalkerState(j_min - steps, a, b, t=steps) for a, b in sites)
+    return Walk(times=times, cross=cross, final=final)
 
 
 def evolve(
@@ -345,19 +342,12 @@ class BasisEvolution:
 
     The walk is linear in the initial spin, so the state from spin (cu, cd) is
     cu * (state from spin up) + cd * (state from spin down).  The seven
-    quadratic cross sums at each recorded time in `times` give the moments of
-    every initial spin state without re-simulating.
+    quadratic cross `sums` (`core.BASIS_SUMS`) at each recorded time in
+    `times` give the moments of every initial spin state without re-simulating.
     """
 
-    steps: int
     times: tuple[int, ...]
-    auu: NDArray[np.float64] = field(repr=False)
-    add: NDArray[np.float64] = field(repr=False)
-    aud: NDArray[np.complex128] = field(repr=False)
-    buu: NDArray[np.complex128] = field(repr=False)
-    bud: NDArray[np.complex128] = field(repr=False)
-    bdu: NDArray[np.complex128] = field(repr=False)
-    bdd: NDArray[np.complex128] = field(repr=False)
+    sums: tuple[NDArray, ...] = field(repr=False)
 
     def moments_arrays(self, up, down):
         """Moments (A, B) for spin amplitudes `up`, `down` (scalars or arrays).
@@ -367,10 +357,9 @@ class BasisEvolution:
         times pass a slice of the grid per call: `analysis.average_trace`
         passes one alpha row, shape (nb,).
         """
-        sums = (self.auu, self.aud, self.add, self.buu, self.bud, self.bdu, self.bdd)
         cu = np.asarray(up, dtype=np.complex128)[..., None]
         cd = np.asarray(down, dtype=np.complex128)[..., None]
-        return spin_moments(sums, cu, cd)
+        return spin_moments(self.sums, cu, cd)
 
 
 #: The Local walk's up and down basis spins.
@@ -388,34 +377,30 @@ def evolve_basis(
     at every t in [0, steps].
     """
     run = walk(profile, _BASIS, coin, steps)
-    a, b = run.cross_a, run.cross_b
-    return BasisEvolution(
-        steps=steps, times=run.times,
-        auu=a[0, 0].real.copy(), add=a[1, 1].real.copy(), aud=a[0, 1],
-        buu=b[0, 0], bud=b[0, 1], bdu=b[1, 0], bdd=b[1, 1],
-    )
+    # the A sums auu and add (y = 0, s = r) are real
+    sums = tuple(run.cross[y, s, r].real.copy() if y == 0 and s == r else run.cross[y, s, r]
+                 for y, s, r in BASIS_SUMS)
+    return BasisEvolution(times=run.times, sums=sums)
 
 
 @functools.lru_cache(maxsize=4)
 def _local_table(coin: bytes, steps: int) -> NDArray[np.complex128]:
     """The (coin, steps) lag table of the seven basis sums, from the Local walk.
 
-    Row i, column 2 * steps + n holds C_i(n) = sum_j x(j) conj(y(j + n)) for
-    the final amplitudes (x, y) that sum i pairs, as in `core.spin_moments`
-    and `kspace._coefficients`, all from one zero-padded FFT.  `coin` is the
-    coin matrix as bytes, for the cache key; the shared table is read-only
+    Row i, column 2 * steps + n holds C_i(n) = sum_j a_s(j) conj(x_r(j + n))
+    for the final amplitudes of sum i = (y, s, r) of `core.BASIS_SUMS`, as in
+    `kspace._coefficients`, all from one zero-padded FFT.  `coin` is the coin
+    matrix as bytes, for the cache key; the shared table is read-only
     (448 KB at steps = 1000).
     """
     matrix = np.frombuffer(coin, dtype=np.complex128).reshape(2, 2)
-    run = walk(Local(), _BASIS, matrix, steps, times=(steps,))
-    (au, bu), (ad, bd) = ((s.a, s.b) for s in run.final)
-    size = 1 << (2 * au.shape[0] - 2).bit_length()  # no circular wrap reaches a kept lag
-    f = np.fft.fft(np.array([au, ad, bu, bd]), size)
+    final = walk(Local(), _BASIS, matrix, steps, times=(steps,)).final
+    size = 1 << (4 * steps).bit_length()  # 2 steps + 1 sites: no wrap reaches a kept lag
+    f = np.fft.fft(np.array([[s.a for s in final], [s.b for s in final]]), size)  # [y, s]
     # ifft(X conj(Y)) at lag m is sum_j x(j + m) conj(y(j)), C_i at n = -m;
     # row by row, so no (7, size) temporaries outlive one row
     lags = -np.arange(-2 * steps, 2 * steps + 1) % size
-    pairs = ((0, 0), (0, 1), (1, 1), (0, 2), (0, 3), (1, 2), (1, 3))
-    table = np.array([np.fft.ifft(f[x] * np.conj(f[y]))[lags] for x, y in pairs])
+    table = np.array([np.fft.ifft(f[0, s] * np.conj(f[y, r]))[lags] for y, s, r in BASIS_SUMS])
     table.flags.writeable = False
     return table
 
@@ -425,11 +410,12 @@ def basis_sums(profile: InitialProfile, coin: CoinOperator, steps: int):
 
     `table_sums` of the profile against the Local walk's `_local_table`; they
     agree to rounding with the cross sums of the profile's own basis-pair
-    `walk(profile, _BASIS, coin, steps, times=(steps,))`.  The profile's final
-    window, L + 2 * steps + 2 sites, must fit DEFAULT_MAX_SITES, as it must for
-    `walk`; it is checked first.
+    `walk(profile, _BASIS, coin, steps, times=(steps,))`.  The coin must be a
+    unitary 2x2 matrix and the profile's final window, L + 2 * steps sites,
+    must fit DEFAULT_MAX_SITES, as for `walk`; both are checked first.
     """
     steps = as_time(steps, "steps")
+    coin = unitary_coin(coin)
     _, w = profile_weights(profile)
-    _check_capacity(w.shape[0] + 2 * steps + 2, None)
-    return table_sums(_local_table(np.asarray(coin, dtype=np.complex128).tobytes(), steps), w)
+    _check_capacity(w.shape[0] + 2 * steps, None)
+    return table_sums(_local_table(coin.tobytes(), steps), w)

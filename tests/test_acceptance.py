@@ -317,8 +317,8 @@ def test_criterion_10_cross_engine_oracle():
                 mk = evolve_k_moments(profile, spin, coin_name, t)
                 worst = max(
                     worst,
-                    abs(mk.A - run.cross_a[0, 0, n].real),
-                    abs(mk.B - run.cross_b[0, 0, n]),
+                    abs(mk.A - run.cross[0, 0, 0, n].real),
+                    abs(mk.B - run.cross[1, 0, 0, n]),
                 )
             checks.append(
                 (f"{coin_name}/{profile}: worst diff {worst:.2e} < 1e-8", worst < 1e-8)

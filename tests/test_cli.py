@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qwalklab.cli import build_parser, main
+from qwalklab.kspace import LOCAL_F
 
 
 def run(argv, capsys):
@@ -66,6 +67,11 @@ class TestEvolve:
         assert code == 3
         assert "numerical error:" in err and "Traceback" not in err
         assert not out.exists()
+        # a 10-step Local walk reaches exactly 21 sites
+        for window, want in (("21", 0), ("20", 3)):
+            code, _, _ = run(["evolve", "--max-window", window, "--steps", "10",
+                              "--out", str(out)], capsys)
+            assert code == want, window
 
     def test_threads_flag_removed(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -95,7 +101,7 @@ class TestAsymptotic:
         assert rec["entropy"] == pytest.approx(1.0, abs=1e-7)
         assert rec["method"] == "kspace"
         assert rec["closed_form"]["method"] == "closed_form"
-        assert "f" not in rec
+        assert rec["f"] == pytest.approx(LOCAL_F, abs=1e-15)
         assert rec["delta_abs_difference"] < 1e-6
 
     def test_gaussian_reports_f(self, capsys):
@@ -111,11 +117,13 @@ class TestAsymptotic:
 
     @pytest.mark.parametrize("sigma", ["1e-300", "5e-324"])
     def test_tiny_gaussian_is_the_local_state(self, sigma, capsys):
-        local = run(["asymptotic", "--profile", "local", "--alpha", "1"], capsys)
-        code, out, err = run(["asymptotic", "--profile", "gaussian", "--sigma", sigma,
-                              "--alpha", "1"], capsys)
-        assert code == local[0] == 0 and "Traceback" not in err
-        assert json.loads(out)["delta"] == json.loads(local[1])["delta"]
+        # one initial state, the weights (0, [1.0]): one output, byte for byte
+        angles = ["--alpha", "1", "--beta", "0.3"]
+        local = run(["asymptotic", "--profile", "local"] + angles, capsys)
+        for profile in (["rect", "--a", "0"], ["gaussian", "--sigma", sigma]):
+            code, out, err = run(["asymptotic", "--profile"] + profile + angles, capsys)
+            assert code == local[0] == 0 and "Traceback" not in err
+            assert out == local[1], profile
 
     def test_fourier_local_maximum(self, capsys):
         code, out, _ = run(

@@ -240,8 +240,8 @@ class TestEvolveKMoments:
         # Gaussian(50) spans ~5,450 sites, far more than the table's 4t + 1 lags
         run = walk(Gaussian(50.0), (UP,), hadamard_coin(), t, times=(t,))
         m = evolve_k_moments(Gaussian(50.0), UP, "hadamard", t)
-        assert abs(m.A - run.cross_a[0, 0, -1].real) <= 1e-10
-        assert abs(m.B - run.cross_b[0, 0, -1]) <= 1e-10
+        assert abs(m.A - run.cross[0, 0, 0, -1].real) <= 1e-10
+        assert abs(m.B - run.cross[1, 0, 0, -1]) <= 1e-10
 
     @pytest.mark.parametrize("coin", ["hadamard", "fourier"])
     @pytest.mark.parametrize("profile", [Local(), Gaussian(2.0)])
@@ -295,8 +295,8 @@ class TestExactEnvelope:
         run = walk(profile, (spin,), coin_op, 1000, times=times)
         for n, t in enumerate(times):
             mk = evolve_k_moments(profile, spin, coin, t)
-            assert abs(mk.A - run.cross_a[0, 0, n].real) <= 1e-10
-            assert abs(mk.B - run.cross_b[0, 0, n]) <= 1e-10
+            assert abs(mk.A - run.cross[0, 0, 0, n].real) <= 1e-10
+            assert abs(mk.B - run.cross[1, 0, 0, n]) <= 1e-10
 
     @pytest.mark.parametrize("coin", ["hadamard", "fourier"])
     @pytest.mark.parametrize(
@@ -310,11 +310,11 @@ class TestExactEnvelope:
         times = (0, 1, 64, 1000)
         coin_op = hadamard_coin() if coin == "hadamard" else fourier_coin()
         basis = evolve_basis(profile, coin_op, 1000)
-        fields = ("auu", "aud", "add", "buu", "bud", "bdu", "bdd")
+        names = ("auu", "aud", "add", "buu", "bud", "bdu", "bdd")
         for t in times:
             sums = _basis_sums(coin, profile, t)
-            for name, value in zip(fields, sums):
-                assert abs(value - getattr(basis, name)[t]) <= 1e-12, (name, t)
+            for name, value, lattice_sum in zip(names, sums, basis.sums):
+                assert abs(value - lattice_sum[t]) <= 1e-12, (name, t)
 
     @pytest.mark.parametrize("n", [1024, 2048])
     @pytest.mark.parametrize(

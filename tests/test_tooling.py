@@ -1,8 +1,11 @@
-"""The test run itself: a failing property test must not stop the suite."""
+"""The test run itself, and the docs it keeps in step with the code."""
 
 from pathlib import Path
 
+from qwalklab import cli
+
 CONFTEST = Path(__file__).with_name("conftest.py")
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_failing_given_test_does_not_stop_the_run(pytester):
@@ -24,3 +27,16 @@ def test_failing_given_test_does_not_stop_the_run(pytester):
     result = pytester.runpytest_subprocess("-p", "no:cacheprovider")
     result.assert_outcomes(failed=1, passed=1)
     assert "INTERNALERROR" not in result.stdout.str()
+
+
+def test_readme_option_table_matches_the_parser():
+    # the README's "| Command | Options |" table: one row per command
+    text = README.read_text()
+    table = text[text.index("| Command | Options |"):].split("\n\n", 1)[0]
+    documented = {}
+    for row in table.splitlines()[2:]:
+        command, options = (cell.strip() for cell in row.strip("|").split("|"))
+        documented[command.strip("`")] = options.strip("`").split()
+    parsed = {name: ["--" + key.replace("_", "-") for key in keys]
+              for name, (_, _, keys) in cli._COMMANDS.items()}
+    assert documented == parsed
