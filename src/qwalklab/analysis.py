@@ -21,9 +21,10 @@ from .core import (
     entropy_from_moments,
     spin_amplitudes,
     spin_moments,
+    unitary_coin,
 )
 from .errors import CapacityError, DomainError, FitError
-from .kspace import _asymptotic_kernels, _coin_matrix, closed_delta, coin_tag
+from .kspace import _asymptotic_kernels, closed_delta, coin_tag
 from .lattice import (
     DEFAULT_MAX_SITES,
     Gaussian,
@@ -118,7 +119,7 @@ def sweep_asymptotic(
     grid: SweepGrid,
 ) -> SweepResult:
     """Asymptotic entropy at every grid point from the time-averaged k-space sums."""
-    return _sweep(grid, _asymptotic_kernels(coin_tag(coin), profile))
+    return _sweep(grid, _asymptotic_kernels(unitary_coin(coin).tobytes(), profile))
 
 
 def sweep_simulated(
@@ -134,7 +135,7 @@ def sweep_simulated(
     cached lag table of one Local walk per (coin, steps).  The result equals
     (to roundoff) evolving each grid point from the profile independently.
     """
-    return _sweep(grid, basis_sums(profile, _coin_matrix(coin_tag(coin)), steps))
+    return _sweep(grid, basis_sums(profile, coin, steps))
 
 
 def average_trace(
@@ -154,7 +155,7 @@ def average_trace(
     (n_points, steps + 1) entropy table, and the means equal that bit for bit.
     """
     steps = as_time(steps, "steps")
-    basis = evolve_basis(profile, _coin_matrix(coin_tag(coin)), steps)
+    basis = evolve_basis(profile, coin, steps)
     cu, cd = spin_amplitudes(grid.alphas[:, None], grid.betas[None, :])
     total = np.zeros(steps + 1)
     for up, down in zip(cu, cd):

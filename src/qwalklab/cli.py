@@ -16,11 +16,10 @@ import sys
 
 from . import analysis
 from .core import (
+    COINS,
     BlochAngles,
     delta_from_moments,
     entropy_from_delta,
-    fourier_coin,
-    hadamard_coin,
     spin_from_angles,
 )
 from .errors import (
@@ -68,7 +67,7 @@ def _family_sigmas(cfg: dict) -> list[float]:
 #: and config-file values) and its argparse settings, its type among them.  A
 #: command has only the options `_COMMANDS` lists for it.
 _OPTIONS = {
-    "coin": ("hadamard", {"choices": ["hadamard", "fourier"]}),
+    "coin": ("hadamard", {"choices": list(COINS)}),
     "profile": ("local", {"choices": ["local", "gaussian", "rect"]}),
     "sigma": (1.0, {"type": float, "help": "Gaussian initial dispersion"}),
     "a": (1, {"type": int, "help": "rectangular half-width"}),
@@ -196,10 +195,9 @@ def _write_text(path: str | None, text: str) -> None:
 def cmd_evolve(cfg: dict) -> int:
     if not cfg.get("out"):
         raise ConfigError("evolve requires --out (records and .dist distribution)")
-    coin = hadamard_coin() if cfg["coin"] == "hadamard" else fourier_coin()
     profile = _profile(cfg)
     spin = spin_from_angles(_angles(cfg))
-    run = walk(profile, (spin,), coin, cfg["steps"], max_sites=cfg["max_window"])
+    run = walk(profile, (spin,), cfg["coin"], cfg["steps"], max_sites=cfg["max_window"])
     lines = ["t,A,B_re,B_im,entropy"] + [
         f"{r.t},{_fmt(r.moments.A)},{_fmt(r.moments.B.real)},"
         f"{_fmt(r.moments.B.imag)},{_fmt(r.entropy)}"

@@ -137,15 +137,28 @@ def fourier_coin() -> CoinOperator:
     return np.array([[1.0, 1j], [1j, 1.0]], dtype=np.complex128) / math.sqrt(2.0)
 
 
+#: The named coins, as shared read-only matrices.
+COINS = {name: np.frombuffer(make().tobytes(), dtype=np.complex128).reshape(2, 2)
+         for name, make in (("hadamard", hadamard_coin), ("fourier", fourier_coin))}
+
+
 def unitary_coin(coin) -> CoinOperator:
-    """`coin` as a complex array; DomainError unless max |C C^dagger - 1| <= UNIT_TOL."""
-    m = np.asarray(coin, dtype=np.complex128)
+    """The one coin rule of both engines, `coin` as its 2x2 complex matrix: a name
+    of `COINS` is its shared matrix; a finite 2x2 matrix with max |C C^dagger - 1|
+    <= UNIT_TOL keeps its values; anything else raises DomainError."""
+    if isinstance(coin, str) and coin in COINS:
+        return COINS[coin]
+    try:
+        m = np.asarray(coin, dtype=np.complex128)
+    except (TypeError, ValueError):  # another string, ragged or not numbers
+        m = np.empty(0)
     # C C^dagger - 1 on Python complexes, 4x cheaper than numpy; NaN and inf fail it
     (a, b), (c, d) = m.tolist() if m.shape == (2, 2) else ((math.nan,) * 2,) * 2
     gaps = (abs(a) ** 2 + abs(b) ** 2 - 1.0, abs(c) ** 2 + abs(d) ** 2 - 1.0,
             a * c.conjugate() + b * d.conjugate())
     if not all(abs(x) <= UNIT_TOL for x in gaps):
-        raise DomainError(f"coin must be a finite unitary 2x2 matrix to {UNIT_TOL}")
+        raise DomainError(f"coin must be {', '.join(map(repr, COINS))} or a finite unitary"
+                          f" 2x2 matrix to {UNIT_TOL}")
     return m
 
 
@@ -204,22 +217,11 @@ def _radius_sq(a, b):
 
 
 def entropy_from_moments(m: CoinMoments):
-    """Entanglement entropy of the reduced coin state with moments (A, B).
-
-    A and B may be scalars (a float is returned) or arrays (an array is).  The
-    eigenvalues lambda_pm = 1/2 +- sqrt((A - 1/2)^2 + |B|^2) are clamped to
-    [0, 1]; a pre-clamp violation above CLAMP_TOL (inconsistent moments, i.e.
-    |B|^2 exceeding A(1-A)) or a non-finite A or B raises DomainError.
+    """Entanglement entropy of the reduced coin state with moments (A, B), scalars
+    or arrays: `entropy_from_delta` of delta = 4((A - 1/2)^2 + |B|^2), so
+    inconsistent (delta > 1 + CLAMP_TOL) or non-finite moments raise DomainError.
     """
-    a = np.real(m.A)
-    lam_plus = 0.5 + np.sqrt(_radius_sq(a, m.B))
-    # written so that NaN fails it: every comparison with NaN is False
-    if not np.all((lam_plus <= 1.0 + CLAMP_TOL) & (a >= -CLAMP_TOL) & (a <= 1.0 + CLAMP_TOL)):
-        raise DomainError(
-            f"inconsistent coin moments: A in [{np.min(a)}, {np.max(a)}], "
-            f"lambda_plus up to {np.max(lam_plus)}"
-        )
-    return binary_entropy(np.minimum(lam_plus, 1.0))
+    return entropy_from_delta(4.0 * _radius_sq(np.real(m.A), m.B))
 
 
 def _clamped_delta(delta):

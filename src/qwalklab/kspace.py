@@ -2,6 +2,9 @@
 
 All integrals are over k in [-pi, pi] with measure dk/2pi.
 
+A coin is a name or any unitary 2x2 matrix, read by `core.unitary_coin` and
+sampled as given; only the closed forms need a named coin (`coin_tag`).
+
 Every initial profile enters only through its lattice weights w_j
 (`lattice.profile_weights`): the k-space amplitudes are g(k) * spin with the
 envelope g(k) = sum_j w_j e^{-ikj}, the exact discrete-time Fourier transform
@@ -25,7 +28,8 @@ the Local walk (`lattice._local_table`).  The time averages
 (`_asymptotic_kernels`, t = None) drop the oscillating cross terms between
 the two branches; that K_i is analytic, its coefficients decay exponentially
 (Trefethen & Weideman, SIAM Rev. 56 (2014)), and a 256-node table whose edge
-coefficients are checked to lie below 1e-15 holds them.
+coefficients are checked to lie below 1e-15 holds them.  The decay slows as the
+gap of U_k's eigenphases closes: below |c01| ~ 0.25 the check raises NumericalError.
 """
 
 from __future__ import annotations
@@ -40,42 +44,31 @@ from numpy.typing import NDArray
 from .core import (
     BASIS_SUMS,
     CLAMP_TOL,
+    COINS,
+    UNIT_TOL,
     CoinMoments,
     CoinOperator,
     Spinor,
     as_time,
     delta_from_moments,
-    fourier_coin,
-    hadamard_coin,
     require_normalized,
     spin_moments,
+    unitary_coin,
 )
 from .errors import CapacityError, DomainError, NumericalError
 from .lattice import InitialProfile, profile_weights, table_sums
 
 SQRT2 = math.sqrt(2.0)
 
-_HADAMARD = hadamard_coin()
-_FOURIER = fourier_coin()
-
 
 def coin_tag(coin) -> str:
-    """Normalize a coin argument (matrix or name) to "hadamard" | "fourier"."""
-    if isinstance(coin, str):
-        if coin in ("hadamard", "fourier"):
-            return coin
-        raise DomainError(f"unknown coin {coin!r}")
-    m = np.asarray(coin)
-    if m.shape == (2, 2):
-        if np.allclose(m, _HADAMARD, atol=1e-12):
-            return "hadamard"
-        if np.allclose(m, _FOURIER, atol=1e-12):
-            return "fourier"
-    raise DomainError("coin must be the Hadamard or Fourier coin")
-
-
-def _coin_matrix(tag: str) -> CoinOperator:
-    return _HADAMARD if tag == "hadamard" else _FOURIER
+    """The name in `core.COINS` of the coin (read by `core.unitary_coin`) whose
+    every entry lies within UNIT_TOL of its own, for the named coins' formulas."""
+    m = unitary_coin(coin)
+    for name, named in COINS.items():
+        if m is named or np.max(np.abs(m - named)) <= UNIT_TOL:  # a name is its matrix
+            return name
+    raise DomainError(f"this formula exists only for the coins {', '.join(COINS)} to {UNIT_TOL}")
 
 
 def dispersion(coin, k: float) -> float:
@@ -94,19 +87,22 @@ def _nodes(n: int) -> NDArray[np.float64]:
     return -math.pi + (2.0 * math.pi / n) * np.arange(n)
 
 
-def _step_operators(tag: str, k: NDArray[np.float64]) -> NDArray[np.complex128]:
-    """Batched 2x2 k-space step operators U_k = S_k (C x 1)."""
-    c = _coin_matrix(tag)
+#: Largest |<Phi_+|Phi_->| taken from eig as it is (the named coins reach 8e-16).
+_SKEW_TOL = 1e-14
+
+
+def _spectrum_at(c: CoinOperator, k: NDArray[np.float64]):
+    """Eigenvalues (n, 2) and orthonormal eigenvector columns (n, 2, 2) of the
+    unitary U_k = S_k (C x 1).  Where its eigenvalues nearly coincide (a small
+    |c01|) eig's eigenvectors need not be orthogonal: there the second is
+    rebuilt as the first's orthogonal complement (eigenvalues stay accurate)."""
     u = np.empty(k.shape + (2, 2), dtype=np.complex128)
-    u[..., 0, :] = np.exp(-1j * k)[..., None] * c[0, :]
-    u[..., 1, :] = np.exp(1j * k)[..., None] * c[1, :]
-    return u
-
-
-def _spectrum_at(tag: str, k: NDArray[np.float64]):
-    """Eigenvalues (..., 2) and eigenvector columns (..., 2, 2) of U_k."""
-    u = _step_operators(tag, k)
+    u[:, 0] = np.exp(-1j * k)[:, None] * c[0]
+    u[:, 1] = np.exp(1j * k)[:, None] * c[1]
     evals, evecs = np.linalg.eig(u)
+    first = evecs[:, :, 0]
+    skew = np.abs(np.sum(np.conj(first) * evecs[:, :, 1], axis=-1)) > _SKEW_TOL
+    evecs[skew, :, 1] = np.stack((-np.conj(first[skew, 1]), np.conj(first[skew, 0])), axis=-1)
     # eig returns unit-norm columns; verify the eigen-residual contract
     resid = np.abs(u @ evecs - evals[..., None, :] * evecs).max()
     if resid > 1e-10:
@@ -133,7 +129,7 @@ _MAX_NODES = 2**20
 
 
 @functools.lru_cache(maxsize=8)
-def _coefficients(tag: str, t: int | None) -> NDArray[np.complex128]:
+def _coefficients(coin: bytes, t: int | None) -> NDArray[np.complex128]:
     """Fourier coefficients C(n) of the seven spin-independent integrands.
 
     Row i, column M + n holds C_i(n) = int dk/2pi K_i(k) e^{-ikn}, |n| <= M,
@@ -148,6 +144,7 @@ def _coefficients(tag: str, t: int | None) -> NDArray[np.complex128]:
     checking that its edge has decayed below _EDGE_TOL.  The table is shared
     by every caller of one (coin, t), so it is read-only; eight entries hold
     both coins' averaged tables and three times each (448 KB at t = 1000).
+    `coin` is the matrix as bytes, the key of `lattice._local_table`.
     """
     if t is None:
         n, m = _AVERAGE_NODES, _AVERAGE_NODES // 2 - 1
@@ -155,7 +152,8 @@ def _coefficients(tag: str, t: int | None) -> NDArray[np.complex128]:
         n, m = max(_MIN_NODES, 1 << (4 * t).bit_length()), 2 * t
     if n > _MAX_NODES:
         raise CapacityError(f"a table at t = {t} needs {n} nodes, above {_MAX_NODES}")
-    evals, evecs = _spectrum_at(tag, _nodes(n))
+    matrix = np.frombuffer(coin, dtype=np.complex128).reshape(2, 2)
+    evals, evecs = _spectrum_at(matrix, _nodes(n))
     vec = np.ascontiguousarray(evecs.transpose(2, 1, 0))  # [branch, x, node]
     parts = vec[:, :, None] * np.conj(vec[:, None])  # [branch, x, s, node]
     # K_i of sum i = (y, s, r) of BASIS_SUMS is U^t[0, s] conj(U^t[y, r])
@@ -183,11 +181,11 @@ def _coefficients(tag: str, t: int | None) -> NDArray[np.complex128]:
     return table
 
 
-def _basis_sums(tag: str, profile: InitialProfile, t: int | None):
+def _basis_sums(coin: bytes, profile: InitialProfile, t: int | None):
     """The seven basis sums of `core.spin_moments`: the integrals of |g|^2 K_i,
     that is `lattice.table_sums` of the profile against the (coin, t) table."""
     _, w = profile_weights(profile)
-    return table_sums(_coefficients(tag, t), w)
+    return table_sums(_coefficients(coin, t), w)
 
 
 def evolve_k_moments(
@@ -203,13 +201,13 @@ def evolve_k_moments(
     """
     t = as_time(t, "t")
     require_normalized(spin)
-    a, b = spin_moments(_basis_sums(coin_tag(coin), profile, t), spin.up, spin.down)
+    a, b = spin_moments(_basis_sums(unitary_coin(coin).tobytes(), profile, t), spin.up, spin.down)
     return CoinMoments(A=float(a), B=complex(b))
 
 
-def _asymptotic_kernels(tag: str, profile: InitialProfile):
-    """The time-averaged basis sums of one (coin, profile)."""
-    return _basis_sums(tag, profile, None)
+def _asymptotic_kernels(coin: bytes, profile: InitialProfile):
+    """The time-averaged basis sums of one (coin bytes, profile)."""
+    return _basis_sums(coin, profile, None)
 
 
 def asymptotic_moments(profile: InitialProfile, spin: Spinor, coin) -> CoinMoments:
@@ -218,7 +216,7 @@ def asymptotic_moments(profile: InitialProfile, spin: Spinor, coin) -> CoinMomen
     `core.spin_moments` of the time-averaged basis sums (`_asymptotic_kernels`).
     """
     require_normalized(spin)
-    kernels = _asymptotic_kernels(coin_tag(coin), profile)
+    kernels = _asymptotic_kernels(unitary_coin(coin).tobytes(), profile)
     a, b = spin_moments(kernels, spin.up, spin.down)
     return CoinMoments(A=float(a), B=complex(b))
 
@@ -274,7 +272,6 @@ class DelocalizationFactor:
 
     f: float
     coin: str
-    profile: InitialProfile
 
 
 def extract_f(coin, profile: InitialProfile) -> DelocalizationFactor:
@@ -285,11 +282,11 @@ def extract_f(coin, profile: InitialProfile) -> DelocalizationFactor:
     0.10355339059327376 against 0.10355339059327379.
     """
     tag = coin_tag(coin)
-    delta0 = delta_from_moments(asymptotic_moments(profile, Spinor(1.0, 0.0), tag))
+    delta0 = delta_from_moments(asymptotic_moments(profile, Spinor(1.0, 0.0), coin))
     if 2.0 * delta0 > 1.0 + CLAMP_TOL:
         raise DomainError(f"2 delta(alpha=0) = {2 * delta0} exceeds 1")
     f = (1.0 - math.sqrt(min(2.0 * delta0, 1.0))) / 4.0
-    return DelocalizationFactor(f=f, coin=tag, profile=profile)
+    return DelocalizationFactor(f=f, coin=tag)
 
 
 def f_interpolation(sigma0: float) -> float:

@@ -268,7 +268,7 @@ def _record(psi, n, cross) -> None:
 def walk(
     profile: InitialProfile,
     spins,
-    coin: CoinOperator,
+    coin,
     steps: int,
     times=None,
     max_sites: int | None = None,
@@ -277,10 +277,10 @@ def walk(
 
     The one walk loop of the package.  Each walker starts in the product state
     (profile weights) x (spin) on the profile's L sites; every spin must be
-    normalized and the coin a unitary 2x2 matrix.  Cross sums are recorded at
-    `times` (every t in [0, steps] when None).  `final` holds each walker on
-    the L + 2 * steps sites it can reach, from j_min - steps on; that window
-    is checked against max_sites before anything is allocated.
+    normalized and the coin a name or unitary 2x2 matrix (`core.unitary_coin`).
+    Cross sums are recorded at `times` (every t in [0, steps] when None).
+    `final` holds each walker on the L + 2 * steps sites it can reach, from
+    j_min - steps on; that window is checked against max_sites first.
     """
     steps = as_time(steps, "steps")
     times = _recorded_times(steps, times)
@@ -321,7 +321,7 @@ def walk(
 def evolve(
     profile: InitialProfile,
     spin: Spinor,
-    coin: CoinOperator,
+    coin,
     steps: int,
 ) -> list[EntanglementRecord]:
     """Walk for `steps` steps, recording moments and entropy at every t."""
@@ -368,7 +368,7 @@ _BASIS = (Spinor(1.0, 0.0), Spinor(0.0, 1.0))
 
 def evolve_basis(
     profile: InitialProfile,
-    coin: CoinOperator,
+    coin,
     steps: int,
 ) -> BasisEvolution:
     """Evolve the spin-up and spin-down basis states of a profile together.
@@ -405,14 +405,13 @@ def _local_table(coin: bytes, steps: int) -> NDArray[np.complex128]:
     return table
 
 
-def basis_sums(profile: InitialProfile, coin: CoinOperator, steps: int):
+def basis_sums(profile: InitialProfile, coin, steps: int):
     """The seven basis sums of `core.spin_moments` at t = steps, from the Local walk.
 
     `table_sums` of the profile against the Local walk's `_local_table`; they
     agree to rounding with the cross sums of the profile's own basis-pair
-    `walk(profile, _BASIS, coin, steps, times=(steps,))`.  The coin must be a
-    unitary 2x2 matrix and the profile's final window, L + 2 * steps sites,
-    must fit DEFAULT_MAX_SITES, as for `walk`; both are checked first.
+    `walk(profile, _BASIS, coin, steps, times=(steps,))`.  The coin and the
+    profile's final window, L + 2 * steps sites, are checked first, as by `walk`.
     """
     steps = as_time(steps, "steps")
     coin = unitary_coin(coin)

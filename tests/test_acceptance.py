@@ -33,7 +33,7 @@ from qwalklab import (
     spin_from_angles,
     sweep_asymptotic,
 )
-from qwalklab.core import spin_moments
+from qwalklab.core import spin_moments, unitary_coin
 from qwalklab.kspace import LOCAL_F, _asymptotic_kernels
 from qwalklab.lattice import walk
 
@@ -64,7 +64,7 @@ def _entropy_quad(coin, profile, alpha, beta):
 
 def _delta_grid(coin, profile, grid, beta_shift=0.0):
     """Characteristic function over a grid via the quadrature kernels."""
-    kernels = _asymptotic_kernels(coin, profile)
+    kernels = _asymptotic_kernels(unitary_coin(coin).tobytes(), profile)
     alphas = grid.alphas[:, None]
     betas = grid.betas[None, :] + beta_shift
     cu = np.cos(alphas / 2.0) * np.ones_like(betas) + 0j

@@ -32,7 +32,6 @@ from qwalklab import (
     sweep_simulated,
 )
 from qwalklab import BlochAngles, CapacityError
-from qwalklab.kspace import _coin_matrix
 
 
 class TestGrids:
@@ -184,7 +183,7 @@ class TestAverageTrace:
     @pytest.mark.parametrize("steps", [1, 7, 200])
     def test_equals_the_unblocked_mean_bit_for_bit(self, steps, coin, profile, grid):
         # the whole (na, nb, steps + 1) table at once, reduced by numpy's mean
-        basis = evolve_basis(profile, _coin_matrix(coin), steps)
+        basis = evolve_basis(profile, coin, steps)
         spins = spin_amplitudes(grid.alphas[:, None], grid.betas[None, :])
         a_vals, b_vals = basis.moments_arrays(*spins)
         entropies = entropy_from_moments(CoinMoments(a_vals, b_vals))

@@ -16,7 +16,7 @@ from qwalklab import (
     hadamard_coin,
     spin_from_angles,
 )
-from qwalklab.core import as_time
+from qwalklab.core import COINS, as_time, unitary_coin
 
 SQRT2 = math.sqrt(2.0)
 
@@ -88,6 +88,31 @@ class TestCoins:
         assert v[1] == pytest.approx(1j / SQRT2)
 
 
+class TestCoinRule:
+    """`unitary_coin`, the one rule by which both engines read a coin."""
+
+    @pytest.mark.parametrize("name, matrix", [("hadamard", hadamard_coin()),
+                                              ("fourier", fourier_coin())])
+    def test_name_is_its_shared_read_only_matrix(self, name, matrix):
+        coin = unitary_coin(name)
+        assert coin is COINS[name] and coin.tobytes() == matrix.tobytes()
+        with pytest.raises(ValueError):
+            coin[0, 0] = 0.0
+
+    def test_matrix_keeps_its_values(self):
+        coin = 1j * hadamard_coin()
+        assert unitary_coin(coin).tobytes() == coin.tobytes()
+        assert unitary_coin([[0, 1], [1, 0]]).dtype == np.complex128
+
+    @pytest.mark.parametrize("coin", ["Hadamard", "grover", "", np.eye(3), [[1.0, 0.0], [0.0]],
+                                      [["a", "b"], ["c", "d"]], None, np.zeros((2, 2)),
+                                      np.full((2, 2), np.inf)],
+                             ids=repr)
+    def test_anything_else_is_a_domain_error(self, coin):
+        with pytest.raises(DomainError):
+            unitary_coin(coin)
+
+
 class TestEntropyFromMoments:
     def test_maximally_mixed(self):
         assert entropy_from_moments(CoinMoments(0.5, 0.0)) == pytest.approx(1.0)
@@ -112,6 +137,16 @@ class TestEntropyFromMoments:
     def test_marginal_roundoff_clamped(self):
         s = entropy_from_moments(CoinMoments(1.0 + 1e-12, 0.0))
         assert s == 0.0
+
+    def test_one_clamp_rule_in_delta(self):
+        # |B|^2 = 5e-10 at A = 1: lambda_plus = 1 + 5e-10 is inside 1 + CLAMP_TOL,
+        # but delta = 1 + 2e-9 is not, and the rule of entropy_from_delta holds
+        with pytest.raises(DomainError):
+            entropy_from_moments(CoinMoments(1.0, complex(math.sqrt(5e-10), 0.0)))
+        a = np.linspace(0.0, 1.0, 101)
+        b = np.sqrt(a * (1.0 - a)) * np.exp(0.3j)  # pure states, delta = 1 to rounding
+        deltas = 4.0 * (np.square(a - 0.5) + np.square(np.abs(b)))
+        assert np.array_equal(entropy_from_moments(CoinMoments(a, b)), entropy_from_delta(deltas))
 
     @pytest.mark.parametrize("a, b", [
         (math.nan, 0j), (0.5, complex(math.nan, 0.0)), (0.5, complex(0.0, math.nan)),

@@ -17,16 +17,24 @@ from qwalklab import (
     Rectangular,
     Spinor,
     asymptotic_moments,
+    average_trace,
+    basis_sums,
     closed_delta,
+    compare,
     delta_from_moments,
     dispersion,
     entropy_from_delta,
     entropy_from_moments,
+    evolve,
+    evolve_basis,
     evolve_k_moments,
     extract_f,
     f_interpolation,
+    grid_from_step,
     max_entanglement_beta,
     spin_from_angles,
+    sweep_asymptotic,
+    sweep_simulated,
 )
 from qwalklab import kspace
 from qwalklab.core import fourier_coin, hadamard_coin
@@ -40,7 +48,8 @@ from qwalklab.kspace import (
     coin_tag,
 )
 from qwalklab import lattice
-from qwalklab.lattice import _autocorrelation, basis_sums, evolve_basis, profile_weights, walk
+from qwalklab.lattice import _autocorrelation, profile_weights, walk
+from test_lattice import _general_coin
 
 SQRT2 = math.sqrt(2.0)
 UP = Spinor(1.0, 0.0)
@@ -59,6 +68,11 @@ def _coin_op(coin):
     return hadamard_coin() if coin == "hadamard" else fourier_coin()
 
 
+def _key(coin):
+    """The cache key of a named coin's tables: its matrix as bytes."""
+    return _coin_op(coin).tobytes()
+
+
 class TestCoefficients:
     """The (coin, t) tables of Fourier coefficients behind every basis sum."""
 
@@ -71,14 +85,14 @@ class TestCoefficients:
     @pytest.mark.parametrize("coin", ["hadamard", "fourier"])
     @pytest.mark.parametrize("t", [None, 0, 1, 15, 64])
     def test_table_agrees_at_twice_the_nodes(self, monkeypatch, fresh_tables, coin, t):
-        table = _coefficients(coin, t).copy()
+        table = _coefficients(_key(coin), t).copy()
         if t is None:
             monkeypatch.setattr(kspace, "_AVERAGE_NODES", 2 * kspace._AVERAGE_NODES)
         else:
             nodes = max(kspace._MIN_NODES, 1 << (4 * t).bit_length())
             monkeypatch.setattr(kspace, "_MIN_NODES", 2 * nodes)
         _coefficients.cache_clear()
-        doubled = _coefficients(coin, t)
+        doubled = _coefficients(_key(coin), t)
         # the rounding of lambda^t grows with t: 2.2e-15 at t = 64
         mid, half = doubled.shape[1] // 2, table.shape[1] // 2
         assert np.max(np.abs(doubled[:, mid - half : mid + half + 1] - table)) <= 1e-14
@@ -90,9 +104,9 @@ class TestCoefficients:
         info = _coefficients.cache_info()
         assert info.maxsize is not None
         for t in range(info.maxsize + 2):
-            _coefficients("hadamard", t)
+            _coefficients(_key("hadamard"), t)
         assert _coefficients.cache_info().currsize == info.maxsize
-        table = _coefficients("hadamard", 3)
+        table = _coefficients(_key("hadamard"), 3)
         assert table.shape == (7, 13) and not table.flags.writeable
         with pytest.raises(ValueError):
             table[0, 0] = 0.0
@@ -107,7 +121,7 @@ class TestCoefficients:
         monkeypatch.setattr(kspace, "_nodes", refuse)
         # t = 2**18 - 1 needs 2**20 nodes, the most a table may sample
         with pytest.raises(Sampled):
-            _coefficients("hadamard", 262_143)
+            _coefficients(_key("hadamard"), 262_143)
         with pytest.raises(CapacityError):
             evolve_k_moments(Local(), UP, "hadamard", 262_144)
 
@@ -116,7 +130,7 @@ class TestCoefficients:
     def test_profile_wider_than_table(self, profile, t):
         # 35 and 1,091 sites against 4t + 1 lags
         for coin in ("hadamard", "fourier"):
-            got = _basis_sums(coin, profile, t)
+            got = _basis_sums(_key(coin), profile, t)
             want = basis_sums(profile, _coin_op(coin), t)
             assert np.max(np.abs(np.subtract(got, want))) <= 1e-12
 
@@ -125,7 +139,7 @@ class TestCoefficients:
            strategies.integers(min_value=0, max_value=300),
            strategies.sampled_from(["hadamard", "fourier"]))
     def test_gaussian_matches_lattice(self, sigma0, t, coin):
-        got = _basis_sums(coin, Gaussian(sigma0), t)
+        got = _basis_sums(_key(coin), Gaussian(sigma0), t)
         want = basis_sums(Gaussian(sigma0), _coin_op(coin), t)
         assert np.max(np.abs(np.subtract(got, want))) <= 1e-12
 
@@ -171,7 +185,7 @@ class TestDispersion:
     def test_eigenphase_consistency(self, coin):
         # at every k one eigenvalue of U_k is +-e^{-i omega_k}
         k = np.linspace(-math.pi, math.pi, 81)
-        evals, _ = _spectrum_at(coin, k)
+        evals, _ = _spectrum_at(_coin_op(coin), k)
         e = np.exp(-1j * np.array([[dispersion(coin, float(x))] for x in k]))
         assert np.max(np.min(np.minimum(np.abs(evals - e), np.abs(evals + e)), axis=1)) < 1e-12
 
@@ -180,19 +194,19 @@ class TestCoinSpectrum:
     """The batched eigenpairs of U_k that every k-space table is built from."""
 
     def test_hadamard_center(self):
-        evals, _ = _spectrum_at("hadamard", np.array([0.0]))
+        evals, _ = _spectrum_at(_coin_op("hadamard"), np.array([0.0]))
         assert sorted(np.round(evals[0].real, 12)) == [-1.0, 1.0]
         assert np.max(np.abs(evals[0].imag)) < 1e-12
 
     def test_fourier_center(self):
-        evals, _ = _spectrum_at("fourier", np.array([0.0]))
+        evals, _ = _spectrum_at(_coin_op("fourier"), np.array([0.0]))
         expected = {cmath.exp(-1j * math.pi / 4), cmath.exp(1j * math.pi / 4)}
         for lam in evals[0]:
             assert min(abs(lam - e) for e in expected) < 1e-12
 
     @pytest.mark.parametrize("coin", ["hadamard", "fourier"])
     def test_unit_modulus_and_orthonormal(self, coin):
-        evals, v = _spectrum_at(coin, np.linspace(-math.pi, math.pi, 41))
+        evals, v = _spectrum_at(_coin_op(coin), np.linspace(-math.pi, math.pi, 41))
         assert np.max(np.abs(np.abs(evals) - 1.0)) < 1e-12
         gram = np.conj(np.swapaxes(v, -1, -2)) @ v
         assert np.max(np.abs(gram - np.eye(2))) < 1e-12
@@ -265,7 +279,7 @@ class TestEvolveKMoments:
         monkeypatch.setattr(lattice, "_autocorrelation",
                             lambda w, lags: seen.append(lags) or autocorrelation(w, lags))
         evolve_k_moments(Gaussian(100.0), UP, "hadamard", t)
-        assert _coefficients("hadamard", t).shape == (7, 4 * t + 1)
+        assert _coefficients(_key("hadamard"), t).shape == (7, 4 * t + 1)
         assert seen == [2 * t]
 
     @pytest.mark.parametrize("t", [3, 3.0, np.int64(3)])
@@ -312,7 +326,7 @@ class TestExactEnvelope:
         basis = evolve_basis(profile, coin_op, 1000)
         names = ("auu", "aud", "add", "buu", "bud", "bdu", "bdd")
         for t in times:
-            sums = _basis_sums(coin, profile, t)
+            sums = _basis_sums(_key(coin), profile, t)
             for name, value, lattice_sum in zip(names, sums, basis.sums):
                 assert abs(value - lattice_sum[t]) <= 1e-12, (name, t)
 
@@ -355,7 +369,7 @@ class TestExactEnvelope:
 
         with mpmath.workdps(30):
             exact = mpmath.quad(integrand, [-mpmath.pi, mpmath.pi]) / (2 * mpmath.pi)
-        ka1 = _asymptotic_kernels("hadamard", Gaussian(0.5))[0]
+        ka1 = _asymptotic_kernels(_key("hadamard"), Gaussian(0.5))[0]
         assert abs(ka1 - float(exact)) <= 1e-13
 
 
@@ -367,7 +381,7 @@ class TestTableOracle:
     @pytest.mark.parametrize("coin", ["hadamard", "fourier"])
     def test_lattice_table_matches_kspace_table(self, coin, t):
         walked = lattice._local_table(_coin_op(coin).tobytes(), t)
-        sampled = _coefficients(coin, t)
+        sampled = _coefficients(_key(coin), t)
         assert walked.shape == sampled.shape == (7, 4 * t + 1)
         assert np.max(np.abs(walked - sampled)) <= 1e-13
 
@@ -377,13 +391,13 @@ class TestTableOracle:
         # |sum_n r(n) dC(n)| <= max_n |dC(n)| * sum_n |r(n)|, plus the rounding
         # of the two sums: a few ulps per unit of sum_n |r(n)|, since |C| <= 1
         walked = lattice._local_table(_coin_op(coin).tobytes(), t)
-        gap = np.max(np.abs(walked - _coefficients(coin, t)))
+        gap = np.max(np.abs(walked - _coefficients(_key(coin), t)))
         for profile in (Local(), Gaussian(0.3), Gaussian(2.0), Gaussian(30.0),
                         Rectangular(0), Rectangular(17)):
             _, w = profile_weights(profile)
             r = _autocorrelation(w, min(2 * t, w.shape[0] - 1))
             diff = np.subtract(basis_sums(profile, _coin_op(coin), t),
-                               _basis_sums(coin, profile, t))
+                               _basis_sums(_key(coin), profile, t))
             assert np.max(np.abs(diff)) <= (gap + 4 * EPS) * np.sum(np.abs(r)), profile
 
 
@@ -568,3 +582,151 @@ class TestMaxEntanglementBeta:
     def test_outside_band_rejected(self):
         with pytest.raises(DomainError):
             max_entanglement_beta(0.1)
+
+
+#: A unitary coin 3.5e-6 off Hadamard: the rotation by pi/4 + 5e-6.
+_NEAR_HADAMARD = np.array([[math.cos(math.pi / 4 + 5e-6), math.sin(math.pi / 4 + 5e-6)],
+                           [math.sin(math.pi / 4 + 5e-6), -math.cos(math.pi / 4 + 5e-6)]],
+                          dtype=np.complex128)
+
+#: A global phase, and a diagonal coin, whose walk never mixes its spins.
+_PHASED_HADAMARD = 1j * hadamard_coin()
+_DIAGONAL = np.diag([cmath.exp(0.3j), cmath.exp(-1.1j)])
+
+_ANGLE = strategies.floats(min_value=-math.pi, max_value=math.pi)
+
+
+class TestOneCoinRule:
+    """Both engines read a coin by `core.unitary_coin`: a name or any finite
+    unitary 2x2 matrix, walked and sampled as given."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        strategies.one_of(
+            strategies.sampled_from([_PHASED_HADAMARD, _DIAGONAL]),
+            strategies.builds(_general_coin, strategies.floats(0.0, math.pi / 2),
+                              _ANGLE, _ANGLE, _ANGLE)),
+        strategies.one_of(
+            strategies.just(Local()),
+            strategies.integers(min_value=0, max_value=8).map(Rectangular),
+            strategies.floats(min_value=0.2, max_value=5.0).map(Gaussian)),
+        strategies.floats(min_value=0.0, max_value=math.pi), _ANGLE,
+        strategies.integers(min_value=0, max_value=257),
+        strategies.data(),
+    )
+    def test_every_t_walk_matches_kspace_for_any_coin(self, coin, profile, alpha, beta,
+                                                      steps, data):
+        spin = spin_from_angles(BlochAngles(alpha, beta))
+        records = walk(profile, (spin,), coin, steps).records()
+        drawn = data.draw(strategies.integers(min_value=0, max_value=steps))
+        for t in sorted({0, steps // 2, steps, drawn}):
+            mk = evolve_k_moments(profile, spin, coin, t)
+            assert abs(mk.A - records[t].moments.A) <= 1e-12, t
+            assert abs(mk.B - records[t].moments.B) <= 1e-12, t
+
+    @pytest.mark.parametrize("theta", [1e-100, 1e-16, 1e-12, 1e-8])
+    def test_near_degenerate_nodes_keep_orthonormal_eigenvectors(self, theta):
+        # with every phase 0, U_k's eigenvalues nearly coincide at the nodes
+        # k = 0 and -pi, where eig's eigenvectors were up to 0.58 from orthogonal
+        # and the t = 0 table missed the walk by 5.7e-3 (theta = 8.4e-100)
+        coin = _general_coin(theta, 0.0, 0.0, 0.0)
+        _, v = _spectrum_at(coin, _nodes(64))
+        assert np.max(np.abs(np.conj(np.swapaxes(v, -1, -2)) @ v - np.eye(2))) <= 1e-15
+        spin = spin_from_angles(BlochAngles(0.7, 1.1))
+        records = walk(Gaussian(1.0), (spin,), coin, 64).records()
+        for t in (0, 1, 64):
+            mk = evolve_k_moments(Gaussian(1.0), spin, coin, t)
+            assert abs(mk.A - records[t].moments.A) <= 1e-12
+            assert abs(mk.B - records[t].moments.B) <= 1e-12
+
+    @pytest.mark.parametrize("spin", [UP, spin_from_angles(BlochAngles(0.7, 1.1))], ids=str)
+    def test_near_hadamard_coin_is_sampled_as_given(self, spin):
+        # sampled as exact Hadamard, k-space missed the walk by 6.5e-5 in A here
+        run = walk(Local(), (spin,), _NEAR_HADAMARD, 1000, times=(1000,))
+        mk = evolve_k_moments(Local(), spin, _NEAR_HADAMARD, 1000)
+        assert abs(mk.A - run.cross[0, 0, 0, 0].real) <= 1e-12
+        assert abs(mk.B - run.cross[1, 0, 0, 0]) <= 1e-12
+
+    def test_near_hadamard_coin_has_no_closed_form(self):
+        # a matrix names a coin only within UNIT_TOL of it, entry by entry
+        for call in (lambda: coin_tag(_NEAR_HADAMARD),
+                     lambda: closed_delta(_NEAR_HADAMARD, 0.1, 1.0, 0.0),
+                     lambda: extract_f(_NEAR_HADAMARD, Gaussian(1.0))):
+            with pytest.raises(DomainError):
+                call()
+        assert coin_tag(hadamard_coin() * cmath.exp(1e-13j)) == "hadamard"
+
+    @pytest.mark.parametrize("name", ["hadamard", "fourier"])
+    def test_name_and_matrix_give_the_same_bytes(self, name):
+        matrix = _coin_op(name)
+        profile, grid = Gaussian(2.0), grid_from_step(0.5)
+        spin = spin_from_angles(BlochAngles(0.7, 1.1))
+
+        def outputs(coin):
+            run = walk(profile, (UP, spin), coin, 64)
+            return [
+                run.cross.tobytes(), [(s.a.tobytes(), s.b.tobytes()) for s in run.final],
+                evolve(profile, spin, coin, 64),
+                [x.tobytes() for x in evolve_basis(profile, coin, 64).sums],
+                basis_sums(profile, coin, 64),
+                evolve_k_moments(profile, spin, coin, 64),
+                asymptotic_moments(profile, spin, coin),
+                extract_f(coin, profile),
+                sweep_asymptotic(coin, profile, grid).values.tobytes(),
+                sweep_simulated(coin, profile, grid, 64).values.tobytes(),
+                average_trace(coin, profile, grid, 16),
+                compare(coin, "rect", [1.0, 2.0], grid, 16),
+            ]
+
+        assert outputs(name) == outputs(matrix)
+
+    @pytest.mark.parametrize("coin", ["Hadamard", np.eye(3), 2.0 * hadamard_coin()], ids=repr)
+    def test_every_entry_point_refuses_a_non_coin(self, coin):
+        grid = grid_from_step(1.0)
+        for call in (lambda: walk(Local(), (UP,), coin, 3),
+                     lambda: evolve(Local(), UP, coin, 3),
+                     lambda: evolve_basis(Local(), coin, 3),
+                     lambda: basis_sums(Local(), coin, 3),
+                     lambda: evolve_k_moments(Local(), UP, coin, 3),
+                     lambda: asymptotic_moments(Local(), UP, coin),
+                     lambda: sweep_asymptotic(coin, Local(), grid),
+                     lambda: sweep_simulated(coin, Local(), grid, 3),
+                     lambda: average_trace(coin, Local(), grid, 3),
+                     lambda: compare(coin, "gaussian", [1.0], grid, 3)):
+            with pytest.raises(DomainError):
+                call()
+
+    @pytest.mark.parametrize("profile", [Local(), Gaussian(0.5), Gaussian(2.0), Rectangular(3)],
+                             ids=str)
+    def test_global_phase_leaves_the_asymptote(self, profile):
+        for spin in (UP, spin_from_angles(BlochAngles(0.7, 1.1))):
+            phased = asymptotic_moments(profile, spin, _PHASED_HADAMARD)
+            named = asymptotic_moments(profile, spin, "hadamard")
+            assert abs(phased.A - named.A) <= 1e-15
+            assert abs(phased.B - named.B) <= 1e-15
+
+    @pytest.mark.parametrize("coin", [
+        _general_coin(math.asin(0.5), 0.9, -1.7, 0.3),
+        _general_coin(math.asin(0.8), -2.2, 0.4, 1.9),
+        _general_coin(math.pi / 2, 0.0, 1.3, -0.6),
+        _DIAGONAL,
+    ], ids=["c01=0.5", "c01=0.8", "c01=1", "diagonal"])
+    @pytest.mark.parametrize("profile", [Local(), Gaussian(1.0)], ids=str)
+    def test_asymptote_is_the_lattice_time_average(self, profile, coin):
+        # the finite-T gap of the mean over t <= 2000 is about 1e-4 (2e-4 at c01 = 1)
+        spin = spin_from_angles(BlochAngles(0.7, 1.1))
+        run = walk(profile, (spin,), coin, 2000)
+        m = asymptotic_moments(profile, spin, coin)
+        assert abs(m.A - np.mean(run.cross[0, 0, 0].real)) <= 1e-3
+        assert abs(m.B - np.mean(run.cross[1, 0, 0])) <= 1e-3
+
+    def test_small_off_diagonal_fails_the_edge_check(self):
+        # |c01| = 0.1: the eigenphase gap of U_k closes to ~0.2, and the time-
+        # averaged coefficients at the table's edge stay far above 1e-15
+        coin = _general_coin(math.asin(0.1), 0.9, -1.7, 0.3)
+        with pytest.raises(NumericalError):
+            asymptotic_moments(Local(), UP, coin)
+        # the exact tables at integer t hold for it all the same
+        run = walk(Gaussian(1.0), (UP,), coin, 100, times=(100,))
+        mk = evolve_k_moments(Gaussian(1.0), UP, coin, 100)
+        assert abs(mk.A - run.cross[0, 0, 0, 0].real) <= 1e-12
