@@ -4,6 +4,12 @@ Averages are unweighted arithmetic means over the (alpha, beta) angle grid,
 NOT Haar-measure averages over the Bloch sphere; the reference figures are
 defined on the 0.1-step angle grid.  All reductions run in fixed index order,
 so sweep statistics are bitwise reproducible.
+
+Every grid reads the seven basis sums one way.  The walk and the position
+trace map an initial spin's Bloch vector n to the coin's r = P n + q
+(`core.bloch_map`), so delta = |r|^2 is a quadratic form with ten
+coefficients (`core.delta_form`), and the grid's delta is one matrix product
+of its Bloch monomials (`core.bloch_monomials`) with them.
 """
 
 from __future__ import annotations
@@ -15,12 +21,11 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .core import (
-    CoinMoments,
+    _entropy_into,
     as_time,
+    bloch_monomials,
+    delta_form,
     entropy_from_delta,
-    entropy_from_moments,
-    spin_amplitudes,
-    spin_moments,
     unitary_coin,
 )
 from .errors import CapacityError, DomainError, FitError
@@ -93,11 +98,18 @@ class SweepResult:
     argmax: tuple[float, float]
 
 
+def _grid_monomials(grid: SweepGrid):
+    """`core.bloch_monomials` of every grid spin, shape (na, nb, 10)."""
+    return bloch_monomials(grid.alphas[:, None], grid.betas[None, :])
+
+
 def _sweep(grid: SweepGrid, sums) -> SweepResult:
-    """Entropy at every grid point from one set of seven basis sums, and its statistics."""
-    spins = spin_amplitudes(grid.alphas[:, None], grid.betas[None, :])
-    a_vals, b_vals = spin_moments(sums, *spins)
-    values = entropy_from_moments(CoinMoments(a_vals, b_vals))
+    """Entropy at every grid point from one set of seven basis sums, and its statistics.
+
+    delta = |P n + q|^2 at every grid point is one matrix-vector product of the
+    grid's Bloch monomials with the sums' `core.delta_form`.
+    """
+    values = entropy_from_delta(_grid_monomials(grid) @ delta_form(sums))
     flat = values.ravel()  # fixed index order: alpha-major
     imin = int(np.argmin(flat))
     imax = int(np.argmax(flat))
@@ -146,21 +158,25 @@ def average_trace(
 ) -> list[tuple[int, float]]:
     """Grid-mean entropy at every t in [0, steps].
 
-    One basis-pair walk serves the whole grid.  The grid is then reduced one
-    alpha row at a time: the row's moments and entropies, nb x (steps + 1)
-    values, are added state by state into one (steps + 1) accumulator in grid
-    index order, so no (na, nb, steps + 1) array is built and a row's
-    temporaries stay cache-sized.  The sum is sequential and its order fixed:
-    for steps >= 1 it is the order of numpy's `mean(axis=0)` over the
-    (n_points, steps + 1) entropy table, and the means equal that bit for bit.
+    One basis-pair walk serves the whole grid: its seven sums give delta as a
+    quadratic form in each spin's Bloch vector n, with ten coefficients per t
+    (`core.delta_form`).  The grid is then reduced one alpha row at a time:
+    the row's delta at every t is one (nb x 10) @ (10 x (steps + 1)) product,
+    and its entropies come from the entropy kernel, both written into buffers
+    allocated once per call, so no (na, nb, steps + 1) array is built.  The
+    entropies are added state by state into one (steps + 1) accumulator in
+    grid index order: the order of numpy's `mean(axis=0)` over the
+    (n_points, steps + 1) table of the same row products, and the means equal
+    that bit for bit.
     """
     steps = as_time(steps, "steps")
-    basis = evolve_basis(profile, coin, steps)
-    cu, cd = spin_amplitudes(grid.alphas[:, None], grid.betas[None, :])
+    form = delta_form(evolve_basis(profile, coin, steps).sums)  # (10, steps + 1)
+    delta, entropy, work = np.empty((3, grid.betas.size, steps + 1))
     total = np.zeros(steps + 1)
-    for up, down in zip(cu, cd):
-        a_vals, b_vals = basis.moments_arrays(up, down)
-        for row in entropy_from_moments(CoinMoments(a_vals, b_vals)):  # (nb, steps+1)
+    for monomials in _grid_monomials(grid):  # (nb, 10)
+        np.matmul(monomials, form, out=delta)
+        _entropy_into(delta, entropy, work)
+        for row in entropy:
             np.add(total, row, out=total)
     means = total / grid.n_points
     return [(t, float(means[t])) for t in range(steps + 1)]

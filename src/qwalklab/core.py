@@ -6,6 +6,14 @@ eigenvalues are lambda_pm = 1/2 +- sqrt((A - 1/2)^2 + |B|^2), and the
 entanglement entropy is the binary entropy of lambda_plus.  The characteristic
 function delta = (lambda_plus - lambda_minus)^2 carries the same information;
 delta = 0 means maximal entanglement, delta = 1 a separable (pure-coin) state.
+
+The walk followed by the trace over position is a qubit channel: an initial
+spin with Bloch vector n leaves the coin with Bloch vector r = P n + q, where
+r_z = 2A - 1 and r_x - i r_y = 2B (Nielsen & Chuang, Quantum Computation and
+Quantum Information, Sec. 8.3).  The seven basis sums fix the real 3x3 P and
+the 3-vector q (`bloch_map`), so delta = |r|^2 = |P n + q|^2 is a quadratic
+form in (n_x, n_y, n_z, 1) with ten coefficients (`delta_form`), read against
+the ten monomials of a spin's Bloch vector (`bloch_monomials`).
 """
 
 from __future__ import annotations
@@ -167,20 +175,38 @@ def binary_entropy(lam):
 
     Accepts a float or an ndarray of eigenvalues in [0, 1].
     """
-    lam = np.asarray(lam, dtype=float)
-    lam = np.clip(lam, 0.0, 1.0)
-    q = 1.0 - lam
+    return _fresh_buffers(_binary_entropy_into, lam)
+
+
+def _fresh_buffers(kernel, x):
+    """kernel(x, out, work) on a float copy of x and new buffers; a float for a
+    scalar x, else the out array."""
+    x = np.array(x, dtype=float)  # a copy: the kernel overwrites it
+    out = np.empty_like(x)
+    kernel(x, out, np.empty_like(x))
+    if out.ndim == 0:
+        return float(out)
+    return out
+
+
+def _binary_entropy_into(lam, out, work) -> None:
+    """`binary_entropy` of the float array lam into out, with no temporaries
+    beyond two masks; lam is clipped to [0, 1] and then overwritten, and work,
+    of lam's shape, is scratch."""
+    np.clip(lam, 0.0, 1.0, out=lam)
+    q = np.subtract(1.0, lam, out=work)
     # log2 is evaluated only where its argument is positive; the zero-filled
     # out= arrays make the skipped entries defined (0 log 0 = 0).
-    log_lam = np.log2(lam, out=np.zeros_like(lam), where=lam > 0.0)
-    log_q = np.log2(q, out=np.zeros_like(q), where=q > 0.0)
+    out.fill(0.0)
+    np.log2(lam, out=out, where=lam > 0.0)
     # The skipped logs are 0, so each product is already 0 where its factor is.
-    h = lam * log_lam
-    h += q * log_q
-    h = 0.0 - h  # -h, with -0.0 normalized to 0.0
-    if h.ndim == 0:
-        return float(h)
-    return h
+    np.multiply(lam, out, out=out)
+    log_q = lam
+    log_q.fill(0.0)
+    np.log2(q, out=log_q, where=q > 0.0)
+    np.multiply(q, log_q, out=log_q)
+    np.add(out, log_q, out=out)
+    np.subtract(0.0, out, out=out)  # -h, with -0.0 normalized to 0.0
 
 
 def spin_moments(sums, up, down):
@@ -206,6 +232,62 @@ def spin_moments(sums, up, down):
     return a, b
 
 
+def bloch_map(sums):
+    """The qubit channel r = P n + q of the seven basis sums, as (P, q).
+
+    n is the Bloch vector of the initial spin and r that of the reduced coin
+    state: r_z = 2A - 1 and r_x - i r_y = 2B for the moments (A, B) that
+    `spin_moments` gives.  The sums are those of `spin_moments`, at one time, at
+    several (a trailing time axis) or time-averaged; P has shape (3, 3) and q
+    (3,), each followed by the sums' shape.  The real parts of auu and add are
+    taken, and q is kept as it is: the walk's norm drift shows up in it.
+    """
+    auu, aud, add, buu, bud, bdu, bdd = sums
+    auu, add = np.real(auu), np.real(add)
+    # 2B = (buu + bdd) + (buu - bdd) n_z + (bud + bdu) n_x + i (bdu - bud) n_y
+    b0, bz, bx, by = buu + bdd, buu - bdd, bud + bdu, 1j * (bdu - bud)
+    p = np.array([[bx.real, by.real, bz.real],
+                  [-bx.imag, -by.imag, -bz.imag],
+                  [2.0 * aud.real, 2.0 * aud.imag, auu - add]])
+    q = np.array([b0.real, -b0.imag, auu + add - 1.0])
+    return p, q
+
+
+#: The entries (i, j), i <= j, of a symmetric 4x4 quadratic form in
+#: m = (n_x, n_y, n_z, 1), in the order of `delta_form`'s ten coefficients and
+#: of `bloch_monomials`' ten monomials m_i m_j.
+_FORM_I = np.array([0, 1, 2, 0, 0, 1, 0, 1, 2, 3])
+_FORM_J = np.array([0, 1, 2, 1, 2, 2, 3, 3, 3, 3])
+
+
+def delta_form(sums):
+    """delta = |P n + q|^2 of the seven basis sums (`bloch_map`) as ten coefficients.
+
+    delta = sum_k c_k m_k over the monomials m of `bloch_monomials`: with
+    G = P^T P and g = P^T q, c = (G_xx, G_yy, G_zz, 2 G_xy, 2 G_xz, 2 G_yz,
+    2 g_x, 2 g_y, 2 g_z, |q|^2).  The result has shape (10,) followed by the
+    sums' shape, so a spin grid's delta at every time is one matrix product.
+    """
+    p, q = bloch_map(sums)
+    pq = np.concatenate((p, q[:, None]), axis=1)  # [P q], (3, 4)
+    gram = np.einsum("ci...,cj...->ij...", pq, pq)  # [[G, g], [g^T, |q|^2]]
+    form = gram[_FORM_I, _FORM_J]
+    form[_FORM_I != _FORM_J] *= 2.0  # an off-diagonal entry stands for two
+    return form
+
+
+def bloch_monomials(alpha, beta):
+    """The ten monomials (n_x^2, n_y^2, n_z^2, n_x n_y, n_x n_z, n_y n_z, n_x,
+    n_y, n_z, 1) of the Bloch vectors n = (sin a cos b, sin a sin b, cos a) of
+    the spins at angles (alpha, beta), broadcast, on a last axis of length 10:
+    `delta_form`'s coefficients are read against them, delta =
+    bloch_monomials(alpha, beta) @ delta_form(sums)."""
+    sin_alpha = np.sin(alpha)
+    n = np.broadcast_arrays(sin_alpha * np.cos(beta), sin_alpha * np.sin(beta), np.cos(alpha), 1.0)
+    m = np.stack(n, axis=-1)  # (n_x, n_y, n_z, 1)
+    return m[..., _FORM_I] * m[..., _FORM_J]
+
+
 def _radius_sq(a, b):
     """(A - 1/2)^2 + |B|^2, the squared half-gap of the coin eigenvalues.
 
@@ -224,14 +306,20 @@ def entropy_from_moments(m: CoinMoments):
     return entropy_from_delta(4.0 * _radius_sq(np.real(m.A), m.B))
 
 
+def _check_delta(delta) -> None:
+    """DomainError unless every delta lies in [0, 1] to CLAMP_TOL; NaN fails."""
+    if delta.size == 0:
+        return
+    # min and max propagate NaN, and every comparison with NaN is False
+    lo, hi = np.min(delta), np.max(delta)
+    if not (lo >= -CLAMP_TOL and hi <= 1.0 + CLAMP_TOL):
+        raise DomainError(f"delta must lie in [0, 1], got values in [{lo}, {hi}]")
+
+
 def _clamped_delta(delta):
     """delta clamped to [0, 1]; an excursion beyond CLAMP_TOL, or NaN, raises DomainError."""
     delta = np.asarray(delta, dtype=float)
-    # written so that NaN fails it: every comparison with NaN is False
-    if not np.all((delta >= -CLAMP_TOL) & (delta <= 1.0 + CLAMP_TOL)):
-        raise DomainError(
-            f"delta must lie in [0, 1], got values in [{np.min(delta)}, {np.max(delta)}]"
-        )
+    _check_delta(delta)
     return np.clip(delta, 0.0, 1.0)
 
 
@@ -242,7 +330,20 @@ def entropy_from_delta(delta):
     returned) or an array (an array is); it is checked and clamped as in
     `delta_from_moments`.
     """
-    return binary_entropy((1.0 + np.sqrt(_clamped_delta(delta))) / 2.0)
+    return _fresh_buffers(_entropy_into, delta)
+
+
+def _entropy_into(delta, out, work) -> None:
+    """The entropy kernel: `entropy_from_delta` of the float array delta into
+    out.  delta is checked as by `_clamped_delta` and then overwritten, and
+    work, of delta's shape, is scratch, so a caller that reduces many blocks
+    of one shape allocates its buffers once."""
+    _check_delta(delta)
+    lam = np.clip(delta, 0.0, 1.0, out=delta)
+    np.sqrt(lam, out=lam)
+    np.add(1.0, lam, out=lam)
+    np.divide(lam, 2.0, out=lam)
+    _binary_entropy_into(lam, out, work)
 
 
 def delta_from_moments(m: CoinMoments) -> float:

@@ -353,9 +353,8 @@ class BasisEvolution:
         """Moments (A, B) for spin amplitudes `up`, `down` (scalars or arrays).
 
         Broadcast shape is spin_shape + (len(times),); A is real, B complex.
-        The result grows with both, so callers over a large spin grid at many
-        times pass a slice of the grid per call: `analysis.average_trace`
-        passes one alpha row, shape (nb,).
+        The result grows with both; a spin grid reads `sums` through
+        `core.delta_form` instead, as `analysis.average_trace` does.
         """
         cu = np.asarray(up, dtype=np.complex128)[..., None]
         cd = np.asarray(down, dtype=np.complex128)[..., None]
@@ -373,8 +372,8 @@ def evolve_basis(
 ) -> BasisEvolution:
     """Evolve the spin-up and spin-down basis states of a profile together.
 
-    Records the quadratic cross sums needed by BasisEvolution.moments_arrays
-    at every t in [0, steps].
+    Records the seven basis sums (`core.BASIS_SUMS`) at every t in
+    [0, steps], for `core.delta_form` or BasisEvolution.moments_arrays.
     """
     run = walk(profile, _BASIS, coin, steps)
     # the A sums auu and add (y = 0, s = r) are real

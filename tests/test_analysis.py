@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from qwalklab import (
     SweepGrid,
     asymptote_offset,
     average_trace,
+    basis_sums,
     closed_delta,
     compare,
     entropy_from_delta,
@@ -31,7 +33,9 @@ from qwalklab import (
     sweep_asymptotic,
     sweep_simulated,
 )
-from qwalklab import BlochAngles, CapacityError
+from qwalklab import BlochAngles, CapacityError, analysis
+from qwalklab.core import bloch_monomials, delta_form, spin_moments, unitary_coin
+from qwalklab.kspace import _asymptotic_kernels
 
 
 class TestGrids:
@@ -148,6 +152,21 @@ class TestSweeps:
                 assert (cold.mean, cold.argmin, cold.argmax) == \
                     (warm.mean, warm.argmin, warm.argmax)
 
+    @pytest.mark.parametrize("coin", ["hadamard", "fourier"])
+    def test_points_match_the_spin_moments_path(self, coin):
+        # oracle: entropy_from_moments of spin_moments, the path of earlier versions
+        grid = paper_grid()
+        spins = spin_amplitudes(grid.alphas[:, None], grid.betas[None, :])
+        for profile in (Local(), Gaussian(2.0), Rectangular(5), Gaussian(10.0)):
+            runs = [(sweep_asymptotic(coin, profile, grid),
+                     _asymptotic_kernels(unitary_coin(coin).tobytes(), profile))]
+            runs += [(sweep_simulated(coin, profile, grid, steps),
+                      basis_sums(profile, coin, steps)) for steps in (1, 3, 100, 1000)]
+            for result, sums in runs:
+                oracle = entropy_from_moments(CoinMoments(*spin_moments(sums, *spins)))
+                assert np.max(np.abs(result.values - oracle)) <= 1e-14, profile
+                assert abs(result.mean - float(np.mean(oracle))) <= 1e-15, profile
+
     def test_deterministic_statistics(self):
         a = sweep_asymptotic("hadamard", Gaussian(1.0), grid_from_step(0.5))
         b = sweep_asymptotic("hadamard", Gaussian(1.0), grid_from_step(0.5))
@@ -182,15 +201,52 @@ class TestAverageTrace:
     @pytest.mark.parametrize("coin", ["hadamard", "fourier"])
     @pytest.mark.parametrize("steps", [1, 7, 200])
     def test_equals_the_unblocked_mean_bit_for_bit(self, steps, coin, profile, grid):
-        # the whole (na, nb, steps + 1) table at once, reduced by numpy's mean
         basis = evolve_basis(profile, coin, steps)
         spins = spin_amplitudes(grid.alphas[:, None], grid.betas[None, :])
+        trace = average_trace(coin, profile, grid, steps)
+        # the whole (na, nb, steps + 1) delta-form table at once, reduced by
+        # numpy's mean; BLAS rounds a product by its shape, so the table is
+        # stacked from the same (nb x 10) row products
+        form = delta_form(basis.sums)
+        monomials = bloch_monomials(grid.alphas[:, None], grid.betas[None, :])
+        delta = np.stack([row @ form for row in monomials])
+        means = entropy_from_delta(delta).reshape(-1, steps + 1).mean(axis=0)
+        assert trace == [(t, float(means[t])) for t in range(steps + 1)]
+        # oracle: the (A, B) path of earlier versions, one spin_moments table
         a_vals, b_vals = basis.moments_arrays(*spins)
-        entropies = entropy_from_moments(CoinMoments(a_vals, b_vals))
-        means = entropies.reshape(-1, steps + 1).mean(axis=0)
-        assert average_trace(coin, profile, grid, steps) == [
-            (t, float(means[t])) for t in range(steps + 1)
-        ]
+        oracle = entropy_from_moments(CoinMoments(a_vals, b_vals))
+        oracle = oracle.reshape(-1, steps + 1).mean(axis=0)
+        assert max(abs(s - oracle[t]) for t, s in trace) <= 1e-14
+
+    def test_starts_at_product_states(self):
+        for coin in ("hadamard", "fourier"):
+            for profile in (Local(), Gaussian(2.0), Rectangular(5)):
+                assert 0.0 <= average_trace(coin, profile, paper_grid(), 0)[0][1] <= 1e-14
+
+    @pytest.mark.parametrize("bad", ["nan", "excursion"])
+    def test_unphysical_sums_raise(self, monkeypatch, bad):
+        # a NaN sum, or an add lowered by 1e-6 at t = 0, so that r_z = n_z -
+        # 2e-6 |down|^2 and delta > 1 + CLAMP_TOL in every alpha row but the
+        # first (alpha = 0, spin up): the entropy kernel's check fails
+        basis = evolve_basis(Gaussian(2.0), "hadamard", 5)
+        sums = [np.array(x, copy=True) for x in basis.sums]
+        t = 3 if bad == "nan" else 0
+        if bad == "nan":
+            sums[4][t] = math.nan
+        else:
+            sums[2][t] -= 1e-6
+        monkeypatch.setattr(analysis, "evolve_basis",
+                            lambda *args: replace(basis, sums=tuple(sums)))
+        monkeypatch.setattr(analysis, "basis_sums", lambda *args: tuple(x[t] for x in sums))
+        grid = paper_grid()
+        with pytest.raises(DomainError):
+            average_trace("hadamard", Gaussian(2.0), grid, 5)
+        with pytest.raises(DomainError):
+            sweep_simulated("hadamard", Gaussian(2.0), grid, 5)
+        if bad == "excursion":
+            first_row = SweepGrid(alphas=grid.alphas[:1], betas=grid.betas)
+            average_trace("hadamard", Gaussian(2.0), first_row, 5)
+            sweep_simulated("hadamard", Gaussian(2.0), first_row, 5)
 
     def test_peak_memory_is_a_few_rows(self):
         # the unblocked table needs ~154 MiB at the paper grid and T = 1000

@@ -2,23 +2,41 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies
 
 from qwalklab import (
     BlochAngles,
     CoinMoments,
     DomainError,
+    Gaussian,
+    Local,
+    Rectangular,
     Spinor,
     binary_entropy,
     delta_from_moments,
     entropy_from_delta,
     entropy_from_moments,
+    evolve_basis,
     fourier_coin,
     hadamard_coin,
     spin_from_angles,
 )
-from qwalklab.core import COINS, as_time, unitary_coin
+from qwalklab import kspace
+from qwalklab.core import (
+    COINS,
+    _entropy_into,
+    as_time,
+    bloch_map,
+    bloch_monomials,
+    delta_form,
+    spin_moments,
+    unitary_coin,
+)
+from qwalklab.lattice import _BASIS, walk
+from test_lattice import _general_coin
 
 SQRT2 = math.sqrt(2.0)
+EPS = np.finfo(float).eps
 
 
 class TestBlochAngles:
@@ -236,6 +254,138 @@ class TestBinaryEntropy:
 
     def test_nan_propagates(self):
         assert math.isnan(binary_entropy(math.nan))
+
+
+class TestEntropyKernel:
+    """`_entropy_into`, the one entropy kernel, writing into caller buffers."""
+
+    DELTAS = {
+        "zero": np.zeros(7),
+        "one": np.ones(7),
+        "below one": np.full(7, 1.0 - 1e-16),
+        "tiny": np.full(7, 1e-300),
+        "random": np.random.default_rng(12).uniform(0.0, 1.0, (64, 1001)),
+    }
+
+    @pytest.mark.parametrize("name", DELTAS)
+    def test_reused_buffers_give_the_bytes_of_entropy_from_delta(self, name):
+        delta = self.DELTAS[name]
+        # the expression entropy_from_delta evaluated before the kernel took buffers
+        expected = binary_entropy((1.0 + np.sqrt(np.clip(delta, 0.0, 1.0))) / 2.0)
+        assert entropy_from_delta(delta).tobytes() == expected.tobytes()
+        # buffers left dirty by an earlier call do not show through
+        out = np.full_like(delta, math.nan)
+        work = np.full_like(delta, -7.0)
+        for _ in range(2):
+            scratch = delta.copy()
+            _entropy_into(scratch, out, work)
+            assert out.tobytes() == expected.tobytes()
+
+    def test_scalars_keep_their_bytes(self):
+        for d in (0.0, 1.0, 1.0 - 1e-16, 1e-300, 0.25, -1e-12, 1.0 + 1e-12):
+            expected = binary_entropy((1.0 + math.sqrt(min(max(d, 0.0), 1.0))) / 2.0)
+            value = entropy_from_delta(d)
+            assert type(value) is float and np.float64(value).tobytes() == \
+                np.float64(expected).tobytes()
+
+    @pytest.mark.parametrize("bad", [math.nan, 1.0 + 2e-9, -2e-9, math.inf])
+    def test_rejects_what_the_clamp_rule_rejects(self, bad):
+        delta = np.full((3, 5), 0.5)
+        delta[2, 4] = bad
+        with pytest.raises(DomainError):
+            _entropy_into(delta, np.empty_like(delta), np.empty_like(delta))
+
+    def test_empty_input(self):
+        assert entropy_from_delta(np.zeros(0)).shape == (0,)
+
+
+_ANGLE = strategies.floats(min_value=-math.pi, max_value=math.pi)
+_COINS = strategies.one_of(
+    strategies.sampled_from(["hadamard", "fourier"]),
+    strategies.builds(_general_coin, _ANGLE, _ANGLE, _ANGLE, _ANGLE))
+#: Random coins away from |c01| < 0.25, where the time-averaged table is refused.
+_AVERAGED_COINS = strategies.one_of(
+    strategies.sampled_from(["hadamard", "fourier"]),
+    strategies.builds(_general_coin, strategies.floats(0.3, math.pi / 2), _ANGLE, _ANGLE, _ANGLE))
+_PROFILES = strategies.one_of(
+    strategies.just(Local()),
+    strategies.integers(min_value=0, max_value=8).map(Rectangular),
+    strategies.floats(min_value=0.2, max_value=5.0).map(Gaussian))
+#: Spins as (alpha, beta, global phase): the phase changes the amplitudes
+#: that the oracle reads, not the Bloch vector.
+_SPINS = strategies.lists(
+    strategies.tuples(strategies.floats(0.0, math.pi), _ANGLE, _ANGLE), min_size=1, max_size=6)
+
+
+def _form_and_oracle_delta(sums, spins, time_axis):
+    """delta of the spins from `delta_form`, and 4((A - 1/2)^2 + |B|^2) of
+    `spin_moments` of their amplitudes, the form's oracle."""
+    alpha, beta, phase = np.array(spins).T
+    delta = bloch_monomials(alpha, beta) @ delta_form(sums)
+    turn = np.exp(1j * phase)
+    up, down = turn * np.cos(alpha / 2.0), turn * np.exp(1j * beta) * np.sin(alpha / 2.0)
+    if time_axis:
+        up, down = up[:, None], down[:, None]
+    a, b = spin_moments(sums, up, down)
+    return delta, 4.0 * ((np.real(a) - 0.5) ** 2 + np.abs(b) ** 2)
+
+
+class TestDeltaForm:
+    """delta = |P n + q|^2 of the seven basis sums, read as ten coefficients."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_COINS, _PROFILES, strategies.integers(min_value=0, max_value=257), _SPINS)
+    def test_walk_sums_give_the_moments_delta(self, coin, profile, steps, spins):
+        sums = evolve_basis(profile, coin, steps).sums
+        assert delta_form(sums).shape == (10, steps + 1)
+        delta, oracle = _form_and_oracle_delta(sums, spins, time_axis=True)
+        assert np.max(np.abs(delta - oracle)) <= 1e-14
+
+    @settings(max_examples=40, deadline=None)
+    @given(_AVERAGED_COINS, _PROFILES, _SPINS)
+    def test_time_averaged_kspace_sums_give_the_moments_delta(self, coin, profile, spins):
+        sums = kspace._asymptotic_kernels(unitary_coin(coin).tobytes(), profile)
+        delta, oracle = _form_and_oracle_delta(sums, spins, time_axis=False)
+        assert np.max(np.abs(delta - oracle)) <= 1e-14
+
+    @settings(max_examples=40, deadline=None)
+    @given(_AVERAGED_COINS, _PROFILES, strategies.integers(min_value=0, max_value=257))
+    def test_kspace_map_is_unital(self, coin, profile, t):
+        # q is the coin state of the maximally mixed spin: the position trace of
+        # U^t (1 x |w><w|) U^t+ is 1 for every coin, profile and t
+        matrix = unitary_coin(coin).tobytes()
+        _, q = bloch_map(kspace._asymptotic_kernels(matrix, profile))
+        assert np.linalg.norm(q) <= 1e-13
+        # a time-t table rounds like t steps: |q| reached 1.0e-13 at t = 153,
+        # and stayed below 2.5 eps (t + 1) over 300 random cases
+        _, q = bloch_map(kspace._basis_sums(matrix, profile, t))
+        assert np.linalg.norm(q) <= 4.0 * EPS * (t + 1)
+
+    @settings(max_examples=40, deadline=None)
+    @given(_COINS, _PROFILES, strategies.integers(min_value=0, max_value=257))
+    def test_lattice_map_is_unital_within_the_norm_drift(self, coin, profile, steps):
+        # the walk's sums carry its norm drift, and the rounding of t steps;
+        # over 400 random cases |q(t)| stayed below 2 eps (t + 1)
+        _, q = bloch_map(evolve_basis(profile, coin, steps).sums)
+        for t in sorted({0, steps // 2, steps}):
+            final = walk(profile, _BASIS, coin, t, times=(t,)).final
+            drift = max(abs(np.sum(np.abs(s.a) ** 2 + np.abs(s.b) ** 2) - 1.0) for s in final)
+            assert np.linalg.norm(q[:, t]) <= 2.0 * drift + 4.0 * EPS * (t + 1), t
+
+    def test_product_states_at_t0(self):
+        # t = 0: P = (sum w^2) 1 and q = (0, 0, sum w^2 - 1), so delta = |n|^2 = 1
+        p, q = bloch_map(evolve_basis(Gaussian(2.0), "hadamard", 0).sums)
+        assert np.max(np.abs(p[..., 0] - np.eye(3))) <= 1e-15
+        assert np.linalg.norm(q[:, 0]) <= 1e-15
+        delta = bloch_monomials(np.array([1.0, 0.0, math.pi]), np.array([2.0, 0.0, 1.0])) @ \
+            delta_form((1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0))
+        assert np.max(np.abs(delta - 1.0)) <= 4e-16
+
+    def test_complex_time_averaged_sums_raise_no_warning(self):
+        # k-space's auu and add are complex with ~0 imaginary parts; filterwarnings
+        # = error turns an implicit complex-to-real cast into a failure
+        sums = kspace._asymptotic_kernels(COINS["hadamard"].tobytes(), Gaussian(2.0))
+        assert np.iscomplexobj(sums[0]) and delta_form(sums).dtype == np.float64
 
 
 def _random_valid_moments(rng):

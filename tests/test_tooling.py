@@ -1,11 +1,15 @@
 """The test run itself, and the docs it keeps in step with the code."""
 
+import importlib.util
+import sys
 from pathlib import Path
 
-from qwalklab import cli
+import qwalklab
+from qwalklab import cli, kspace, lattice
 
 CONFTEST = Path(__file__).with_name("conftest.py")
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def test_failing_given_test_does_not_stop_the_run(pytester):
@@ -40,3 +44,32 @@ def test_readme_option_table_matches_the_parser():
     parsed = {name: ["--" + key.replace("_", "-") for key in keys]
               for name, (_, _, keys) in cli._COMMANDS.items()}
     assert documented == parsed
+
+
+def test_benchmark_tracer_finds_the_names_it_pins():
+    # perfbench/tracer.py wraps BasisEvolution.moments_arrays and
+    # kspace._asymptotic_kernels by name; a traced benchmark run fails if
+    # either is gone, though average_trace no longer calls moments_arrays
+    spec = importlib.util.spec_from_file_location("_perfbench_tracer",
+                                                  ROOT / "perfbench" / "tracer.py")
+    tracer_module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_module)
+    modules = [m for name, m in sys.modules.items()
+               if name == "qwalklab" or name.startswith("qwalklab.")]
+    before = {m.__name__: dict(vars(m)) for m in modules}
+    method = lattice.BasisEvolution.__dict__["moments_arrays"]
+    kernels = kspace._asymptotic_kernels
+    tracer = tracer_module.BoundaryTracer()
+    try:
+        tracer.install(qwalklab)
+        assert ("BasisEvolution", "moments_arrays") in tracer.patched_names
+        assert ("qwalklab.kspace", "_asymptotic_kernels") in tracer.patched_names
+        assert lattice.BasisEvolution.__dict__["moments_arrays"] is not method
+        assert kspace._asymptotic_kernels is not kernels
+        assert kspace._asymptotic_kernels.__wrapped__ is kernels
+    finally:
+        tracer.uninstall()
+    assert lattice.BasisEvolution.__dict__["moments_arrays"] is method
+    for m in modules:
+        assert vars(m).keys() == before[m.__name__].keys(), m.__name__
+        assert all(vars(m)[k] is v for k, v in before[m.__name__].items()), m.__name__
