@@ -5,11 +5,11 @@ NOT Haar-measure averages over the Bloch sphere; the reference figures are
 defined on the 0.1-step angle grid.  All reductions run in fixed index order,
 so sweep statistics are bitwise reproducible.
 
-Every grid reads the seven basis sums one way.  The walk and the position
-trace map an initial spin's Bloch vector n to the coin's r = P n + q
-(`core.bloch_map`), so delta = |r|^2 is a quadratic form with ten
-coefficients (`core.delta_form`), and the grid's delta is one matrix product
-of its Bloch monomials (`core.bloch_monomials`) with them.
+Every grid reads delta one way.  The walk and the position trace map an
+initial spin's Bloch vector n to the coin's r = P n + q (`core.bloch_map`), so
+delta = |r|^2 is a quadratic form with ten coefficients (`core.delta_form`),
+and the closed form is one too (`kspace._closed_form`).  A grid's delta is
+those coefficients read at its spins by `core.delta_at`.
 """
 
 from __future__ import annotations
@@ -24,12 +24,13 @@ from .core import (
     _entropy_into,
     as_time,
     bloch_monomials,
+    delta_at,
     delta_form,
     entropy_from_delta,
     unitary_coin,
 )
 from .errors import CapacityError, DomainError, FitError
-from .kspace import _asymptotic_kernels, closed_delta, coin_tag
+from .kspace import _asymptotic_kernels, _closed_form, coin_tag
 from .lattice import (
     DEFAULT_MAX_SITES,
     Gaussian,
@@ -98,18 +99,10 @@ class SweepResult:
     argmax: tuple[float, float]
 
 
-def _grid_monomials(grid: SweepGrid):
-    """`core.bloch_monomials` of every grid spin, shape (na, nb, 10)."""
-    return bloch_monomials(grid.alphas[:, None], grid.betas[None, :])
-
-
-def _sweep(grid: SweepGrid, sums) -> SweepResult:
-    """Entropy at every grid point from one set of seven basis sums, and its statistics.
-
-    delta = |P n + q|^2 at every grid point is one matrix-vector product of the
-    grid's Bloch monomials with the sums' `core.delta_form`.
-    """
-    values = entropy_from_delta(_grid_monomials(grid) @ delta_form(sums))
+def _sweep(grid: SweepGrid, form) -> SweepResult:
+    """Entropy at every grid point from the ten coefficients of delta
+    (`core.delta_form`'s layout), read by `core.delta_at`, and its statistics."""
+    values = entropy_from_delta(delta_at(form, grid.alphas[:, None], grid.betas[None, :]))
     flat = values.ravel()  # fixed index order: alpha-major
     imin = int(np.argmin(flat))
     imax = int(np.argmax(flat))
@@ -131,7 +124,7 @@ def sweep_asymptotic(
     grid: SweepGrid,
 ) -> SweepResult:
     """Asymptotic entropy at every grid point from the time-averaged k-space sums."""
-    return _sweep(grid, _asymptotic_kernels(unitary_coin(coin).tobytes(), profile))
+    return _sweep(grid, delta_form(_asymptotic_kernels(unitary_coin(coin).tobytes(), profile)))
 
 
 def sweep_simulated(
@@ -147,7 +140,7 @@ def sweep_simulated(
     cached lag table of one Local walk per (coin, steps).  The result equals
     (to roundoff) evolving each grid point from the profile independently.
     """
-    return _sweep(grid, basis_sums(profile, coin, steps))
+    return _sweep(grid, delta_form(basis_sums(profile, coin, steps)))
 
 
 def average_trace(
@@ -173,7 +166,7 @@ def average_trace(
     form = delta_form(evolve_basis(profile, coin, steps).sums)  # (10, steps + 1)
     delta, entropy, work = np.empty((3, grid.betas.size, steps + 1))
     total = np.zeros(steps + 1)
-    for monomials in _grid_monomials(grid):  # (nb, 10)
+    for monomials in bloch_monomials(grid.alphas[:, None], grid.betas[None, :]):  # (nb, 10)
         np.matmul(monomials, form, out=delta)
         _entropy_into(delta, entropy, work)
         for row in entropy:
@@ -279,13 +272,9 @@ def asymptote_offset(
 ) -> float:
     """Large-dispersion limit of the grid-mean asymptotic entropy.
 
-    The grid mean of `entropy_from_delta(closed_delta(coin, f, alpha, beta))`
-    at the limiting factor: f -> 0 for Hadamard, where delta = (1/2)(cos a +
-    sin a cos b)^2, and f -> 1/4 for Fourier, where delta = (sin a cos b)^2.
-    The limit is the same for the Gaussian and rectangular families.
+    The grid mean of the closed form at the coin's limiting factor: f -> 0 for
+    Hadamard, where delta = (1/2)(cos a + sin a cos b)^2, and f -> 1/4 for
+    Fourier, where delta = (sin a cos b)^2.  The limit is the same for the
+    Gaussian and rectangular families.
     """
-    f_limit = 0.0 if coin_tag(coin) == "hadamard" else 0.25
-    if grid is None:
-        grid = paper_grid()
-    delta = closed_delta(coin, f_limit, grid.alphas[:, None], grid.betas[None, :])
-    return float(np.mean(entropy_from_delta(delta)))
+    return _sweep(grid or paper_grid(), _closed_form(coin_tag(coin))).mean

@@ -13,7 +13,7 @@ r_z = 2A - 1 and r_x - i r_y = 2B (Nielsen & Chuang, Quantum Computation and
 Quantum Information, Sec. 8.3).  The seven basis sums fix the real 3x3 P and
 the 3-vector q (`bloch_map`), so delta = |r|^2 = |P n + q|^2 is a quadratic
 form in (n_x, n_y, n_z, 1) with ten coefficients (`delta_form`), read against
-the ten monomials of a spin's Bloch vector (`bloch_monomials`).
+the ten monomials of a spin's Bloch vector (`bloch_monomials`) by `delta_at`.
 """
 
 from __future__ import annotations
@@ -270,7 +270,13 @@ def delta_form(sums):
     """
     p, q = bloch_map(sums)
     pq = np.concatenate((p, q[:, None]), axis=1)  # [P q], (3, 4)
-    gram = np.einsum("ci...,cj...->ij...", pq, pq)  # [[G, g], [g^T, |q|^2]]
+    return _gram_form(np.einsum("ci...,cj...->ij...", pq, pq))  # [[G, g], [g^T, |q|^2]]
+
+
+def _gram_form(gram):
+    """The ten coefficients of the quadratic form m^T gram m in m = (n_x, n_y,
+    n_z, 1), for a symmetric 4x4 `gram` (followed by any shape), in
+    `delta_form`'s layout."""
     form = gram[_FORM_I, _FORM_J]
     form[_FORM_I != _FORM_J] *= 2.0  # an off-diagonal entry stands for two
     return form
@@ -279,13 +285,22 @@ def delta_form(sums):
 def bloch_monomials(alpha, beta):
     """The ten monomials (n_x^2, n_y^2, n_z^2, n_x n_y, n_x n_z, n_y n_z, n_x,
     n_y, n_z, 1) of the Bloch vectors n = (sin a cos b, sin a sin b, cos a) of
-    the spins at angles (alpha, beta), broadcast, on a last axis of length 10:
-    `delta_form`'s coefficients are read against them, delta =
-    bloch_monomials(alpha, beta) @ delta_form(sums)."""
+    the spins at angles (alpha, beta), broadcast, on a last axis of length 10,
+    which `delta_form`'s coefficients are read against (`delta_at`)."""
     sin_alpha = np.sin(alpha)
     n = np.broadcast_arrays(sin_alpha * np.cos(beta), sin_alpha * np.sin(beta), np.cos(alpha), 1.0)
     m = np.stack(n, axis=-1)  # (n_x, n_y, n_z, 1)
     return m[..., _FORM_I] * m[..., _FORM_J]
+
+
+def delta_at(form, alpha, beta):
+    """delta of the ten coefficients `form` (`delta_form`'s layout, shape (10,))
+    at the spins (alpha, beta), broadcast: a float for scalar angles, else an
+    array.  Each point's ten products are summed along the last axis in one
+    fixed order, not by a BLAS product, so a point's delta does not depend on
+    the shape of the call it is in."""
+    delta = np.sum(bloch_monomials(alpha, beta) * form, axis=-1)
+    return float(delta) if delta.ndim == 0 else delta
 
 
 def _radius_sq(a, b):

@@ -27,9 +27,15 @@ sum_n r(n) C_i(n) with the Fourier coefficients C_i(n) of K_i
 the Local walk (`lattice._local_table`).  The time averages
 (`_asymptotic_kernels`, t = None) drop the oscillating cross terms between
 the two branches; that K_i is analytic, its coefficients decay exponentially
-(Trefethen & Weideman, SIAM Rev. 56 (2014)), and a 256-node table whose edge
-coefficients are checked to lie below 1e-15 holds them.  The decay slows as the
-gap of U_k's eigenphases closes: below |c01| ~ 0.25 the check raises NumericalError.
+(Trefethen & Weideman, SIAM Rev. 56 (2014)), and a table whose edge
+coefficients are checked to lie below 1e-15 holds them: 256 nodes for the
+named coins, doubled as the gap of U_k's eigenphases closes with |c01|.
+
+The closed form is the time-averaged map in Bloch form (`core.delta_form`):
+delta = n^T G(f) n with G(f) = (1/2)(1 - 4f)^2 u u^T + (4f)^2 v v^T, one pair
+of axes (u, v) per named coin (`_CLOSED_AXES`) and one scalar f
+(`extract_f`).  Its ten coefficients (`_closed_form`) are read by the same
+`core.delta_at` as every sweep's.
 """
 
 from __future__ import annotations
@@ -49,7 +55,9 @@ from .core import (
     CoinMoments,
     CoinOperator,
     Spinor,
+    _gram_form,
     as_time,
+    delta_at,
     delta_from_moments,
     require_normalized,
     spin_moments,
@@ -118,7 +126,7 @@ def _spectrum_at(c: CoinOperator, k: NDArray[np.float64]):
 #: Fewest nodes of a table at an integer time.
 _MIN_NODES = 64
 
-#: Nodes of the time-averaged table, which keeps |n| < _AVERAGE_NODES / 2.
+#: Nodes the time-averaged table starts at; it doubles until its edge decays.
 _AVERAGE_NODES = 256
 
 #: Coefficients at the edge of the time-averaged table must lie below this.
@@ -133,26 +141,53 @@ def _coefficients(coin: bytes, t: int | None) -> NDArray[np.complex128]:
     """Fourier coefficients C(n) of the seven spin-independent integrands.
 
     Row i, column M + n holds C_i(n) = int dk/2pi K_i(k) e^{-ikn}, |n| <= M,
-    so that basis sum i of a profile is sum_n r(n) C_i(n).  At each node the
-    branch parts P_pm[x, s] = <x|Phi_pm><Phi_pm|s> give U^t = sum_pm
-    lambda_pm^t P_pm, and K_i is a product of two entries of U^t: a
-    trigonometric polynomial of degree <= 2t, whose coefficients one FFT on
+    so that basis sum i of a profile is sum_n r(n) C_i(n).  At time t, K_i is
+    a trigonometric polynomial of degree <= 2t, whose coefficients one FFT on
     more than 4t nodes gives exactly (M = 2t).  With t = None the products
     are taken within a branch, since the cross terms of the two branches
     average to zero in time; that integrand is analytic, so its coefficients
-    decay exponentially, and the table keeps |n| < _AVERAGE_NODES / 2 after
-    checking that its edge has decayed below _EDGE_TOL.  The table is shared
+    decay exponentially.  Its table starts at _AVERAGE_NODES nodes, keeping
+    |n| < nodes / 2, and doubles until its edge has decayed below _EDGE_TOL;
+    past _MAX_NODES it raises NumericalError.  The decay slows as the gap of
+    U_k's eigenphases closes, that is as |c01| falls: the named coins hold at
+    256 nodes, |c01| = 0.1 needs 1,024 and 0.001 65,536.  The table is shared
     by every caller of one (coin, t), so it is read-only; eight entries hold
     both coins' averaged tables and three times each (448 KB at t = 1000).
     `coin` is the matrix as bytes, the key of `lattice._local_table`.
     """
-    if t is None:
-        n, m = _AVERAGE_NODES, _AVERAGE_NODES // 2 - 1
-    else:
-        n, m = max(_MIN_NODES, 1 << (4 * t).bit_length()), 2 * t
-    if n > _MAX_NODES:
-        raise CapacityError(f"a table at t = {t} needs {n} nodes, above {_MAX_NODES}")
     matrix = np.frombuffer(coin, dtype=np.complex128).reshape(2, 2)
+    if t is not None:
+        n = max(_MIN_NODES, 1 << (4 * t).bit_length())
+        if n > _MAX_NODES:
+            raise CapacityError(f"a table at t = {t} needs {n} nodes, above {_MAX_NODES}")
+        table = _table(matrix, t, n, 2 * t)
+    else:
+        n = _AVERAGE_NODES
+        while True:
+            table = _table(matrix, None, n, n // 2 - 1)
+            # the last two lags on each side: every K_i has period pi (the sites a
+            # walk from one site reaches at one time share a parity), so its odd
+            # coefficients vanish and the edge is read at an even lag too
+            edge = np.abs(table[:, [0, 1, -2, -1]]).max()
+            if edge < _EDGE_TOL:
+                break
+            if 2 * n > _MAX_NODES:
+                raise NumericalError(
+                    f"time-averaged coefficients at |n| >= {n // 2 - 2} reach {edge:.3e}"
+                    f" at {n} nodes, not below {_EDGE_TOL}"
+                )
+            n *= 2
+    table.flags.writeable = False
+    return table
+
+
+def _table(matrix: CoinOperator, t: int | None, n: int, m: int) -> NDArray[np.complex128]:
+    """The coefficients C_i(n) for |n| <= m of `_coefficients` from n nodes.
+
+    At each node the branch parts P_pm[x, s] = <x|Phi_pm><Phi_pm|s> give
+    U^t = sum_pm lambda_pm^t P_pm, and K_i is a product of two entries of U^t,
+    or of each branch's P_pm for t = None.
+    """
     evals, evecs = _spectrum_at(matrix, _nodes(n))
     vec = np.ascontiguousarray(evecs.transpose(2, 1, 0))  # [branch, x, node]
     parts = vec[:, :, None] * np.conj(vec[:, None])  # [branch, x, s, node]
@@ -166,19 +201,7 @@ def _coefficients(coin: bytes, t: int | None) -> NDArray[np.complex128]:
     # nodes k_j = -pi + 2 pi j / n, so e^{-i k_j l} = (-1)^l e^{-2 pi i j l / n}
     lags = np.arange(-m, m + 1)
     spectrum = np.fft.fft(integrand, axis=-1)
-    table = spectrum[:, lags % n] * (np.where(lags % 2 == 0, 1.0, -1.0) / n)
-    if t is None:
-        # the last two lags on each side: every K_i has period pi (the sites a
-        # walk from one site reaches at one time share a parity), so its odd
-        # coefficients vanish and the edge is read at an even lag too
-        edge = np.abs(table[:, [0, 1, -2, -1]]).max()
-        if edge >= _EDGE_TOL:
-            raise NumericalError(
-                f"time-averaged coefficients at |n| >= {m - 1} reach {edge:.3e},"
-                f" not below {_EDGE_TOL}"
-            )
-    table.flags.writeable = False
-    return table
+    return spectrum[:, lags % n] * (np.where(lags % 2 == 0, 1.0, -1.0) / n)
 
 
 def _basis_sums(coin: bytes, profile: InitialProfile, t: int | None):
@@ -230,19 +253,44 @@ def asymptotic_moments(profile: InitialProfile, spin: Spinor, coin) -> CoinMomen
 LOCAL_F = (SQRT2 - 1.0) / 4.0
 
 
-def closed_delta(coin, f: float, alpha, beta):
-    """Closed-form characteristic function delta(f; alpha, beta).
+#: Per named coin, the axes u, v of the closed form's G(f) and the limit of f at
+#: large dispersion.  Fourier's axes are Hadamard's turned by -pi/2 about z,
+#: written out: a computed rotation would leave ~6e-17 where G(f) has its zeros.
+_CLOSED_AXES = {
+    "hadamard": (np.array([1.0, 0.0, 1.0]), np.array([0.0, 1.0, 0.0]), 0.0),
+    "fourier": (np.array([0.0, -1.0, 1.0]), np.array([1.0, 0.0, 0.0]), 0.25),
+}
 
-    Hadamard: (1/2)(1-4f)^2 (cos a + sin a cos b)^2 + (4f)^2 (sin a sin b)^2.
-    The Fourier formula is the Hadamard one with beta shifted by -pi/2 at the
-    same f.  The local state is f = LOCAL_F, where (1/2)(1-4f)^2 = (4f)^2 =
-    3 - 2 sqrt2 and delta = (3 - 2 sqrt2)(1 + sin 2a cos b) (Hadamard) or
-    (3 - 2 sqrt2)(1 - sin 2a sin b) (Fourier); the large-dispersion limits
-    are f -> 0 (Hadamard) and f -> 1/4 (Fourier).  The shift maps formula to
-    formula, not walk to walk: each coin's extracted f goes its own way with
-    dispersion (Hadamard f -> 0 with sigma0^2 f -> 1/32, Fourier f -> 1/4 as
-    1/4 - f ~ 1/(8 sigma0^2)), so the two walks are related by the shift
-    only for the local state.
+
+def _closed_form(tag: str, f: float | None = None):
+    """The ten coefficients, in `core.delta_form`'s layout, of the closed form
+    delta = n^T G(f) n, G(f) = (1/2)(1 - 4f)^2 u u^T + (4f)^2 v v^T, with the
+    axes of the coin named `tag`; f = None is the coin's large-dispersion limit."""
+    u, v, f_limit = _CLOSED_AXES[tag]
+    f = f_limit if f is None else f
+    gram = np.zeros((4, 4))  # the form has no linear or constant part: q = 0
+    gram[:3, :3] = 0.5 * (1.0 - 4.0 * f) ** 2 * np.outer(u, u) + (4.0 * f) ** 2 * np.outer(v, v)
+    return _gram_form(gram)
+
+
+def closed_delta(coin, f: float, alpha, beta):
+    """Closed-form characteristic function delta(f; alpha, beta) = n^T G(f) n.
+
+    n = (sin a cos b, sin a sin b, cos a) is the spin's Bloch vector and
+    G(f) = (1/2)(1-4f)^2 u u^T + (4f)^2 v v^T, with the coin's axes
+    u = (1, 0, 1), v = (0, 1, 0) (Hadamard) or u = (0, -1, 1), v = (1, 0, 0)
+    (Fourier: Hadamard's turned by -pi/2 about z, the beta shift).  Hadamard:
+    (1/2)(1-4f)^2 (cos a + sin a cos b)^2 + (4f)^2 (sin a sin b)^2.  At the
+    f that `extract_f` gives, G(f) is the time-averaged Bloch form of the
+    k-space engine (`core.delta_form` of its sums) to ~2e-15 per coefficient.
+    delta vanishes at the spins +-u x v for 0 < f < 1/4, on the great circle
+    u . n = 0 at f = 0 (Hadamard's large-dispersion limit) and on v . n = 0
+    at f = 1/4 (Fourier's).  The local state is f = LOCAL_F, where
+    (1/2)(1-4f)^2 = (4f)^2 = 3 - 2 sqrt2.  The shift maps formula to formula,
+    not walk to walk: each coin's extracted f goes its own way with dispersion
+    (Hadamard f -> 0 with sigma0^2 f -> 1/32, Fourier f -> 1/4 as
+    1/4 - f ~ 1/(8 sigma0^2)), so the two walks are related by the shift only
+    for the local state.
 
     alpha and beta broadcast against each other: scalars give a float, arrays
     an array.  f outside [0, 1/4] or any alpha outside [0, pi] raises
@@ -251,19 +299,10 @@ def closed_delta(coin, f: float, alpha, beta):
     tag = coin_tag(coin)
     if not 0.0 <= f <= 0.25:  # NaN fails it
         raise DomainError(f"f must be in [0, 1/4], got {f}")
-    a, b = np.asarray(alpha, dtype=float), np.asarray(beta, dtype=float)
+    a = np.asarray(alpha, dtype=float)
     if not np.all((a >= 0.0) & (a <= math.pi)):
         raise DomainError(f"alpha must be in [0, pi], got values in [{np.min(a)}, {np.max(a)}]")
-    if tag == "hadamard":
-        even = np.cos(a) + np.sin(a) * np.cos(b)
-        odd = np.sin(a) * np.sin(b)
-    else:
-        even = np.cos(a) - np.sin(a) * np.sin(b)
-        odd = np.sin(a) * np.cos(b)
-    # np.square, not ** 2: on a numpy scalar ** 2 calls pow(), which can miss
-    # the correctly rounded square by one ulp, so scalars would differ from arrays
-    delta = 0.5 * (1.0 - 4.0 * f) ** 2 * np.square(even) + (4.0 * f) ** 2 * np.square(odd)
-    return float(delta) if delta.ndim == 0 else delta
+    return delta_at(_closed_form(tag, f), a, beta)
 
 
 @dataclass(frozen=True)

@@ -280,8 +280,11 @@ def walk(
     normalized and the coin a name or unitary 2x2 matrix (`core.unitary_coin`).
     Cross sums are recorded at `times` (every t in [0, steps] when None).
     `final` holds each walker on the L + 2 * steps sites it can reach, from
-    j_min - steps on; that window is checked against max_sites first.
+    j_min - steps on; that window is checked against max_sites first, and a
+    max_sites below 1, which no walk fits in, raises DomainError.
     """
+    if max_sites is not None and max_sites < 1:
+        raise DomainError(f"max_sites must be >= 1, got {max_sites}")
     steps = as_time(steps, "steps")
     times = _recorded_times(steps, times)
     for spin in spins:

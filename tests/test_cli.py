@@ -73,6 +73,15 @@ class TestEvolve:
                               "--out", str(out)], capsys)
             assert code == want, window
 
+    @pytest.mark.parametrize("window", ["-1", "0"])
+    def test_window_below_one_site_is_an_argument_error(self, tmp_path, capsys, window):
+        out = tmp_path / "cap.csv"
+        code, _, err = run(["evolve", "--steps", "3", "--max-window", window,
+                            "--out", str(out)], capsys)
+        assert code == 2
+        assert "error: max_sites must be >= 1" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_threads_flag_removed(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["evolve", "--threads", "2", "--out", str(tmp_path / "t.csv")])

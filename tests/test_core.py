@@ -303,10 +303,12 @@ _ANGLE = strategies.floats(min_value=-math.pi, max_value=math.pi)
 _COINS = strategies.one_of(
     strategies.sampled_from(["hadamard", "fourier"]),
     strategies.builds(_general_coin, _ANGLE, _ANGLE, _ANGLE, _ANGLE))
-#: Random coins away from |c01| < 0.25, where the time-averaged table is refused.
+#: Random coins with |c01| >= 0.05, whose time-averaged tables need at most
+#: 2,048 nodes.
 _AVERAGED_COINS = strategies.one_of(
     strategies.sampled_from(["hadamard", "fourier"]),
-    strategies.builds(_general_coin, strategies.floats(0.3, math.pi / 2), _ANGLE, _ANGLE, _ANGLE))
+    strategies.builds(_general_coin, strategies.floats(math.asin(0.05), math.pi / 2),
+                      _ANGLE, _ANGLE, _ANGLE))
 _PROFILES = strategies.one_of(
     strategies.just(Local()),
     strategies.integers(min_value=0, max_value=8).map(Rectangular),

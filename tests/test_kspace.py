@@ -37,7 +37,7 @@ from qwalklab import (
     sweep_simulated,
 )
 from qwalklab import kspace
-from qwalklab.core import fourier_coin, hadamard_coin
+from qwalklab.core import delta_form, fourier_coin, hadamard_coin
 from qwalklab.kspace import (
     LOCAL_F,
     _asymptotic_kernels,
@@ -77,9 +77,12 @@ class TestCoefficients:
     """The (coin, t) tables of Fourier coefficients behind every basis sum."""
 
     def test_small_averaged_table_raises(self, monkeypatch, fresh_tables):
-        # 16 nodes keep |n| < 8; the coefficients at |n| = 6 are still 4.3e-3
+        # 16 nodes keep |n| < 8, where the coefficients at |n| = 6 are still
+        # 4.3e-3; the table doubles while its edge has not decayed, and a cap
+        # of 64 nodes stops it there
         monkeypatch.setattr(kspace, "_AVERAGE_NODES", 16)
-        with pytest.raises(NumericalError):
+        monkeypatch.setattr(kspace, "_MAX_NODES", 64)
+        with pytest.raises(NumericalError, match="at 64 nodes"):
             asymptotic_moments(Local(), UP, "hadamard")
 
     @pytest.mark.parametrize("coin", ["hadamard", "fourier"])
@@ -520,6 +523,57 @@ class TestClosedDelta:
             closed_delta("fourier", 0.1, alpha, 0.0)
 
 
+#: The profiles at whose extracted f the closed form is checked against k-space.
+_CLOSED_FORM_PROFILES = [Local(), *map(Rectangular, (0, 1, 2, 5, 20, 300)),
+                         *map(Gaussian, (0.3, 0.5, 0.75, 1.0, 1.3, 2.0, 3.7, 10.0, 30.0, 100.0))]
+
+
+def _angles_of(n):
+    """(alpha, beta) of the unit vector n."""
+    return math.acos(n[2]), math.atan2(n[1], n[0])
+
+
+class TestClosedFormIsTheBlochForm:
+    """delta = n^T G(f) n with G(f) = (1/2)(1 - 4f)^2 u u^T + (4f)^2 v v^T."""
+
+    @pytest.mark.parametrize("coin", ["hadamard", "fourier"])
+    @pytest.mark.parametrize("profile", _CLOSED_FORM_PROFILES, ids=str)
+    def test_extracted_f_gives_the_time_averaged_form(self, coin, profile):
+        # the closed form at the extracted f is k-space's time-averaged G, not
+        # an approximation of it: the worst coefficient was 1.7e-15
+        form = kspace._closed_form(coin, extract_f(coin, profile).f)
+        averaged = delta_form(_asymptotic_kernels(_key(coin), profile))
+        assert np.max(np.abs(form - averaged)) <= 4e-15
+
+    @pytest.mark.parametrize("coin", ["hadamard", "fourier"])
+    def test_two_maximally_entangled_spins_at_rank_two(self, coin):
+        u, v, _ = kspace._CLOSED_AXES[coin]
+        kernel = np.cross(u, v) / np.linalg.norm(np.cross(u, v))
+        for f in [*np.linspace(0.0, 0.25, 12)[1:-1], LOCAL_F]:
+            for n in (kernel, -kernel):
+                assert closed_delta(coin, float(f), *_angles_of(n)) <= 1e-15, (f, n)
+
+    def test_hadamard_great_circle_at_f_zero(self):
+        # the band of max_entanglement_beta: u . n = n_x + n_z = 0
+        for alpha in np.linspace(math.pi / 4, 3 * math.pi / 4, 41):
+            beta = max_entanglement_beta(float(alpha))
+            for b in (beta, -beta):
+                assert closed_delta("hadamard", 0.0, float(alpha), b) <= 1e-15, (alpha, b)
+
+    def test_fourier_great_circle_at_f_quarter(self):
+        # v . n = n_x = 0: cos beta = 0 at every alpha
+        alpha = np.linspace(0.0, math.pi, 41)[:, None]
+        beta = np.array([[-math.pi / 2, math.pi / 2]])
+        assert np.max(closed_delta("fourier", 0.25, alpha, beta)) <= 1e-15
+
+    def test_fourier_axes_are_hadamard_turned_about_z(self):
+        c, s = math.cos(-math.pi / 2), math.sin(-math.pi / 2)
+        turn = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+        hadamard, fourier = kspace._CLOSED_AXES["hadamard"], kspace._CLOSED_AXES["fourier"]
+        for h, f in zip(hadamard[:2], fourier[:2]):
+            assert np.max(np.abs(turn @ h - f)) <= 1e-16
+
+
 class TestExtractF:
     def test_local_constant(self):
         assert extract_f("hadamard", Local()).f == pytest.approx(LOCAL_F, abs=1e-8)
@@ -720,12 +774,19 @@ class TestOneCoinRule:
         assert abs(m.A - np.mean(run.cross[0, 0, 0].real)) <= 1e-3
         assert abs(m.B - np.mean(run.cross[1, 0, 0])) <= 1e-3
 
-    def test_small_off_diagonal_fails_the_edge_check(self):
-        # |c01| = 0.1: the eigenphase gap of U_k closes to ~0.2, and the time-
-        # averaged coefficients at the table's edge stay far above 1e-15
-        coin = _general_coin(math.asin(0.1), 0.9, -1.7, 0.3)
-        with pytest.raises(NumericalError):
-            asymptotic_moments(Local(), UP, coin)
+    @pytest.mark.parametrize("c01, nodes", [(0.1, 1024), (0.05, 2048)])
+    @pytest.mark.parametrize("profile", [Local(), Gaussian(1.0)], ids=str)
+    def test_small_off_diagonal_doubles_the_table(self, profile, c01, nodes):
+        # the eigenphase gap of U_k closes to ~2 c01, so the time-averaged
+        # coefficients decay more slowly, and the table doubles from 256 nodes
+        # until its edge lies below 1e-15
+        coin = _general_coin(math.asin(c01), 0.9, -1.7, 0.3)
+        spin = spin_from_angles(BlochAngles(0.7, 1.1))
+        run = walk(profile, (spin,), coin, 2000)
+        m = asymptotic_moments(profile, spin, coin)
+        assert _coefficients(coin.tobytes(), None).shape[1] == nodes - 1
+        assert abs(m.A - np.mean(run.cross[0, 0, 0].real)) <= 1e-3
+        assert abs(m.B - np.mean(run.cross[1, 0, 0])) <= 1e-3
         # the exact tables at integer t hold for it all the same
         run = walk(Gaussian(1.0), (UP,), coin, 100, times=(100,))
         mk = evolve_k_moments(Gaussian(1.0), UP, coin, 100)

@@ -235,6 +235,11 @@ class TestStep:
         with pytest.raises(CapacityError):
             lattice.walk(Local(), (UP,), hadamard_coin(), 1, max_sites=2)
 
+    @pytest.mark.parametrize("max_sites", [-1, 0])
+    def test_no_walk_fits_below_one_site(self, max_sites):
+        with pytest.raises(DomainError, match="max_sites must be >= 1"):
+            lattice.walk(Local(), (UP,), hadamard_coin(), 3, max_sites=max_sites)
+
 
 class TestEvolve:
     def test_zero_steps_product_state(self):

@@ -2,6 +2,7 @@
 
 import importlib.util
 import sys
+import warnings
 from pathlib import Path
 
 import qwalklab
@@ -44,6 +45,15 @@ def test_readme_option_table_matches_the_parser():
     parsed = {name: ["--" + key.replace("_", "-") for key in keys]
               for name, (_, _, keys) in cli._COMMANDS.items()}
     assert documented == parsed
+
+
+def test_readme_library_example_runs():
+    # the ```python block under "## Library", run as written; a warning fails it
+    text = README.read_text()
+    block = text[text.index("## Library"):].split("```python\n", 1)[1].split("```", 1)[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        exec(compile(block, f"{README.name} (## Library)", "exec"), {"__name__": "readme"})
 
 
 def test_benchmark_tracer_finds_the_names_it_pins():
