@@ -68,7 +68,7 @@ def paper_grid() -> SweepGrid:
     largest 0.1-multiples below the bounds are the only reading that yields
     the reference count of 2016 states.
     """
-    return SweepGrid(alphas=0.1 * np.arange(32), betas=0.1 * np.arange(63))
+    return grid_from_step(0.1)
 
 
 def grid_from_step(step: float) -> SweepGrid:

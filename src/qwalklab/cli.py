@@ -1,15 +1,16 @@
 """Command-line reproduction harness.
 
 Commands: evolve, asymptotic, sweep, compare, fit.  Structured single results
-are emitted as JSON (stdout when --out is absent), tabular data as CSV with a
-single header row, 17-significant-digit numbers, and "\n" newlines.  The
-effective configuration is echoed to stderr.  Exit codes: 0 success, 2
-argument/config error, 3 numerical error, 4 I/O error.
+are emitted as JSON (stdout when --out is absent), every table as CSV from one
+writer, `_write_table`: a single header row, 17-significant-digit numbers, and
+"\n" newlines.  The effective configuration is echoed to stderr.  Exit codes:
+0 success, 2 argument/config error, 3 numerical error, 4 I/O error.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -41,10 +42,6 @@ from .lattice import (
 
 class ConfigError(Exception):
     """Invalid or inconsistent command configuration (exit code 2)."""
-
-
-def _fmt(x) -> str:
-    return format(float(x), ".17g")
 
 
 def _family_sigmas(cfg: dict) -> list[float]:
@@ -192,22 +189,38 @@ def _write_text(path: str | None, text: str) -> None:
             fh.write(text)
 
 
+def _write_table(path: str | None, header: str, rows, axes=(), footer=None) -> None:
+    """Write one CSV table: the `header` row, then a line per row of numbers,
+    integers as they are and floats to 17 significant digits.  With `axes`,
+    each line starts with its point of their product (last axis fastest), each
+    axis value formatted once.  `footer` is a str.format template for a last
+    line and the floats that fill it.  Every line ends in "\n".
+    """
+    rows = list(rows)
+    line = ",".join("%d" if isinstance(x, int) else "%.17g" for x in rows[0])
+    lines = map(line.__mod__, rows)
+    if axes:
+        points = itertools.product(*(["%.17g," % x for x in axis] for axis in axes))
+        lines = map(str.__add__, map("".join, points), lines)
+    lines = [header, *lines]
+    if footer is not None:
+        template, values = footer
+        lines.append(template.format(*("%.17g" % x for x in values)))
+    _write_text(path, "\n".join(lines) + "\n")
+
+
 def cmd_evolve(cfg: dict) -> int:
     if not cfg.get("out"):
         raise ConfigError("evolve requires --out (records and .dist distribution)")
+    if cfg["max_window"] is not None and cfg["max_window"] < 1:
+        raise ConfigError(f"--max-window: must be >= 1, got {cfg['max_window']}")
     profile = _profile(cfg)
     spin = spin_from_angles(_angles(cfg))
     run = walk(profile, (spin,), cfg["coin"], cfg["steps"], max_sites=cfg["max_window"])
-    lines = ["t,A,B_re,B_im,entropy"] + [
-        f"{r.t},{_fmt(r.moments.A)},{_fmt(r.moments.B.real)},"
-        f"{_fmt(r.moments.B.imag)},{_fmt(r.entropy)}"
-        for r in run.records()
-    ]
-    _write_text(cfg["out"], "\n".join(lines) + "\n")
-
-    dist = position_distribution(run.final[0])
-    dlines = ["j,prob"] + [f"{j},{_fmt(p)}" for j, p in dist]
-    _write_text(cfg["out"] + ".dist", "\n".join(dlines) + "\n")
+    _write_table(cfg["out"], "t,A,B_re,B_im,entropy",
+                 ((r.t, r.moments.A, r.moments.B.real, r.moments.B.imag, r.entropy)
+                  for r in run.records()))
+    _write_table(cfg["out"] + ".dist", "j,prob", position_distribution(run.final[0]))
     return 0
 
 
@@ -244,19 +257,6 @@ def _grid(cfg: dict) -> analysis.SweepGrid:
         raise ConfigError(f"--grid-step: {exc}")
 
 
-def _sweep_csv(result: analysis.SweepResult) -> str:
-    lines = ["alpha,beta,entropy"]
-    for i, a in enumerate(result.grid.alphas):
-        for j, b in enumerate(result.grid.betas):
-            lines.append(f"{_fmt(a)},{_fmt(b)},{_fmt(result.values[i, j])}")
-    lines.append(
-        f"# mean={_fmt(result.mean)} min={_fmt(result.min)} max={_fmt(result.max)}"
-        f" argmin=({_fmt(result.argmin[0])},{_fmt(result.argmin[1])})"
-        f" argmax=({_fmt(result.argmax[0])},{_fmt(result.argmax[1])})"
-    )
-    return "\n".join(lines) + "\n"
-
-
 def cmd_sweep(cfg: dict) -> int:
     grid = _grid(cfg)
     profile = _profile(cfg)
@@ -264,7 +264,10 @@ def cmd_sweep(cfg: dict) -> int:
         result = analysis.sweep_asymptotic(cfg["coin"], profile, grid)
     else:
         result = analysis.sweep_simulated(cfg["coin"], profile, grid, cfg["steps"])
-    _write_text(cfg.get("out"), _sweep_csv(result))
+    _write_table(cfg.get("out"), "alpha,beta,entropy", zip(result.values.ravel().tolist()),
+                 axes=(grid.alphas, grid.betas),
+                 footer=("# mean={} min={} max={} argmin=({},{}) argmax=({},{})",
+                         (result.mean, result.min, result.max, *result.argmin, *result.argmax)))
     return 0
 
 
@@ -273,13 +276,8 @@ def cmd_compare(cfg: dict) -> int:
     reports = analysis.compare(
         cfg["coin"], cfg["profile"], sigmas, _grid(cfg), cfg["steps"]
     )
-    lines = ["sigma0,mean_sim,mean_asym,delta_pct"]
-    for r in reports:
-        lines.append(
-            f"{_fmt(r.sigma0)},{_fmt(r.mean_simulated)},"
-            f"{_fmt(r.mean_asymptotic)},{_fmt(r.delta_pct)}"
-        )
-    _write_text(cfg.get("out"), "\n".join(lines) + "\n")
+    _write_table(cfg.get("out"), "sigma0,mean_sim,mean_asym,delta_pct",
+                 ((r.sigma0, r.mean_simulated, r.mean_asymptotic, r.delta_pct) for r in reports))
     return 0
 
 

@@ -43,6 +43,10 @@ class TestGrids:
         g = paper_grid()
         assert g.n_points == 2016
         assert g.alphas.size == 32 and g.betas.size == 63
+        # the same rule as --grid-step 0.1, to the byte
+        step = grid_from_step(0.1)
+        assert g.alphas.tobytes() == step.alphas.tobytes()
+        assert g.betas.tobytes() == step.betas.tobytes()
 
     def test_paper_grid_endpoints(self):
         g = paper_grid()

@@ -79,7 +79,7 @@ class TestEvolve:
         code, _, err = run(["evolve", "--steps", "3", "--max-window", window,
                             "--out", str(out)], capsys)
         assert code == 2
-        assert "error: max_sites must be >= 1" in err and "Traceback" not in err
+        assert "error: --max-window: " in err and "Traceback" not in err
         assert not out.exists()
 
     def test_threads_flag_removed(self, tmp_path, capsys):

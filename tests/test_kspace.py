@@ -4,7 +4,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies
+from hypothesis import example, given, settings, strategies
 
 from qwalklab import (
     BlochAngles,
@@ -650,6 +650,14 @@ _DIAGONAL = np.diag([cmath.exp(0.3j), cmath.exp(-1.1j)])
 _ANGLE = strategies.floats(min_value=-math.pi, max_value=math.pi)
 
 
+def _phase_coin(gamma, phi, theta, psi):
+    """e^{i gamma} D(phi) R(theta) D(psi), with D(x) = diag(e^{ix}, e^{-ix}) and
+    R(theta) = [[cos, sin], [sin, -cos]] of theta: every U(2) coin is one."""
+    d_phi, d_psi = (np.diag([cmath.exp(1j * x), cmath.exp(-1j * x)]) for x in (phi, psi))
+    c, s = math.cos(theta), math.sin(theta)
+    return cmath.exp(1j * gamma) * d_phi @ np.array([[c, s], [s, -c]]) @ d_psi
+
+
 class TestOneCoinRule:
     """Both engines read a coin by `core.unitary_coin`: a name or any finite
     unitary 2x2 matrix, walked and sampled as given."""
@@ -791,3 +799,66 @@ class TestOneCoinRule:
         run = walk(Gaussian(1.0), (UP,), coin, 100, times=(100,))
         mk = evolve_k_moments(Gaussian(1.0), UP, coin, 100)
         assert abs(mk.A - run.cross[0, 0, 0, 0].real) <= 1e-12
+
+    def test_tiny_off_diagonal_is_served_at_65536_nodes(self, fresh_tables):
+        # at |c01| = 1e-3 both edges of the table only roughly halve at each
+        # doubling from 256 to 2,048 nodes (3.9e-3 to 4.1e-4), as they do at
+        # 1e-6, which is never served; the edge then falls to 1.3e-17, so a
+        # test of the decay rate at those node counts would refuse this coin
+        coin = _phase_coin(0.0, 0.0, math.asin(1e-3), 0.0)
+        m = asymptotic_moments(Local(), spin_from_angles(BlochAngles(0.7, 1.1)), coin)
+        assert _coefficients(coin.tobytes(), None).shape == (7, 65535)
+        assert 0.0 <= delta_from_moments(m) <= 1.0
+
+    @settings(max_examples=40, deadline=None)
+    @given(_ANGLE, _ANGLE, _ANGLE, _ANGLE,
+           strategies.floats(min_value=0.0, max_value=math.pi), _ANGLE)
+    @example(math.pi / 2, -math.pi / 4, math.pi / 4, -math.pi / 4, 0.7, 1.1)  # Fourier
+    def test_coin_phases_are_a_spin_frame_and_a_boost(self, gamma, phi, theta, psi,
+                                                      alpha, beta):
+        # C = e^{i gamma} D(phi) R(theta) D(psi) gives U_k(C) = D(-psi) e^{i gamma}
+        # U_{k - k0}(R(theta)) D(psi), k0 = phi + psi: the C walk is the R walk
+        # from D(psi) v, boosted by k0, seen in the frame D(-psi).  A frame
+        # leaves the reduced state's spectrum, and the boost leaves the Local
+        # profile, so the spectra agree.  A real profile wider than one site
+        # is boosted: a Gaussian(2) walk differs from its unboosted reduction
+        # by up to 0.47 in S at t = 100, which needs complex profiles to check.
+        coin, reduced = _phase_coin(gamma, phi, theta, psi), _phase_coin(0.0, 0.0, theta, 0.0)
+        spin = spin_from_angles(BlochAngles(alpha, beta))
+        framed = Spinor(cmath.exp(1j * psi) * spin.up, cmath.exp(-1j * psi) * spin.down)
+        # delta fixes the spectrum; S does not serve near a pure state, where it
+        # is steep: from spin up at theta = 0 the complex coin's walk drifts A
+        # to 1 - 2.1e-14 by t = 148, which S reads as 1.0e-12, against 0 for
+        # the real R(0).  Both engines round like t steps: over 300 lattice and
+        # 1,000 k-space draws, delta differed by at most 6.3 eps (t + 1)
+        pairs = zip(walk(Local(), (spin,), coin, 257).records(),
+                    walk(Local(), (framed,), reduced, 257).records())
+        for given_walk, reduced_walk in pairs:
+            bound = 16 * EPS * (given_walk.t + 1)
+            assert abs(delta_from_moments(given_walk.moments)
+                       - delta_from_moments(reduced_walk.moments)) <= bound, given_walk.t
+            assert abs(given_walk.moments.A - reduced_walk.moments.A) <= bound, given_walk.t
+        for t in (1, 7, 64, 257):
+            d = [delta_from_moments(evolve_k_moments(Local(), s, c, t))
+                 for s, c in ((spin, coin), (framed, reduced))]
+            assert abs(d[0] - d[1]) <= 16 * EPS * (t + 1), t
+        # the averaged table needs 65,536 nodes at |c01| = 1e-3; |sin theta| >=
+        # 0.25 keeps it at 256-512 (1,000 draws: at most 8.9e-16 = 4 eps apart)
+        if abs(math.sin(theta)) >= 0.25:
+            d = [delta_from_moments(asymptotic_moments(Local(), s, c))
+                 for s, c in ((spin, coin), (framed, reduced))]
+            assert abs(d[0] - d[1]) <= 16 * EPS
+
+    @pytest.mark.parametrize("alpha, beta", [(0.7, 1.1), (2.9, -3.0), (math.pi / 4, 0.0)])
+    def test_fourier_is_hadamard_turned_a_quarter_in_beta(self, alpha, beta):
+        # Fourier is (gamma, phi, theta, psi) = (pi/2, -pi/4, pi/4, -pi/4), whose
+        # R(theta) is Hadamard: from Local, Fourier at beta is Hadamard at
+        # beta + pi/2 at every t, on the lattice as on the closed forms
+        assert np.max(np.abs(_phase_coin(math.pi / 2, -math.pi / 4, math.pi / 4, -math.pi / 4)
+                             - fourier_coin())) <= 2 * EPS
+        assert np.max(np.abs(_phase_coin(0.0, 0.0, math.pi / 4, 0.0) - hadamard_coin())) <= EPS
+        fourier = walk(Local(), (spin_from_angles(BlochAngles(alpha, beta)),), "fourier", 257)
+        turned = spin_from_angles(BlochAngles(alpha, beta + math.pi / 2))
+        hadamard = walk(Local(), (turned,), "hadamard", 257)
+        for f, h in zip(fourier.records(), hadamard.records()):
+            assert abs(f.entropy - h.entropy) <= 1e-12, f.t

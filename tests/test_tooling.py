@@ -1,6 +1,7 @@
 """The test run itself, and the docs it keeps in step with the code."""
 
 import importlib.util
+import shlex
 import sys
 import warnings
 from pathlib import Path
@@ -54,6 +55,40 @@ def test_readme_library_example_runs():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         exec(compile(block, f"{README.name} (## Library)", "exec"), {"__name__": "readme"})
+
+
+def _is_number(cell: str) -> bool:
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
+def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
+    # the ```sh block under "## CLI": continuations joined, comments stripped,
+    # each qwalk line run through cli.main; every CSV it writes has one header
+    text = README.read_text()
+    block = text[text.index("## CLI"):].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line, comments=True)
+                for line in block.replace("\\\n", " ").splitlines()]
+    commands = [argv for argv in commands if argv]
+    assert len(commands) == 6 and all(argv[0] == "qwalk" for argv in commands)
+    monkeypatch.chdir(tmp_path)
+    tables = []
+    for argv in commands:
+        assert cli.main(argv[1:]) == 0, argv
+        out = capsys.readouterr().out
+        if out and not out.startswith("{"):  # --out leaves stdout empty; JSON opens with {
+            tables.append(out)
+    tables += [path.read_text() for path in sorted(tmp_path.iterdir())]
+    assert len(tables) == 5  # run.csv and its .dist, two sweeps, compare
+    for table in tables:
+        header, *rows = table.splitlines()
+        assert not any(map(_is_number, header.split(","))), header
+        for row in rows:
+            if not row.startswith("# mean="):  # a sweep's summary line
+                assert all(map(_is_number, row.split(","))), row
 
 
 def test_benchmark_tracer_finds_the_names_it_pins():
