@@ -22,8 +22,10 @@ from numpy.typing import NDArray
 
 from .core import (
     _entropy_into,
+    as_positive,
     as_time,
     bloch_monomials,
+    check_angles,
     delta_at,
     delta_form,
     entropy_from_delta,
@@ -33,23 +35,22 @@ from .errors import CapacityError, DomainError, FitError
 from .kspace import _asymptotic_kernels, _closed_form, coin_tag
 from .lattice import (
     DEFAULT_MAX_SITES,
-    Gaussian,
+    FAMILIES,
     InitialProfile,
-    Rectangular,
     basis_sums,
     evolve_basis,
-    sigma_to_a,
 )
 
 
 @dataclass(frozen=True)
 class SweepGrid:
-    """Strictly increasing alpha and beta sample angles (radians)."""
+    """Strictly increasing alpha and beta sample angles (radians), read by `core.check_angles`."""
 
     alphas: NDArray[np.float64]
     betas: NDArray[np.float64]
 
     def __post_init__(self) -> None:
+        check_angles(self.alphas, self.betas)
         for name, arr in (("alphas", self.alphas), ("betas", self.betas)):
             arr = np.asarray(arr, dtype=float)
             if arr.size == 0 or np.any(np.diff(arr) <= 0):
@@ -74,8 +75,7 @@ def paper_grid() -> SweepGrid:
 def grid_from_step(step: float) -> SweepGrid:
     """Uniform grid with the given step, covering [0, pi] x [0, 2pi], of at
     most DEFAULT_MAX_SITES points: a larger one raises CapacityError unbuilt."""
-    if not step > 0.0:
-        raise DomainError(f"grid step must be > 0, got {step}")
+    as_positive(step, "grid step")
     # a ratio above the cap is clamped to it: that grid is refused either way
     na = math.floor(min(math.pi / step, DEFAULT_MAX_SITES) + 1e-9) + 1
     nb = math.floor(min(2.0 * math.pi / step, DEFAULT_MAX_SITES) + 1e-9) + 1
@@ -186,16 +186,10 @@ class ComparisonReport:
 
 
 def family_profile(family: str, sigma0: float) -> InitialProfile:
-    """Profile of a delocalized family at dispersion sigma0.
-
-    "gaussian" maps directly; "rect" rounds sigma0 to the nearest integer
-    half-width via sigma_to_a.
-    """
-    if family == "gaussian":
-        return Gaussian(sigma0)
-    if family == "rect":
-        return Rectangular(sigma_to_a(sigma0))
-    raise DomainError(f"unknown profile family {family!r}")
+    """Profile of the delocalized `family` at dispersion sigma0 (`lattice.FAMILIES`)."""
+    if family not in FAMILIES:
+        raise DomainError(f"unknown profile family {family!r}")
+    return FAMILIES[family](sigma0)
 
 
 def compare(
@@ -206,7 +200,7 @@ def compare(
     steps: int,
 ) -> list[ComparisonReport]:
     """<S_E(steps)> vs <S_bar_E> per dispersion, with percentage difference."""
-    if steps < 1:
+    if as_time(steps, "steps") < 1:
         raise DomainError(f"steps must be >= 1, got {steps}")
     if not sigma_list:
         raise DomainError("sigma list must be non-empty")

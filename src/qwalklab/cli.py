@@ -19,6 +19,7 @@ from . import analysis
 from .core import (
     COINS,
     BlochAngles,
+    as_positive,
     delta_from_moments,
     entropy_from_delta,
     spin_from_angles,
@@ -31,6 +32,7 @@ from .errors import (
 )
 from .kspace import asymptotic_moments, closed_delta, extract_f
 from .lattice import (
+    FAMILIES,
     Gaussian,
     Local,
     Rectangular,
@@ -45,18 +47,19 @@ class ConfigError(Exception):
 
 
 def _family_sigmas(cfg: dict) -> list[float]:
-    """The --sigmas of compare and fit, whose --profile must be a delocalized family."""
+    """The --sigmas of compare and fit (`core.as_positive`), for a family of `lattice.FAMILIES`."""
     if not cfg.get("sigmas"):
         raise ConfigError(f"{cfg['command']} requires --sigmas")
     try:
-        values = [float(s) for s in str(cfg["sigmas"]).split(",") if s.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"--sigmas must be a comma-separated number list: {exc}")
+        values = [as_positive(float(s), "sigma0") for s in str(cfg["sigmas"]).split(",")
+                  if s.strip()]
+    except (ValueError, DomainError) as exc:  # not a number, or not a dispersion
+        raise ConfigError(f"--sigmas: {exc}")
     if not values:
         raise ConfigError("--sigmas must be a non-empty comma-separated list")
-    if cfg["profile"] == "local":
+    if cfg["profile"] not in FAMILIES:
         raise ConfigError(f"--profile: {cfg['command']} needs a delocalized family "
-                          "(gaussian or rect)")
+                          f"({' or '.join(FAMILIES)})")
     return values
 
 
@@ -65,7 +68,7 @@ def _family_sigmas(cfg: dict) -> list[float]:
 #: command has only the options `_COMMANDS` lists for it.
 _OPTIONS = {
     "coin": ("hadamard", {"choices": list(COINS)}),
-    "profile": ("local", {"choices": ["local", "gaussian", "rect"]}),
+    "profile": ("local", {"choices": ["local", *FAMILIES]}),
     "sigma": (1.0, {"type": float, "help": "Gaussian initial dispersion"}),
     "a": (1, {"type": int, "help": "rectangular half-width"}),
     "alpha": (0.0, {"type": float, "help": "polar Bloch angle"}),

@@ -19,6 +19,7 @@ the ten monomials of a spin's Bloch vector (`bloch_monomials`) by `delta_at`.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,25 +44,23 @@ BASIS_SUMS = ((0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 0, 0), (1, 0, 1), (1, 1, 0), 
 class BlochAngles:
     """Polar (alpha) and azimuthal (beta) angles of a pure spin state.
 
-    alpha must lie in [0, pi]; beta is canonicalized into [-pi, pi) by
-    `_reduce_beta`, so inputs in [0, 2pi) or any real value are accepted.
+    alpha lies in [0, pi] and beta is finite (`check_angles`); beta is
+    canonicalized into [-pi, pi) by `_reduce_beta`, so any finite beta is accepted.
     """
 
     alpha: float
     beta: float
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.alpha <= math.pi:
-            raise DomainError(f"alpha must be in [0, pi], got {self.alpha}")
+        check_angles(self.alpha, self.beta)
         object.__setattr__(self, "beta", float(_reduce_beta(float(self.beta))))
 
 
 def _reduce_beta(beta):
-    """Elementwise: beta in [-pi, pi) as it is (so the rule is idempotent),
-    any other beta as (beta + pi) mod 2pi - pi."""
+    """Elementwise: a finite beta in [-pi, pi) as it is (so the rule is
+    idempotent), any other as (beta + pi) mod 2pi - pi."""
     beta = np.asarray(beta, dtype=float)
-    with np.errstate(invalid="ignore"):  # an infinite beta gives NaN, as float % does
-        wrapped = np.mod(beta + math.pi, TWO_PI) - math.pi
+    wrapped = np.mod(beta + math.pi, TWO_PI) - math.pi
     return np.where((beta >= -math.pi) & (beta < math.pi), beta, wrapped)
 
 
@@ -118,12 +117,29 @@ def as_time(value, name: str) -> int:
     return number
 
 
+def as_positive(value, name: str):
+    """A sigma0 or grid step `value`, a finite real > 0 and no bool, as it is; else DomainError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 < value < math.inf:
+        raise DomainError(f"{name} must be finite and > 0, got {value!r}")
+    return value
+
+
+def check_angles(alpha, beta) -> None:
+    """DomainError unless every alpha is in [0, pi] and every beta finite, each read on its own."""
+    a, b = np.asarray(alpha), np.asarray(beta)
+    if a.dtype.kind not in "iuf" or not np.all((a >= 0.0) & (a <= math.pi)):
+        raise DomainError(f"alpha must be in [0, pi], got {alpha!r}")
+    if b.dtype.kind not in "iuf" or not np.all(np.isfinite(b)):
+        raise DomainError(f"beta must be finite, got {beta!r}")
+
+
 def spin_amplitudes(alpha, beta):
     """Spin amplitudes (cos(alpha/2), e^{i beta} sin(alpha/2)), broadcast, complex.
 
-    beta is reduced by BlochAngles' rule, so raw angles and their BlochAngles
-    give the same amplitudes bit for bit.
+    The angles are BlochAngles' (`check_angles`, `_reduce_beta`), so raw angles
+    and their BlochAngles give the same amplitudes bit for bit.
     """
+    check_angles(alpha, beta)
     half, beta = np.broadcast_arrays(np.divide(alpha, 2.0), _reduce_beta(beta))
     up = np.cos(half).astype(np.complex128)
     down = (np.cos(beta) + 1j * np.sin(beta)) * np.sin(half)

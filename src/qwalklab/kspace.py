@@ -56,7 +56,9 @@ from .core import (
     CoinOperator,
     Spinor,
     _gram_form,
+    as_positive,
     as_time,
+    check_angles,
     delta_at,
     delta_from_moments,
     require_normalized,
@@ -292,17 +294,14 @@ def closed_delta(coin, f: float, alpha, beta):
     1/4 - f ~ 1/(8 sigma0^2)), so the two walks are related by the shift only
     for the local state.
 
-    alpha and beta broadcast against each other: scalars give a float, arrays
-    an array.  f outside [0, 1/4] or any alpha outside [0, pi] raises
-    DomainError; beta may be any real.
+    alpha and beta broadcast: scalars give a float, arrays an array.  f outside
+    [0, 1/4], or angles that `core.check_angles` refuses, raise DomainError.
     """
     tag = coin_tag(coin)
     if not 0.0 <= f <= 0.25:  # NaN fails it
         raise DomainError(f"f must be in [0, 1/4], got {f}")
-    a = np.asarray(alpha, dtype=float)
-    if not np.all((a >= 0.0) & (a <= math.pi)):
-        raise DomainError(f"alpha must be in [0, pi], got values in [{np.min(a)}, {np.max(a)}]")
-    return delta_at(_closed_form(tag, f), a, beta)
+    check_angles(alpha, beta)
+    return delta_at(_closed_form(tag, f), alpha, beta)
 
 
 @dataclass(frozen=True)
@@ -330,7 +329,8 @@ def extract_f(coin, profile: InitialProfile) -> DelocalizationFactor:
 
 def f_interpolation(sigma0: float) -> float:
     """Arctan fit connecting local and Gaussian delocalization factors:
-    f(sigma0) = 0.0365 (pi/2 - arctan(3.937 (sigma0 - 0.8)))."""
+    f(sigma0) = 0.0365 (pi/2 - arctan(3.937 (sigma0 - 0.8))), for a finite sigma0 > 0."""
+    as_positive(sigma0, "sigma0")
     return 0.0365 * (math.pi / 2.0 - math.atan(3.937 * (sigma0 - 0.8)))
 
 
@@ -342,6 +342,7 @@ def max_entanglement_beta(alpha: float) -> float:
     vanishes on this band.  The Fourier walk has no such alpha-dependent band:
     its f tends to 1/4 and its delta to (sin a cos b)^2, so its band at high
     delocalization is cos beta = 0 (beta = +-pi/2) for every alpha."""
+    check_angles(alpha, 0.0)
     cot = math.cos(alpha) / math.sin(alpha) if math.sin(alpha) != 0.0 else math.inf
     if abs(cot) > 1.0 + 1e-12:
         raise DomainError(f"|cot(alpha)| = {abs(cot)} > 1: no solution")

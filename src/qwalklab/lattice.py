@@ -35,6 +35,7 @@ from .core import (
     CoinMoments,
     CoinOperator,
     Spinor,
+    as_positive,
     as_time,
     entropy_from_moments,
     require_normalized,
@@ -72,20 +73,17 @@ class Gaussian:
     sigma0: float
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.sigma0 < math.inf:
-            raise DomainError(f"Gaussian sigma0 must be finite and > 0, got {self.sigma0}")
+        as_positive(self.sigma0, "Gaussian sigma0")
 
 
 @dataclass(frozen=True)
 class Rectangular:
-    """A flat profile 1/sqrt(2a+1) on sites [-a, a]; a is a non-negative integer."""
+    """A flat profile 1/sqrt(2a+1) on sites [-a, a]; a is an integer >= 0 (`as_time`)."""
 
     a: int
 
     def __post_init__(self) -> None:
-        if int(self.a) != self.a or self.a < 0:
-            raise DomainError(f"Rectangular a must be an integer >= 0, got {self.a}")
-        object.__setattr__(self, "a", int(self.a))
+        object.__setattr__(self, "a", as_time(self.a, "Rectangular a"))
 
 
 InitialProfile = Local | Gaussian | Rectangular
@@ -124,14 +122,18 @@ def sigma_to_a(sigma0: float) -> int:
     sum needs an integer half-width; the real-valued map only serves to compare
     profiles at equal dispersion).
     """
-    if not 0.0 < sigma0 < math.inf:
-        raise DomainError(f"sigma0 must be finite and > 0, got {sigma0}")
+    if isinstance(as_positive(sigma0, "sigma0"), np.floating):
+        sigma0 = float(sigma0)  # a float32 would be squared, and meet 1e150, in float32
     if sigma0 > 1e150:
         # 12 sigma0^2 overflows a double from about 1.3e154 on; this sigma0 is
         # an integer, and with x = sqrt(12 sigma0^2 + 1), round((x - 1)/2) =
         # floor(x/2) = isqrt(x^2) // 2 exactly (x^2 is odd: x/2 is no tie)
         return math.isqrt(12 * int(sigma0) ** 2 + 1) // 2
     return max(0, round((math.sqrt(12.0 * sigma0**2 + 1.0) - 1.0) / 2.0))
+
+
+#: Each delocalized profile family by name: the map from a dispersion sigma0 to its profile.
+FAMILIES = {"gaussian": Gaussian, "rect": lambda sigma0: Rectangular(sigma_to_a(sigma0))}
 
 
 def profile_weights(profile: InitialProfile) -> tuple[int, NDArray[np.float64]]:
@@ -247,7 +249,7 @@ class Walk(NamedTuple):
 def _recorded_times(steps: int, times) -> tuple[int, ...]:
     if times is None:
         return tuple(range(steps + 1))
-    if len(times) == 0 or any(int(t) != t or not 0 <= t <= steps for t in times):
+    if len(times) == 0 or any(as_time(t, "times") > steps for t in times):
         raise DomainError(f"times must be integers in [0, {steps}], got {times!r}")
     return tuple(sorted({int(t) for t in times}))
 

@@ -7,6 +7,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qwalklab import analysis
 from qwalklab.cli import build_parser, main
 from qwalklab.kspace import LOCAL_F
 
@@ -15,6 +16,10 @@ def run(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _no_sweep(*args):
+    raise AssertionError("a sweep ran")
 
 
 class TestEvolve:
@@ -216,6 +221,14 @@ class TestCompare:
                   "--steps", "10", "--max-window", "4"])
         assert exc.value.code == 2
 
+    def test_bad_sigma_names_its_flag_before_any_sweep(self, monkeypatch, capsys):
+        monkeypatch.setattr(analysis, "sweep_simulated", _no_sweep)
+        monkeypatch.setattr(analysis, "sweep_asymptotic", _no_sweep)
+        code, out, err = run(["compare", "--profile", "gaussian", "--sigmas", "1,nan,2",
+                              "--grid-step", "0.5", "--steps", "2"], capsys)
+        assert code == 2 and out == ""
+        assert err.splitlines()[-1] == "error: --sigmas: sigma0 must be finite and > 0, got nan"
+
 
 class TestFit:
     def test_gaussian_average_fit(self, capsys):
@@ -269,6 +282,13 @@ class TestFit:
             ["fit", "--profile", "gaussian", "--sigmas", "1,x,3"], capsys
         )
         assert code == 2
+
+    def test_bad_sigma_names_its_flag_before_any_sweep(self, monkeypatch, capsys):
+        monkeypatch.setattr(analysis, "sweep_asymptotic", _no_sweep)
+        code, out, err = run(["fit", "--profile", "rect", "--sigmas", "1,-2,3",
+                              "--grid-step", "0.5"], capsys)
+        assert code == 2 and out == ""
+        assert err.splitlines()[-1] == "error: --sigmas: sigma0 must be finite and > 0, got -2.0"
 
 
 class TestConfigHandling:

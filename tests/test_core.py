@@ -21,6 +21,7 @@ from qwalklab import (
     hadamard_coin,
     spin_from_angles,
 )
+import qwalklab
 from qwalklab import kspace
 from qwalklab.core import (
     COINS,
@@ -28,6 +29,7 @@ from qwalklab.core import (
     as_time,
     bloch_map,
     bloch_monomials,
+    delta_at,
     delta_form,
     spin_moments,
     unitary_coin,
@@ -448,3 +450,135 @@ class TestAsTime:
     def test_other_values_rejected(self, value):
         with pytest.raises(DomainError, match="steps must be an integer >= 0"):
             as_time(value, "steps")
+
+
+def _same(x, y) -> bool:
+    """x is y's value and type, byte for byte: arrays by dtype, shape and bytes,
+    sequences item by item, anything else by type and repr (a float's repr
+    round-trips).  A str y stands for the repr of a record."""
+    if isinstance(y, str) and not isinstance(x, str):
+        return repr(x) == y
+    if isinstance(x, np.ndarray):
+        return (isinstance(y, np.ndarray) and (x.dtype, x.shape) == (y.dtype, y.shape)
+                and x.tobytes() == y.tobytes())
+    if isinstance(x, (tuple, list)):
+        return type(x) is type(y) and len(x) == len(y) and all(map(_same, x, y))
+    return type(x) is type(y) and repr(x) == repr(y)
+
+
+def _axes(grid):
+    return grid.alphas, grid.betas
+
+
+_UP = Spinor(1.0, 0.0)
+_LOCAL_F = kspace.LOCAL_F
+_TINY_GRID = qwalklab.SweepGrid([0.0, 1.0], [0.0, 2.0])
+#: beta = 2 pi + 1/2, which `_reduce_beta` reads as 1/2 exactly.
+_BETA_WRAP = 2.0 * math.pi + 0.5
+_NOT_NUMBERS = [math.nan, math.inf, -math.inf, True, "1"]
+_BAD_ALPHA = _NOT_NUMBERS + [math.nextafter(0.0, -1.0), math.nextafter(math.pi, 4.0)]
+_BAD_SIGMA = _NOT_NUMBERS + [0.0, -1.0]
+_BAD_COUNT = _NOT_NUMBERS + [-1, 2.5]
+_TINY_SIGMA, _FLOAT32_SIGMA = 5e-324, np.float32(2.0)
+
+
+def _closed(alpha, beta):
+    return delta_at(kspace._closed_form("hadamard", _LOCAL_F), alpha, beta)
+
+
+def _counted(call):
+    """Edges of a count reader: np.int64(2) gives the output of the int 2, and 0 is a count."""
+    return [(np.int64(2), lambda: call(2)), (0, lambda: call(0))]
+
+
+#: Every public entry point that reads an input rule (`core.check_angles`,
+#: `core.as_positive`, `core.as_time`, `lattice.FAMILIES`), one row per input:
+#: its name in `qwalklab.__all__`, the input, a call of the reader on a value
+#: of it, the values it must refuse with DomainError and in-domain edges, each
+#: with a thunk of the output it must give (an exception class: the error it
+#: must raise).  `tests/test_tooling.py` checks that no entry point is missing.
+INPUT_READERS = [
+    ("BlochAngles", "alpha", lambda f, x: f(x, 0.0), _BAD_ALPHA,
+     [(0.0, lambda: "BlochAngles(alpha=0.0, beta=0.0)"),
+      (math.pi, lambda: f"BlochAngles(alpha={math.pi!r}, beta=0.0)")]),
+    ("BlochAngles", "beta", lambda f, x: f(1.0, x), _NOT_NUMBERS,
+     [(_BETA_WRAP, lambda: "BlochAngles(alpha=1.0, beta=0.5)")]),
+    ("spin_amplitudes", "alpha", lambda f, x: f(x, 0.0), _BAD_ALPHA,
+     [(0.0, lambda: (np.complex128(1.0), np.complex128(0.0))),
+      (math.pi, lambda: (np.complex128(np.cos(math.pi / 2.0)), np.complex128(1.0)))]),
+    ("spin_amplitudes", "beta", lambda f, x: f(1.0, x), _NOT_NUMBERS,
+     [(_BETA_WRAP, lambda: (np.complex128(np.cos(0.5)),
+                            (np.cos(0.5) + 1j * np.sin(0.5)) * np.sin(0.5)))]),
+    ("closed_delta", "alpha", lambda f, x: f("hadamard", _LOCAL_F, x, 0.0), _BAD_ALPHA,
+     [(0.0, lambda: _closed(0.0, 0.0)), (math.pi, lambda: _closed(math.pi, 0.0))]),
+    ("closed_delta", "beta", lambda f, x: f("hadamard", _LOCAL_F, 1.0, x), _NOT_NUMBERS,
+     [(_BETA_WRAP, lambda: _closed(1.0, _BETA_WRAP))]),
+    ("SweepGrid", "alphas", lambda f, x: _axes(f([x], [0.0])), _BAD_ALPHA,
+     [(0.0, lambda: (np.array([0.0]), np.array([0.0]))),
+      (math.pi, lambda: (np.array([math.pi]), np.array([0.0])))]),
+    ("SweepGrid", "betas", lambda f, x: _axes(f([0.0], [x])), _NOT_NUMBERS,
+     [(_BETA_WRAP, lambda: (np.array([0.0]), np.array([_BETA_WRAP])))]),
+    ("max_entanglement_beta", "alpha", lambda f, x: f(x), _BAD_ALPHA,
+     [(0.0, DomainError), (math.pi, DomainError),  # |cot alpha| > 1: no band there
+      (math.pi / 2.0, lambda: math.acos(-math.cos(math.pi / 2.0) / math.sin(math.pi / 2.0)))]),
+    ("Gaussian", "sigma0", lambda f, x: f(x), _BAD_SIGMA,
+     [(_TINY_SIGMA, lambda: "Gaussian(sigma0=5e-324)"),
+      (_FLOAT32_SIGMA, lambda: "Gaussian(sigma0=np.float32(2.0))")]),
+    ("sigma_to_a", "sigma0", lambda f, x: f(x), _BAD_SIGMA,
+     [(_TINY_SIGMA, lambda: 0), (_FLOAT32_SIGMA, lambda: 3)]),
+    ("f_interpolation", "sigma0", lambda f, x: f(x), _BAD_SIGMA,
+     [(x, lambda x=x: 0.0365 * (math.pi / 2.0 - math.atan(3.937 * (x - 0.8))))
+      for x in (_TINY_SIGMA, _FLOAT32_SIGMA)]),
+    ("grid_from_step", "step", lambda f, x: _axes(f(x)), _BAD_SIGMA,
+     [(_TINY_SIGMA, qwalklab.CapacityError),
+      (_FLOAT32_SIGMA, lambda: (np.array([0.0, 2.0]), np.array([0.0, 2.0, 4.0, 6.0])))]),
+    ("family_profile", "sigma0", lambda f, x: f("gaussian", x), _BAD_SIGMA,
+     [(_TINY_SIGMA, lambda: "Gaussian(sigma0=5e-324)"),
+      (_FLOAT32_SIGMA, lambda: "Gaussian(sigma0=np.float32(2.0))")]),
+    ("family_profile", "sigma0 (rect)", lambda f, x: f("rect", x), _BAD_SIGMA,
+     [(_TINY_SIGMA, lambda: "Rectangular(a=0)"), (_FLOAT32_SIGMA, lambda: "Rectangular(a=3)")]),
+    ("Rectangular", "a", lambda f, x: f(x), _BAD_COUNT,  # a numpy 3 is stored as the int 3
+     [(np.int64(3), lambda: "Rectangular(a=3)"), (0, lambda: "Rectangular(a=0)")]),
+    ("evolve", "steps", lambda f, x: f(Local(), _UP, "hadamard", x), _BAD_COUNT,
+     _counted(lambda x: qwalklab.evolve(Local(), _UP, "hadamard", x))),
+    ("evolve_basis", "steps", lambda f, x: f(Local(), "hadamard", x).sums, _BAD_COUNT,
+     _counted(lambda x: qwalklab.evolve_basis(Local(), "hadamard", x).sums)),
+    ("basis_sums", "steps", lambda f, x: f(Local(), "hadamard", x), _BAD_COUNT,
+     _counted(lambda x: qwalklab.basis_sums(Local(), "hadamard", x))),
+    ("sweep_simulated", "steps", lambda f, x: f("hadamard", Local(), _TINY_GRID, x).values,
+     _BAD_COUNT,
+     _counted(lambda x: qwalklab.sweep_simulated("hadamard", Local(), _TINY_GRID, x).values)),
+    ("average_trace", "steps", lambda f, x: f("hadamard", Local(), _TINY_GRID, x), _BAD_COUNT,
+     _counted(lambda x: qwalklab.average_trace("hadamard", Local(), _TINY_GRID, x))),
+    ("compare", "steps", lambda f, x: f("hadamard", "gaussian", [1.0], _TINY_GRID, x),
+     _BAD_COUNT,  # and steps = 0: a comparison needs a step
+     [(np.int64(2), lambda: qwalklab.compare("hadamard", "gaussian", [1.0], _TINY_GRID, 2)),
+      (0, DomainError)]),
+    ("evolve_k_moments", "t", lambda f, x: f(Local(), _UP, "hadamard", x), _BAD_COUNT,
+     _counted(lambda x: qwalklab.evolve_k_moments(Local(), _UP, "hadamard", x))),
+]
+
+
+def _row_id(row):
+    return f"{row[0]}-{row[1]}"
+
+
+class TestInputRules:
+    """The input rules at their boundaries, through every entry point that reads them."""
+
+    @pytest.mark.parametrize("row", INPUT_READERS, ids=map(_row_id, INPUT_READERS))
+    def test_out_of_domain_inputs_raise_domain_error(self, row):
+        name, _, call, bad, _ = row
+        for value in bad:  # a numpy warning fails the test too (filterwarnings = error)
+            with pytest.raises(DomainError):
+                call(getattr(qwalklab, name), value)
+
+    @pytest.mark.parametrize("row", INPUT_READERS, ids=map(_row_id, INPUT_READERS))
+    def test_in_domain_edges_keep_their_outputs(self, row):
+        name, _, call, _, edges = row
+        for value, expected in edges:
+            if isinstance(expected, type):
+                with pytest.raises(expected):
+                    call(getattr(qwalklab, name), value)
+            else:
+                assert _same(call(getattr(qwalklab, name), value), expected()), value

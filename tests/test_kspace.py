@@ -862,3 +862,47 @@ class TestOneCoinRule:
         hadamard = walk(Local(), (turned,), "hadamard", 257)
         for f, h in zip(fourier.records(), hadamard.records()):
             assert abs(f.entropy - h.entropy) <= 1e-12, f.t
+
+
+#: Real coins: Hadamard and the reflection R(0.7) = [[cos, sin], [sin, -cos]] of 0.7.
+_REAL_COINS = [hadamard_coin(), _phase_coin(0.0, 0.0, 0.7, 0.0)]
+
+#: Real profile weights, one-site, narrow and wide.
+_REFLECTION_PROFILES = [Local(), Gaussian(2.0), Rectangular(5), Gaussian(0.6)]
+
+#: beta and -beta both inside (-pi, pi), which BlochAngles keeps as they are.
+_OPEN_BETA = strategies.floats(min_value=-math.pi, max_value=math.pi,
+                               exclude_min=True, exclude_max=True)
+
+
+class TestBetaReflection:
+    """With a real coin and real profile weights, the walk from (alpha, -beta) is
+    the complex conjugate of the walk from (alpha, beta): the initial spins are
+    conjugate (the up amplitude cos(alpha/2) is real), and a real step keeps
+    them so.  So A is the same, B is conjugated, and delta and the entropy are
+    even in beta.  The Fourier coin is not real, and the reflection fails for it:
+    for Gaussian(2) at alpha = 1, delta is 0.4398 at beta = 0.5 and 0.4444 at
+    beta = -0.5.  So only real coins are drawn."""
+
+    @settings(max_examples=48, deadline=None)
+    @given(strategies.sampled_from(_REAL_COINS), strategies.sampled_from(_REFLECTION_PROFILES),
+           strategies.floats(min_value=0.0, max_value=math.pi), _OPEN_BETA)
+    def test_lattice_moments_reflect_byte_for_byte(self, coin, profile, alpha, beta):
+        spins = [spin_from_angles(BlochAngles(alpha, b)) for b in (beta, -beta)]
+        cross = walk(profile, spins, coin, 300).cross  # every t <= 300
+        # adding +0.0 turns -0.0 into 0.0, as in TestSiteLayoutOracle
+        assert (cross[0, 0, 0].real + 0.0).tobytes() == (cross[0, 1, 1].real + 0.0).tobytes()
+        assert (cross[1, 0, 0] + 0.0).tobytes() == (np.conj(cross[1, 1, 1]) + 0.0).tobytes()
+
+    @settings(max_examples=48, deadline=None)
+    @given(strategies.sampled_from(_REAL_COINS), strategies.sampled_from(_REFLECTION_PROFILES),
+           strategies.floats(min_value=0.0, max_value=math.pi), _OPEN_BETA)
+    def test_kspace_delta_is_even_in_beta(self, coin, profile, alpha, beta):
+        plus, minus = (spin_from_angles(BlochAngles(alpha, b)) for b in (beta, -beta))
+        for t in (1, 7, 64, 257):
+            d_plus, d_minus = (delta_from_moments(evolve_k_moments(profile, s, coin, t))
+                               for s in (plus, minus))
+            assert abs(d_plus - d_minus) <= 16 * EPS * (t + 1), t
+        d_plus, d_minus = (delta_from_moments(asymptotic_moments(profile, s, coin))
+                           for s in (plus, minus))
+        assert abs(d_plus - d_minus) <= 16 * EPS

@@ -1,6 +1,7 @@
 """The test run itself, and the docs it keeps in step with the code."""
 
 import importlib.util
+import inspect
 import shlex
 import sys
 import warnings
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import qwalklab
 from qwalklab import cli, kspace, lattice
+from test_core import INPUT_READERS
 
 CONFTEST = Path(__file__).with_name("conftest.py")
 ROOT = Path(__file__).resolve().parents[1]
@@ -118,3 +120,26 @@ def test_benchmark_tracer_finds_the_names_it_pins():
     for m in modules:
         assert vars(m).keys() == before[m.__name__].keys(), m.__name__
         assert all(vars(m)[k] is v for k, v in before[m.__name__].items()), m.__name__
+
+
+#: Parameters that carry a spin's angles, a dispersion, a grid step or a count.
+RULED_PARAMETERS = {"alpha", "beta", "alphas", "betas", "sigma0", "a", "step", "steps", "t"}
+
+#: Result records: they hold a value an entry point has already read.
+RECORDS = {"ComparisonReport", "EntanglementRecord", "WalkerState"}
+
+
+def test_every_entry_point_with_a_ruled_input_is_in_the_boundary_table():
+    # every callable of qwalklab.__all__ with a ruled parameter, other than a
+    # record, has a row in test_core.INPUT_READERS, so its rule is tested
+    readers = set()
+    for name in qwalklab.__all__:
+        obj = getattr(qwalklab, name)
+        if not callable(obj) or isinstance(obj, type) and issubclass(obj, Exception):
+            continue  # a constant, or an error class, whose builtin init has no signature
+        if RULED_PARAMETERS & set(inspect.signature(obj).parameters):
+            readers.add(name)
+    assert RECORDS <= readers
+    tabled = {row[0] for row in INPUT_READERS}
+    assert readers - RECORDS - tabled == set()
+    assert tabled <= readers
