@@ -47,7 +47,6 @@ from .kspace import (
     DelocalizationFactor,
     asymptotic_moments,
     closed_delta,
-    dispersion,
     evolve_k_moments,
     extract_f,
     f_interpolation,
@@ -99,7 +98,6 @@ __all__ = [
     "closed_delta",
     "compare",
     "delta_from_moments",
-    "dispersion",
     "entropy_from_delta",
     "entropy_from_moments",
     "evolve",

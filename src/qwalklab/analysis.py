@@ -187,7 +187,7 @@ class ComparisonReport:
 
 def family_profile(family: str, sigma0: float) -> InitialProfile:
     """Profile of the delocalized `family` at dispersion sigma0 (`lattice.FAMILIES`)."""
-    if family not in FAMILIES:
+    if not isinstance(family, str) or family not in FAMILIES:
         raise DomainError(f"unknown profile family {family!r}")
     return FAMILIES[family](sigma0)
 

@@ -64,7 +64,8 @@ def _family_sigmas(cfg: dict) -> list[float]:
 
 
 #: Every option, declared once: its builtin default (applied after CLI flags
-#: and config-file values) and its argparse settings, its type among them.  A
+#: and config-file values) and its argparse settings, whose type or choices
+#: `_option` applies to every value a flag or the config file gives.  A
 #: command has only the options `_COMMANDS` lists for it.
 _OPTIONS = {
     "coin": ("hadamard", {"choices": list(COINS)}),
@@ -85,11 +86,6 @@ _OPTIONS = {
     "config": (None, {"help": "JSON config file; flags override it"}),
 }
 
-#: Numeric options and their types.  A config file may hold any JSON value,
-#: so effective_config converts these once, for every command.
-_NUMERIC = {key: settings["type"] for key, (_, settings) in _OPTIONS.items()
-            if "type" in settings}
-
 
 def _number(key: str, kind, value):
     """`value` as a `kind` (int or float), or ConfigError naming `key`.
@@ -109,6 +105,27 @@ def _number(key: str, kind, value):
         expected = "an integer" if kind is int else "a finite number"
         raise ConfigError(f"{key}: expected {expected}, got {value!r}")
     return number
+
+
+def _option(key: str, value):
+    """`value` of option `key` by its declaration in `_OPTIONS`, whether a flag
+    or the config file set it, or ConfigError naming `key`: a number of its
+    `type` (`_number`), one of its `choices`, a boolean for a switch, else a
+    string.  An option without a default may stay unset (None)."""
+    default, settings = _OPTIONS[key]
+    if value is None and default is None:
+        return None
+    if "type" in settings:
+        return _number(key, settings["type"], value)
+    if "choices" in settings:
+        ok, expected = value in settings["choices"], f"one of {', '.join(settings['choices'])}"
+    elif "const" in settings:  # the --degrees switch
+        ok, expected = isinstance(value, bool), "true or false"
+    else:
+        ok, expected = isinstance(value, str), "a string"
+    if not ok:
+        raise ConfigError(f"{key}: expected {expected}, got {value!r}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -149,12 +166,7 @@ def effective_config(args: argparse.Namespace) -> dict:
         cfg.update(loaded)
     for key in keys:
         value = getattr(args, key)
-        if value is not None:
-            cfg[key] = value
-    for key in keys:
-        # an option without a default (max_window) may stay unset: the library's
-        if key in _NUMERIC and (_OPTIONS[key][0] is not None or cfg[key] is not None):
-            cfg[key] = _number(key, _NUMERIC[key], cfg[key])
+        cfg[key] = _option(key, cfg[key] if value is None else value)
     cfg["command"] = args.command
     if cfg.get("degrees"):
         cfg["alpha"] = math.radians(cfg["alpha"])
@@ -163,18 +175,16 @@ def effective_config(args: argparse.Namespace) -> dict:
 
 
 def _profile(cfg: dict):
-    kind = cfg["profile"]
+    """The --profile's initial state: Local, the Gaussian of `lattice.FAMILIES`
+    at its own sigma0 (--sigma), or the rectangle of half-width --a."""
+    family = FAMILIES.get(cfg["profile"])
+    if family is None:  # the one choice that is no family
+        return Local()
+    make, key = (Gaussian, "sigma") if family is Gaussian else (Rectangular, "a")
     try:
-        if kind == "local":
-            return Local()
-        if kind == "gaussian":
-            return Gaussian(cfg["sigma"])
-        if kind == "rect":
-            return Rectangular(cfg["a"])
+        return make(cfg[key])
     except DomainError as exc:
-        flag = "--sigma" if kind == "gaussian" else "--a"
-        raise ConfigError(f"{flag}: {exc}")
-    raise ConfigError(f"--profile: unknown profile {kind!r}")
+        raise ConfigError(f"--{key}: {exc}")
 
 
 def _angles(cfg: dict) -> BlochAngles:

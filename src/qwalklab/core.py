@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,8 +119,10 @@ def as_time(value, name: str) -> int:
 
 
 def as_positive(value, name: str):
-    """A sigma0 or grid step `value`, a finite real > 0 and no bool, as it is; else DomainError."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 < value < math.inf:
+    """A sigma0 or grid step `value`, a real > 0 and at most the largest double
+    (no bool, and no int a double cannot hold), as it is; else DomainError."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 < value < math.inf
+            or isinstance(value, int) and value > sys.float_info.max):
         raise DomainError(f"{name} must be finite and > 0, got {value!r}")
     return value
 

@@ -81,18 +81,6 @@ def coin_tag(coin) -> str:
     raise DomainError(f"this formula exists only for the coins {', '.join(COINS)} to {UNIT_TOL}")
 
 
-def dispersion(coin, k: float) -> float:
-    """Eigenphase frequency omega_k of the k-space step operator.
-
-    Hadamard: sin(omega) = sin(k)/sqrt2, omega in [-pi/2, pi/2].
-    Fourier:  cos(omega) = cos(k)/sqrt2, omega in [pi/4, 3pi/4].
-    """
-    tag = coin_tag(coin)
-    if tag == "hadamard":
-        return float(np.arcsin(np.sin(k) / SQRT2))
-    return float(np.arccos(np.cos(k) / SQRT2))
-
-
 def _nodes(n: int) -> NDArray[np.float64]:
     return -math.pi + (2.0 * math.pi / n) * np.arange(n)
 

@@ -10,6 +10,8 @@ profile of L contiguous sites occupies.  A one-site profile reaches only the
 sites with j + t even, so c = 1 and no slot holds a site it cannot occupy.  Each
 step leaves b on its slot and moves a up c slots: the window [0, L + c t) grows
 by c slots.  Moments are recorded only at the times the caller asks for.
+Every profile enters as its real weights (`profile_weights`); a Gaussian's
+are built and normalised only on the span where they can be nonzero.
 
 The walk is also linear and translation invariant in position, so each of
 the seven basis sums of a profile w at time T is sum_n r(n) C(n): r is the
@@ -49,12 +51,6 @@ DEFAULT_MAX_SITES = 2_000_000
 
 #: exp(-x) is 0.0 in double precision for every x above about 745.13.
 _EXP_UNDERFLOW = 746.0
-
-#: Gaussian weights are normalised on at least |j| <= 1000.  The normalising
-#: sum is pairwise, so its rounding depends on how far the zero tail reaches;
-#: this grid keeps every kept weight bit-identical to the weights earlier
-#: versions computed on it.
-_GAUSS_NORM_HALF_WIDTH = 1000
 
 #: Gaussian dispersions below this one are read as it; it and every sigma0
 #: below it keep only the site j = 0.
@@ -139,11 +135,13 @@ FAMILIES = {"gaussian": Gaussian, "rect": lambda sigma0: Rectangular(sigma_to_a(
 def profile_weights(profile: InitialProfile) -> tuple[int, NDArray[np.float64]]:
     """Real position weights (j_min, w) of a profile, normalized to sum(w^2) = 1.
 
-    A Gaussian keeps exactly the sites whose normalised weight is nonzero in
-    double precision: its first and last weights are nonzero, and the weight of
-    the next site out on either side underflows to 0.  CapacityError is raised
-    before an array above DEFAULT_MAX_SITES sites (2a + 1, or a Gaussian's
-    normalisation grid) is built.
+    A Gaussian is built and normalised on |j| <= ceil(sqrt(4 sigma0^2 *
+    _EXP_UNDERFLOW)), outside which exp(-j^2 / (4 sigma0^2)) is 0, and keeps
+    exactly the sites whose normalised weight is nonzero in double precision:
+    its first and last weights are nonzero, and the weight of the next site
+    out on either side underflows to 0.  CapacityError is raised before an
+    array above DEFAULT_MAX_SITES sites (2a + 1, or that Gaussian span) is
+    built.
     """
     if isinstance(profile, Local):
         return 0, np.array([1.0])
@@ -152,7 +150,7 @@ def profile_weights(profile: InitialProfile) -> tuple[int, NDArray[np.float64]]:
         # above the cap is refused, and every sigma0 below 0.0183 has the
         # Local weights (0, [1.0])
         s2 = 4.0 * min(max(profile.sigma0, _GAUSS_MIN_SIGMA), DEFAULT_MAX_SITES) ** 2
-        half = max(_GAUSS_NORM_HALF_WIDTH, math.ceil(math.sqrt(s2 * _EXP_UNDERFLOW)))
+        half = math.ceil(math.sqrt(s2 * _EXP_UNDERFLOW))
         _check_capacity(2 * half + 1, None)
         j = np.arange(-half, half + 1, dtype=float)
         w = np.exp(-(j**2) / s2)

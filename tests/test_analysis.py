@@ -291,6 +291,12 @@ class TestFamilyProfile:
         with pytest.raises(DomainError):
             family_profile("triangular", 1.0)
 
+    @pytest.mark.parametrize("family", [["rect"], {"gaussian": 1}, None, 1.0])
+    def test_family_that_is_no_name(self, family):
+        # an unhashable family is refused as any other, not by a TypeError
+        with pytest.raises(DomainError, match="unknown profile family"):
+            family_profile(family, 1.0)
+
 
 class TestFitPowerLaw:
     def test_exact_recovery_no_offset(self):

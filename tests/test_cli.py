@@ -534,6 +534,10 @@ _CONFIGS = [
     '{"steps": 2.5}',
     '{"a": 1e400}',
     '{"grid_step": null}',
+    '{"mode": "exact"}',
+    '{"quantity": "max"}',
+    '{"degrees": "no"}',
+    '{"out": true}',
 ]
 
 

@@ -477,7 +477,7 @@ _TINY_GRID = qwalklab.SweepGrid([0.0, 1.0], [0.0, 2.0])
 _BETA_WRAP = 2.0 * math.pi + 0.5
 _NOT_NUMBERS = [math.nan, math.inf, -math.inf, True, "1"]
 _BAD_ALPHA = _NOT_NUMBERS + [math.nextafter(0.0, -1.0), math.nextafter(math.pi, 4.0)]
-_BAD_SIGMA = _NOT_NUMBERS + [0.0, -1.0]
+_BAD_SIGMA = _NOT_NUMBERS + [0.0, -1.0, 10**400]  # 10**400: no double holds it
 _BAD_COUNT = _NOT_NUMBERS + [-1, 2.5]
 _TINY_SIGMA, _FLOAT32_SIGMA = 5e-324, np.float32(2.0)
 

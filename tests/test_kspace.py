@@ -22,7 +22,6 @@ from qwalklab import (
     closed_delta,
     compare,
     delta_from_moments,
-    dispersion,
     entropy_from_delta,
     entropy_from_moments,
     evolve,
@@ -178,18 +177,19 @@ class TestKAmplitudes:
             evolve_k_moments(Local(), Spinor(1.0, 1.0), "hadamard", 0)
 
 
-class TestDispersion:
-    def test_reference_points(self):
-        assert dispersion("hadamard", 0.0) == pytest.approx(0.0)
-        assert dispersion("hadamard", math.pi / 2) == pytest.approx(math.pi / 4)
-        assert dispersion("fourier", 0.0) == pytest.approx(math.pi / 4)
+#: The named coins' eigenphase frequencies omega_k: sin(omega) = sin(k)/sqrt2
+#: (Hadamard, omega in [-pi/2, pi/2]), cos(omega) = cos(k)/sqrt2 (Fourier).
+_OMEGA = {"hadamard": lambda k: np.arcsin(np.sin(k) / math.sqrt(2.0)),
+          "fourier": lambda k: np.arccos(np.cos(k) / math.sqrt(2.0))}
 
+
+class TestDispersion:
     @pytest.mark.parametrize("coin", ["hadamard", "fourier"])
     def test_eigenphase_consistency(self, coin):
         # at every k one eigenvalue of U_k is +-e^{-i omega_k}
         k = np.linspace(-math.pi, math.pi, 81)
         evals, _ = _spectrum_at(_coin_op(coin), k)
-        e = np.exp(-1j * np.array([[dispersion(coin, float(x))] for x in k]))
+        e = np.exp(-1j * _OMEGA[coin](k))[:, None]
         assert np.max(np.min(np.minimum(np.abs(evals - e), np.abs(evals + e)), axis=1)) < 1e-12
 
 
@@ -218,8 +218,6 @@ class TestCoinSpectrum:
         for coin in ("grover", np.eye(2)):
             with pytest.raises(DomainError):
                 coin_tag(coin)
-            with pytest.raises(DomainError):
-                dispersion(coin, 0.0)
 
 
 class TestEvolveKMoments:

@@ -92,11 +92,11 @@ class TestProfileCapacity:
         with pytest.raises(CapacityError):
             profile_weights(Rectangular(6))
 
-    def test_gaussian_normalisation_grid_at_the_cap(self, monkeypatch):
-        # Gaussian(0.3) is normalised on |j| <= 1000, 2,001 sites
-        monkeypatch.setattr(lattice, "DEFAULT_MAX_SITES", 2001)
+    def test_gaussian_span_at_the_cap(self, monkeypatch):
+        # Gaussian(0.3) is built on |j| <= ceil(0.6 sqrt(746)) = 17, 35 sites
+        monkeypatch.setattr(lattice, "DEFAULT_MAX_SITES", 35)
         assert profile_weights(Gaussian(0.3))[1].size == 33
-        monkeypatch.setattr(lattice, "DEFAULT_MAX_SITES", 2000)
+        monkeypatch.setattr(lattice, "DEFAULT_MAX_SITES", 34)
         with pytest.raises(CapacityError):
             profile_weights(Gaussian(0.3))
 

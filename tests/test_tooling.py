@@ -2,10 +2,14 @@
 
 import importlib.util
 import inspect
+import json
+import os
 import shlex
 import sys
 import warnings
 from pathlib import Path
+
+import pytest
 
 import qwalklab
 from qwalklab import cli, kspace, lattice
@@ -143,3 +147,36 @@ def test_every_entry_point_with_a_ruled_input_is_in_the_boundary_table():
     tabled = {row[0] for row in INPUT_READERS}
     assert readers - RECORDS - tabled == set()
     assert tabled <= readers
+
+
+#: A config-file value of the wrong JSON kind for every option but --config
+#: (the file itself; inside a file "config" is a key no command reads); a new
+#: option without a row fails the test below with a KeyError.
+WRONG_KIND = {
+    "coin": [[1, 0], [0, 1]], "profile": 1, "sigma": "wide", "a": [1], "alpha": {"deg": 1},
+    "beta": "x", "degrees": "no", "steps": "ten", "grid_step": None, "mode": True,
+    "sigmas": 1.5, "quantity": 0, "max_window": "x", "out": True,
+}
+
+
+@pytest.mark.parametrize("key", sorted(set(cli._OPTIONS) - {"config"}))
+def test_config_value_of_the_wrong_kind_exits_2_and_writes_nothing(key, tmp_path, capsys,
+                                                                   monkeypatch):
+    # a config value passes its flag's rule: the first command that reads the
+    # key refuses it by name, runs nothing, writes nothing and keeps fd 1 open
+    # (an "out" of true or 1 would otherwise be opened as fd 1 and closed)
+    command = next(name for name, (_, _, keys) in cli._COMMANDS.items() if key in keys)
+
+    def ran(cfg):
+        raise AssertionError(f"{command} ran with {cfg}")
+
+    monkeypatch.setitem(cli._COMMANDS, command, (ran, *cli._COMMANDS[command][1:]))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({key: WRONG_KIND[key]}))
+    out = [] if key == "out" else ["--out", str(tmp_path / "out.csv")]
+    assert cli.main([command, "--config", str(config), *out]) == 2
+    os.fstat(1)  # raises OSError if fd 1 was closed
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1].startswith(f"error: {key}:"), captured.err
+    assert list(tmp_path.iterdir()) == [config]
