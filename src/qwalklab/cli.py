@@ -90,15 +90,16 @@ _OPTIONS = {
 def _number(key: str, kind, value):
     """`value` as a `kind` (int or float), or ConfigError naming `key`.
 
-    Booleans, infinities, NaN and, for an int key, floats with a fractional
-    part are rejected rather than silently converted."""
+    Booleans, strings, infinities, NaN and, for an int key, floats with a
+    fractional part are rejected rather than silently converted.  Only a
+    config file can give a string here: argparse converts every flag first."""
     try:
         number = kind(value)
     except (TypeError, ValueError, OverflowError):
         number = None
     if (
         number is None
-        or isinstance(value, bool)
+        or isinstance(value, (bool, str))
         or (kind is float and not math.isfinite(number))
         or (isinstance(value, float) and number != value)
     ):

@@ -363,6 +363,15 @@ class TestConfigHandling:
         assert code == 0 and out.exists()
         assert json.loads(err.splitlines()[0])["max_window"] == 64
 
+    def test_string_number_config_value_is_a_config_error(self, tmp_path, capsys):
+        # a JSON string is refused, even where its flag would parse the token
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"sigma": "2.5"}))
+        out = tmp_path / "run.json"
+        code, stdout, err = run(["asymptotic", "--config", str(cfg), "--out", str(out)], capsys)
+        assert code == 2 and stdout == "" and not out.exists()
+        assert err.splitlines()[-1] == "error: sigma: expected a finite number, got '2.5'"
+
     def test_fractional_integer_config_value_is_a_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"profile": "rect", "a": 1.5}))
@@ -530,6 +539,7 @@ _CONFIGS = [
     '{"sigma": NaN}',
     '{"alpha": Infinity}',
     '{"steps": "ten"}',
+    '{"profile": "gaussian", "sigma": "2.5", "alpha": " 1 "}',
     '{"steps": true}',
     '{"steps": 2.5}',
     '{"a": 1e400}',

@@ -158,11 +158,13 @@ class TestBuildInitial:
         for j in (-1, 0, 1):
             assert _at(st, j)[0] == pytest.approx(1 / math.sqrt(3))
 
-    def test_gaussian_normalized_with_reference_ratio(self):
-        st = _final(Gaussian(1.0), UP, hadamard_coin(), 0)
+    @pytest.mark.parametrize("sigma0", [1.0, 10.0])
+    def test_gaussian_normalized_with_reference_ratio(self, sigma0):
+        # Gaussian(10)'s weights below the amplitude floor are dropped at t = 0
+        st = _final(Gaussian(sigma0), UP, hadamard_coin(), 0)
         assert _norm(st) == pytest.approx(1.0, abs=1e-14)
         p = dict(position_distribution(st))
-        assert p[0] / p[1] == pytest.approx(math.exp(0.5), rel=1e-12)
+        assert p[0] / p[1] == pytest.approx(math.exp(0.5 / sigma0**2), rel=1e-12)
 
     def test_rejects_unnormalized_spin(self):
         with pytest.raises(DomainError):
@@ -348,13 +350,46 @@ _ORACLE_PROFILES = strategies.one_of(
 )
 
 
-class TestSiteLayoutOracle:
-    """`walk` steps only the slots its profile can occupy (one parity class
-    for a one-site profile) in the frame of the down-component; the full
-    site-window walk must give the same walk."""
+#: Below this magnitude a part of a floored walk may differ from the
+#: site-layout walk's (`_assert_floor_contract`).
+_CONTRACT = 2.0**-400
 
-    #: Cross sums: a BLAS dot over the occupied slots against a plain sum
-    #: over the whole site window; the largest difference seen in 400 random
+
+def _assert_floor_contract(state, psi):
+    """`state` equals the site-layout walk's `psi` (states' a and b) bit for
+    bit at every real or imaginary part of magnitude >= 2**-400, and lies
+    within 2**-400 of it at every other part.
+
+    `walk` drops only parts below 2**-511.  A scan drops at most the
+    12 (L + 2T) parts of three states' window (a and b, real and imaginary),
+    and a walk of T steps scans at most T/32 + 2 times: for T <= 200 and
+    L <= 1,091 (Gaussian(10)) fewer than 2**18 parts in all.  The walk is
+    unitary, so what it drops is never amplified: in exact arithmetic
+    |delta psi| < 2**18 * 2**-511 = 2**-493 < 2**-490, far below the ulp of
+    a part of magnitude 2**-400 (2**-452).  In floating point a drop can
+    still flip a rounding, and the one-ulp difference travels inward, to
+    larger parts, one site per step at most: over 11,400 walked states of
+    the worst case drawn here (Gaussian sigma0 in [5, 10], T = 200, general
+    coins) the largest part that differed was 2**-407.5, and 2**-425.7 for
+    the Local walk of 2,500 steps with the general coin below.  Adding +0.0
+    turns -0.0 into 0.0: the sign of a zero outside the walk's support
+    depends on the coin's signs.
+    """
+    got = np.stack([state.a, state.b]).view(np.float64) + 0.0
+    want = psi.view(np.float64) + 0.0
+    big = np.abs(want) >= _CONTRACT
+    assert got[big].tobytes() == want[big].tobytes()
+    assert np.max(np.abs(got - want)) <= _CONTRACT
+
+
+class TestSiteLayoutOracle:
+    """`walk` steps only the live slots its profile can occupy (one parity
+    class for a one-site profile) in the frame of the down-component; the full
+    site-window walk, which keeps every part however small, must give the same
+    walk to the floor contract (`_assert_floor_contract`)."""
+
+    #: Cross sums: a BLAS dot over the live slots against a plain sum over
+    #: the whole site window; the largest difference seen in 400 random
     #: draws of these inputs is 6.7e-16.
     CROSS_TOL = 1e-15
 
@@ -370,23 +405,46 @@ class TestSiteLayoutOracle:
         for s, state in enumerate(run.final):
             # `final` holds the window without its guard sites
             assert state.j_min == j_min + 1 and state.t == steps
-            # every amplitude is equal bit for bit; adding +0.0 turns -0.0
-            # into 0.0, since the sign of a zero outside the walk's support
-            # depends on the coin's signs in the site-window walk only
-            assert (state.a + 0.0).tobytes() == (psi[s, 0, 1:-1] + 0.0).tobytes()
-            assert (state.b + 0.0).tobytes() == (psi[s, 1, 1:-1] + 0.0).tobytes()
+            _assert_floor_contract(state, psi[s, :, 1:-1])
         assert np.max(np.abs(run.cross[0] - cross_a)) <= self.CROSS_TOL
         assert np.max(np.abs(run.cross[1] - cross_b)) <= self.CROSS_TOL
 
     @pytest.mark.parametrize("coin", [hadamard_coin(), fourier_coin()])
     @pytest.mark.parametrize("profile", [Local(), Gaussian(0.02), Rectangular(3), Gaussian(2.0)])
     def test_named_coins_keep_every_byte(self, profile, coin):
-        # with the package's coins even the signs of the zeros agree
+        # with the package's coins even the signs of the zeros agree, and a
+        # profile with no weight below the floor keeps every byte
         spins = (UP, Spinor(0.0, 1.0), spin_from_angles(BlochAngles(0.7, 1.1)))
         _, psi, _, _ = _site_layout_walk(profile, spins, coin, 57)
+        floored = np.min(profile_weights(profile)[1]) < lattice._AMPLITUDE_FLOOR
         for s, state in enumerate(lattice.walk(profile, spins, coin, 57).final):
-            assert state.a.tobytes() == psi[s, 0, 1:-1].tobytes()
-            assert state.b.tobytes() == psi[s, 1, 1:-1].tobytes()
+            if floored:
+                _assert_floor_contract(state, psi[s, :, 1:-1])
+            else:
+                assert state.a.tobytes() == psi[s, 0, 1:-1].tobytes()
+                assert state.b.tobytes() == psi[s, 1, 1:-1].tobytes()
+
+    @pytest.mark.parametrize("coin", [hadamard_coin(), fourier_coin(),
+                                      _general_coin(0.7, 0.4, -1.3, 0.2)])
+    def test_long_walk_drops_only_its_tails(self, coin):
+        # past t ~ 1,022 the Local walk's light-cone edges are below the floor
+        spins = (UP, spin_from_angles(BlochAngles(0.7, 1.1)))
+        _, psi, cross_a, cross_b = _site_layout_walk(Local(), spins, coin, 2500)
+        run = lattice.walk(Local(), spins, coin, 2500)
+        for s, state in enumerate(run.final):
+            _assert_floor_contract(state, psi[s, :, 1:-1])
+        assert np.max(np.abs(run.cross[0] - cross_a)) <= self.CROSS_TOL
+        assert np.max(np.abs(run.cross[1] - cross_b)) <= self.CROSS_TOL
+
+    @pytest.mark.parametrize("profile, steps", [(Gaussian(10.0), 200), (Local(), 2200)])
+    def test_window_ends_carry_no_tail_below_the_floor(self, profile, steps):
+        state = _final(profile, spin_from_angles(BlochAngles(0.7, 1.1)), hadamard_coin(), steps)
+        parts = np.abs(np.stack([state.a, state.b]).view(np.float64)).reshape(2, -1, 2)
+        peak = parts.max(axis=(0, 2))  # per site
+        nonzero = np.flatnonzero(peak)
+        assert peak[nonzero[0]] >= lattice._AMPLITUDE_FLOOR
+        assert peak[nonzero[-1]] >= lattice._AMPLITUDE_FLOOR
+        assert nonzero[0] > 0 and nonzero[-1] < peak.size - 1  # a tail was dropped
 
 
 class TestInvariantsAndSymmetries:
