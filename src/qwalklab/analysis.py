@@ -202,10 +202,11 @@ def compare(
     """<S_E(steps)> vs <S_bar_E> per dispersion, with percentage difference."""
     if as_time(steps, "steps") < 1:
         raise DomainError(f"steps must be >= 1, got {steps}")
-    if not sigma_list:
+    sigmas = list(sigma_list)  # read once: an array or a generator is a list of sigma0
+    if not sigmas:
         raise DomainError("sigma list must be non-empty")
     reports = []
-    for s0 in sigma_list:
+    for s0 in sigmas:
         profile = family_profile(family, s0)
         sim = sweep_simulated(coin, profile, grid, steps).mean
         asym = sweep_asymptotic(coin, profile, grid).mean
@@ -233,21 +234,24 @@ class PowerLawFit:
 def fit_power_law(points, offset: float | None = None) -> PowerLawFit:
     """Least-squares power-law fit on (ln sigma0, ln(v - offset)).
 
-    `points` is a sequence of (sigma0, value); `offset` is a fixed additive
-    offset (None fits v = c sigma0^p with no offset).  The offset is fixed
-    externally rather than fitted: the reference offsets are themselves
-    asymptotic values, and a 2-parameter log-linear fit is reproducible.
+    `points` is a sequence of (sigma0, value), each sigma0 read by
+    `core.as_positive`; `offset` is a fixed additive offset (None fits
+    v = c sigma0^p with no offset).  A non-finite value or offset raises
+    DomainError before the fit.  The offset is fixed externally rather than
+    fitted: the reference offsets are themselves asymptotic values, and a
+    2-parameter log-linear fit is reproducible.
     """
-    pts = [(float(s), float(v)) for s, v in points]
+    pts = [(float(as_positive(s, "sigma0")), float(v)) for s, v in points]
     if len(pts) < 3:
         raise DomainError(f"need at least 3 points, got {len(pts)}")
     d = 0.0 if offset is None else float(offset)
-    if any(s <= 0.0 for s, _ in pts):
-        raise FitError("all sigma0 must be > 0")
-    if any(v <= d for _, v in pts):
+    values = [v for _, v in pts]
+    if not all(map(math.isfinite, (*values, d))):
+        raise DomainError(f"values and offset must be finite, got {values} and {d}")
+    if any(v <= d for v in values):
         raise FitError(f"all values must exceed the offset {d}")
     x = np.log([s for s, _ in pts])
-    y = np.log([v - d for _, v in pts])
+    y = np.log([v - d for v in values])
     if np.ptp(x) < 1e-12:
         raise FitError("degenerate abscissae: all sigma0 equal")
     p, c_log = np.polyfit(x, y, 1)

@@ -322,22 +322,12 @@ def delta_at(form, alpha, beta):
     return float(delta) if delta.ndim == 0 else delta
 
 
-def _radius_sq(a, b):
-    """(A - 1/2)^2 + |B|^2, the squared half-gap of the coin eigenvalues.
-
-    Squared by np.square, which multiplies, for scalars and arrays alike: `** 2`
-    on a scalar calls the C library's pow(), which is not correctly rounded for
-    every input, so the same moments would differ as a scalar and in an array.
-    """
-    return np.square(a - 0.5) + np.square(np.abs(b))
-
-
 def entropy_from_moments(m: CoinMoments):
     """Entanglement entropy of the reduced coin state with moments (A, B), scalars
-    or arrays: `entropy_from_delta` of delta = 4((A - 1/2)^2 + |B|^2), so
-    inconsistent (delta > 1 + CLAMP_TOL) or non-finite moments raise DomainError.
+    or arrays: `entropy_from_delta` of `delta_from_moments`, so inconsistent
+    (delta > 1 + CLAMP_TOL) or non-finite moments raise DomainError.
     """
-    return entropy_from_delta(4.0 * _radius_sq(np.real(m.A), m.B))
+    return entropy_from_delta(delta_from_moments(m))
 
 
 def _check_delta(delta) -> None:
@@ -348,13 +338,6 @@ def _check_delta(delta) -> None:
     lo, hi = np.min(delta), np.max(delta)
     if not (lo >= -CLAMP_TOL and hi <= 1.0 + CLAMP_TOL):
         raise DomainError(f"delta must lie in [0, 1], got values in [{lo}, {hi}]")
-
-
-def _clamped_delta(delta):
-    """delta clamped to [0, 1]; an excursion beyond CLAMP_TOL, or NaN, raises DomainError."""
-    delta = np.asarray(delta, dtype=float)
-    _check_delta(delta)
-    return np.clip(delta, 0.0, 1.0)
 
 
 def entropy_from_delta(delta):
@@ -369,7 +352,7 @@ def entropy_from_delta(delta):
 
 def _entropy_into(delta, out, work) -> None:
     """The entropy kernel: `entropy_from_delta` of the float array delta into
-    out.  delta is checked as by `_clamped_delta` and then overwritten, and
+    out.  delta is checked as by `delta_from_moments` and then overwritten, and
     work, of delta's shape, is scratch, so a caller that reduces many blocks
     of one shape allocates its buffers once."""
     _check_delta(delta)
@@ -380,11 +363,18 @@ def _entropy_into(delta, out, work) -> None:
     _binary_entropy_into(lam, out, work)
 
 
-def delta_from_moments(m: CoinMoments) -> float:
-    """Characteristic function delta = (lambda_plus - lambda_minus)^2 of scalar moments.
+def delta_from_moments(m: CoinMoments):
+    """Characteristic function delta = (lambda_plus - lambda_minus)^2 =
+    4((A - 1/2)^2 + |B|^2) of moments (A, B): a float for scalars, else an array.
 
     Algebraically 1 - 4[A(1-A) - |B|^2], so delta <= 1 for physical moments.
     It is clamped to [0, 1]; an excursion beyond CLAMP_TOL (unphysical
-    moments) or a NaN raises DomainError.
+    moments) or a NaN raises DomainError.  Squared by np.square, which
+    multiplies, for scalars and arrays alike: `** 2` on a scalar calls the C
+    library's pow(), which is not correctly rounded for every input, so the
+    same moments would differ as a scalar and in an array.
     """
-    return float(_clamped_delta(4.0 * _radius_sq(float(m.A), m.B)))
+    delta = 4.0 * (np.square(np.real(m.A) - 0.5) + np.square(np.abs(m.B)))  # numpy, any shape
+    _check_delta(delta)
+    delta = np.clip(delta, 0.0, 1.0)
+    return float(delta) if delta.ndim == 0 else delta

@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -282,12 +283,13 @@ def closed_delta(coin, f: float, alpha, beta):
     1/4 - f ~ 1/(8 sigma0^2)), so the two walks are related by the shift only
     for the local state.
 
-    alpha and beta broadcast: scalars give a float, arrays an array.  f outside
-    [0, 1/4], or angles that `core.check_angles` refuses, raise DomainError.
+    alpha and beta broadcast: scalars give a float, arrays an array.  An f
+    that is no real number in [0, 1/4] (a bool, a string or an array is
+    none), or angles that `core.check_angles` refuses, raise DomainError.
     """
     tag = coin_tag(coin)
-    if not 0.0 <= f <= 0.25:  # NaN fails it
-        raise DomainError(f"f must be in [0, 1/4], got {f}")
+    if isinstance(f, bool) or not isinstance(f, numbers.Real) or not 0.0 <= f <= 0.25:  # NaN fails
+        raise DomainError(f"f must be a real number in [0, 1/4], got {f!r}")
     check_angles(alpha, beta)
     return delta_at(_closed_form(tag, f), alpha, beta)
 
@@ -329,7 +331,10 @@ def max_entanglement_beta(alpha: float) -> float:
     As f -> 0 the Hadamard delta tends to (1/2)(cos a + sin a cos b)^2, which
     vanishes on this band.  The Fourier walk has no such alpha-dependent band:
     its f tends to 1/4 and its delta to (sin a cos b)^2, so its band at high
-    delocalization is cos beta = 0 (beta = +-pi/2) for every alpha."""
+    delocalization is cos beta = 0 (beta = +-pi/2) for every alpha.  alpha is
+    one angle (a 0-d array is one); an array of them raises DomainError."""
+    if np.ndim(alpha) != 0:
+        raise DomainError(f"alpha must be one angle, got {alpha!r}")
     check_angles(alpha, 0.0)
     cot = math.cos(alpha) / math.sin(alpha) if math.sin(alpha) != 0.0 else math.inf
     if abs(cot) > 1.0 + 1e-12:

@@ -346,8 +346,9 @@ def walk(
     normalized and the coin a name or unitary 2x2 matrix (`core.unitary_coin`).
     Cross sums are recorded at `times` (every t in [0, steps] when None).
     `final` holds each walker on the L + 2 * steps sites it can reach, from
-    j_min - steps on; that window is checked against max_sites first, and a
-    max_sites below 1, which no walk fits in, raises DomainError.
+    j_min - steps on; that window is checked against max_sites first.
+    max_sites is a count (`core.as_time`): a bool, a fraction, NaN, an
+    infinity or a value below 1, which no walk fits in, raises DomainError.
 
     Only the live range of slots is stepped and recorded: the ends of the
     window, where every part of every state is below _AMPLITUDE_FLOOR
@@ -363,8 +364,10 @@ def walk(
     line with p >= 1e-240 is byte-identical; smaller ones may change or drop
     out, and every p listed is still > 0.
     """
-    if max_sites is not None and max_sites < 1:
-        raise DomainError(f"max_sites must be >= 1, got {max_sites}")
+    if max_sites is not None:
+        max_sites = as_time(max_sites, "max_sites")
+        if max_sites < 1:
+            raise DomainError(f"max_sites must be >= 1, got {max_sites}")
     steps = as_time(steps, "steps")
     times = _recorded_times(steps, times)
     for spin in spins:

@@ -276,6 +276,15 @@ class TestCompare:
             compare("hadamard", "gaussian", [], grid_from_step(1.0), 10)
         with pytest.raises(DomainError):
             compare("hadamard", "gaussian", [1.0], grid_from_step(1.0), 0)
+        with pytest.raises(DomainError, match="non-empty"):
+            compare("hadamard", "gaussian", (s for s in ()), grid_from_step(1.0), 10)
+
+    def test_sigma_list_read_once_as_a_list(self):
+        # an array once raised numpy's bare ValueError from `if not sigma_list`
+        grid = grid_from_step(1.0)
+        listed = compare("hadamard", "gaussian", [1.0, 2.0], grid, 3)
+        assert compare("hadamard", "gaussian", np.array([1.0, 2.0]), grid, 3) == listed
+        assert compare("hadamard", "gaussian", (s for s in (1.0, 2.0)), grid, 3) == listed
 
 
 class TestFamilyProfile:
@@ -322,8 +331,21 @@ class TestFitPowerLaw:
             fit_power_law([(1.0, 0.5), (2.0, 0.4), (3.0, 0.3)], offset=0.45)
 
     def test_nonpositive_abscissae(self):
-        with pytest.raises(FitError):
+        with pytest.raises(DomainError):
             fit_power_law([(0.0, 1.0), (2.0, 0.5), (3.0, 0.3)])
+
+    @pytest.mark.parametrize("sigma0", [-1.0, math.nan, math.inf, True, "2"], ids=repr)
+    def test_sigma0_read_by_the_dispersion_rule(self, sigma0):
+        # NaN or inf once reached np.polyfit, which failed in LAPACK's SVD
+        with pytest.raises(DomainError, match="sigma0 must be finite and > 0"):
+            fit_power_law([(sigma0, 1.0), (2.0, 0.5), (3.0, 0.3)])
+
+    @pytest.mark.parametrize("value, offset", [(math.inf, None), (math.nan, None),
+                                               (1.0, math.nan), (1.0, -math.inf)])
+    def test_non_finite_values_and_offsets_rejected(self, value, offset):
+        # each once returned a fit of NaNs, or failed inside np.polyfit
+        with pytest.raises(DomainError, match="must be finite"):
+            fit_power_law([(1.0, value), (2.0, 0.5), (3.0, 0.3)], offset=offset)
 
     def test_degenerate_abscissae(self):
         with pytest.raises(FitError):

@@ -133,6 +133,15 @@ class TestCoinRule:
             unitary_coin(coin)
 
 
+def _random_moments(n=20_000):
+    """n random physical moments (A, B), |B|^2 <= A(1 - A), as arrays."""
+    rng = np.random.default_rng(2)
+    a = rng.uniform(0.0, 1.0, n)
+    b = (rng.uniform(0.0, 1.0, n) * np.sqrt(a * (1.0 - a))
+         * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, n)))
+    return a, b
+
+
 class TestEntropyFromMoments:
     def test_maximally_mixed(self):
         assert entropy_from_moments(CoinMoments(0.5, 0.0)) == pytest.approx(1.0)
@@ -181,11 +190,7 @@ class TestEntropyFromMoments:
     def test_scalar_calls_equal_one_array_call_bit_for_bit(self):
         # squaring by `** 2` gave 5 of these 20,000 states a different
         # entropy as a scalar than inside the array (pow() against x * x)
-        rng = np.random.default_rng(2)
-        n = 20_000
-        a = rng.uniform(0.0, 1.0, n)
-        b = (rng.uniform(0.0, 1.0, n) * np.sqrt(a * (1.0 - a))
-             * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, n)))
+        a, b = _random_moments()
         array = entropy_from_moments(CoinMoments(a, b))
         scalars = [entropy_from_moments(CoinMoments(float(x), complex(y))) for x, y in zip(a, b)]
         assert np.array_equal(np.array(scalars), array)
@@ -236,6 +241,21 @@ class TestDeltaFromMoments:
     def test_excursion_beyond_tolerance_rejected(self):
         with pytest.raises(DomainError):
             delta_from_moments(CoinMoments(0.5, complex(0.5 + 1e-6, 0.0)))
+        with pytest.raises(DomainError):
+            delta_from_moments(CoinMoments(np.array([0.5, 0.5]), np.array([0j, 0.5 + 1e-6])))
+
+    def test_one_array_call_equals_the_scalar_calls_bit_for_bit(self):
+        # moments given as arrays once raised a bare TypeError (float() of an array)
+        a, b = _random_moments()
+        array = delta_from_moments(CoinMoments(a, b))
+        scalars = [delta_from_moments(CoinMoments(float(x), complex(y))) for x, y in zip(a, b)]
+        assert type(array) is np.ndarray and array.shape == a.shape
+        assert all(type(d) is float for d in scalars)
+        assert array.tobytes() == np.array(scalars).tobytes()
+        # and the scalar reader's values: 4((A - 1/2)^2 + |B|^2), squared by a
+        # product, clamped to [0, 1]
+        x, y = a - 0.5, np.abs(b)
+        assert array.tobytes() == np.clip(4.0 * (x * x + y * y), 0.0, 1.0).tobytes()
 
 
 class TestBinaryEntropy:

@@ -514,6 +514,12 @@ class TestClosedDelta:
         with pytest.raises(DomainError):
             closed_delta("hadamard", math.nan, 1.0, 0.0)
 
+    @pytest.mark.parametrize("f", ["0.1", True, np.array([0.1, 0.2]), None, 0.1j], ids=repr)
+    def test_f_that_is_no_real_number_rejected(self, f):
+        # a string or an array once raised a bare TypeError or ValueError
+        with pytest.raises(DomainError, match="f must be a real number"):
+            closed_delta("hadamard", f, 1.0, 0.0)
+
     @pytest.mark.parametrize("alpha", [math.pi + 0.1, -0.1, math.nan,
                                        np.array([0.0, math.pi + 0.1])])
     def test_alpha_out_of_range(self, alpha):
@@ -634,6 +640,12 @@ class TestMaxEntanglementBeta:
     def test_outside_band_rejected(self):
         with pytest.raises(DomainError):
             max_entanglement_beta(0.1)
+
+    def test_one_angle_only(self):
+        # an array once passed check_angles and raised a bare TypeError in math.cos
+        with pytest.raises(DomainError, match="alpha must be one angle"):
+            max_entanglement_beta(np.array([0.9, 1.0]))
+        assert max_entanglement_beta(np.array(math.pi / 2)) == max_entanglement_beta(math.pi / 2)
 
 
 #: A unitary coin 3.5e-6 off Hadamard: the rotation by pi/4 + 5e-6.

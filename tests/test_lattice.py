@@ -237,9 +237,12 @@ class TestStep:
         with pytest.raises(CapacityError):
             lattice.walk(Local(), (UP,), hadamard_coin(), 1, max_sites=2)
 
-    @pytest.mark.parametrize("max_sites", [-1, 0])
+    @pytest.mark.parametrize("max_sites", [-1, 0, math.nan, math.inf, -math.inf, True, 2.5, "x"],
+                             ids=repr)
     def test_no_walk_fits_below_one_site(self, max_sites):
-        with pytest.raises(DomainError, match="max_sites must be >= 1"):
+        # max_sites is a count: NaN or inf would switch the ceiling off, since
+        # every comparison with NaN is False, and True would be read as 1
+        with pytest.raises(DomainError, match="max_sites must be"):
             lattice.walk(Local(), (UP,), hadamard_coin(), 3, max_sites=max_sites)
 
 

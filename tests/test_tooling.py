@@ -99,8 +99,10 @@ def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
 
 def test_benchmark_tracer_finds_the_names_it_pins():
     # perfbench/tracer.py wraps BasisEvolution.moments_arrays and
-    # kspace._asymptotic_kernels by name; a traced benchmark run fails if
-    # either is gone, though average_trace no longer calls moments_arrays
+    # kspace._asymptotic_kernels by name.  Its install looks up moments_arrays
+    # and raises, failing a traced benchmark run, if it is gone, though
+    # average_trace no longer calls it; without _asymptotic_kernels the
+    # kspace.kernels.* metrics just read 0
     spec = importlib.util.spec_from_file_location("_perfbench_tracer",
                                                   ROOT / "perfbench" / "tracer.py")
     tracer_module = importlib.util.module_from_spec(spec)
@@ -124,6 +126,44 @@ def test_benchmark_tracer_finds_the_names_it_pins():
     for m in modules:
         assert vars(m).keys() == before[m.__name__].keys(), m.__name__
         assert all(vars(m)[k] is v for k, v in before[m.__name__].items()), m.__name__
+
+
+def _tiny(op: dict) -> dict:
+    """A benchmark op at 5 steps and, where it takes one, grid step 1.0."""
+    op = {**op, **{key: 5 for key in ("steps", "t") if key in op}}
+    if op["kind"] == "cli":
+        argv = list(op["argv"])
+        argv[argv.index("--steps") + 1] = "5"
+        if op["command"] != "evolve":
+            if "--grid-step" not in argv:
+                argv += ["--grid-step", "1.0"]
+            argv[argv.index("--grid-step") + 1] = "1.0"
+        op["argv"] = argv
+    return op
+
+
+def test_benchmark_ops_run_on_the_library(monkeypatch, tmp_path):
+    # perfbench/worker.py calls the library by name and reads its results (an
+    # extract_f result's .f and .coin) outside the op's error handling; one op
+    # of each kind the workloads build must still run, without an error or a warning
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    try:
+        worker = importlib.import_module("worker")
+        workloads = importlib.import_module("workloads")
+        kinds = {}
+        for op in workloads.make_ops("lattice-sweep", 1) + workloads.make_ops("trace-kspace", 1):
+            if (op["profile"] or {}).get("stratum", 1.0) >= 1.0:  # below: 2**18-node tables
+                kinds.setdefault((op["kind"], op.get("fn", op.get("command"))), op)
+        assert sorted(kinds) == [("call", "average_trace"), ("call", "evolve"),
+                                 ("call", "evolve_k_moments"), ("call", "extract_f"),
+                                 ("cli", "compare"), ("cli", "evolve"), ("cli", "sweep")]
+        for kind, op in kinds.items():
+            run = worker.execute(_tiny(op), qwalklab, str(tmp_path))
+            assert (run["error"], run["warnings"]) == (None, 0), kind
+            assert worker.digest(run["record"]) is not None, kind
+    finally:
+        for name in ("worker", "workloads"):
+            sys.modules.pop(name, None)
 
 
 #: Parameters that carry a spin's angles, a dispersion, a grid step or a count.
