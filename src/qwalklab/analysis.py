@@ -15,6 +15,8 @@ those coefficients read at its spins by `core.delta_at`.
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -231,23 +233,40 @@ class PowerLawFit:
     rms_residual: float
 
 
+def _finite(value, name: str) -> float:
+    """`value` as a float if it is a finite real number and no bool, else
+    DomainError naming `name`; an int no double holds is not finite."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not abs(value) <= sys.float_info.max):  # NaN fails
+        raise DomainError(f"{name} must be finite and real, got {value!r}")
+    return float(value)
+
+
+def _fit_point(point) -> tuple[float, float]:
+    """One (sigma0, value) pair of `fit_power_law` as floats, or DomainError."""
+    try:
+        s, v = point
+    except (TypeError, ValueError):  # no pair
+        raise DomainError(f"each point must be a (sigma0, value) pair, got {point!r}") from None
+    return float(as_positive(s, "sigma0")), _finite(v, "value")
+
+
 def fit_power_law(points, offset: float | None = None) -> PowerLawFit:
     """Least-squares power-law fit on (ln sigma0, ln(v - offset)).
 
-    `points` is a sequence of (sigma0, value), each sigma0 read by
+    `points` is a sequence of (sigma0, value) pairs, each sigma0 read by
     `core.as_positive`; `offset` is a fixed additive offset (None fits
-    v = c sigma0^p with no offset).  A non-finite value or offset raises
-    DomainError before the fit.  The offset is fixed externally rather than
-    fitted: the reference offsets are themselves asymptotic values, and a
-    2-parameter log-linear fit is reproducible.
+    v = c sigma0^p with no offset).  A point that is no pair, or a value or
+    offset that is no finite real number (a bool is none), raises DomainError
+    before the fit.  The offset is fixed externally rather than fitted: the
+    reference offsets are themselves asymptotic values, and a 2-parameter
+    log-linear fit is reproducible.
     """
-    pts = [(float(as_positive(s, "sigma0")), float(v)) for s, v in points]
+    pts = [_fit_point(point) for point in points]
     if len(pts) < 3:
         raise DomainError(f"need at least 3 points, got {len(pts)}")
-    d = 0.0 if offset is None else float(offset)
+    d = 0.0 if offset is None else _finite(offset, "offset")
     values = [v for _, v in pts]
-    if not all(map(math.isfinite, (*values, d))):
-        raise DomainError(f"values and offset must be finite, got {values} and {d}")
     if any(v <= d for v in values):
         raise FitError(f"all values must exceed the offset {d}")
     x = np.log([s for s, _ in pts])

@@ -45,14 +45,19 @@ BASIS_SUMS = ((0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 0, 0), (1, 0, 1), (1, 1, 0), 
 class BlochAngles:
     """Polar (alpha) and azimuthal (beta) angles of a pure spin state.
 
-    alpha lies in [0, pi] and beta is finite (`check_angles`); beta is
-    canonicalized into [-pi, pi) by `_reduce_beta`, so any finite beta is accepted.
+    Each is one number (a 0-d array is one; an array of them raises
+    DomainError); alpha lies in [0, pi] and beta is finite (`check_angles`);
+    beta is canonicalized into [-pi, pi) by `_reduce_beta`, so any finite beta
+    is accepted.
     """
 
     alpha: float
     beta: float
 
     def __post_init__(self) -> None:
+        for name, angle in (("alpha", self.alpha), ("beta", self.beta)):
+            if np.ndim(angle) != 0:
+                raise DomainError(f"{name} must be one angle, got {angle!r}")
         check_angles(self.alpha, self.beta)
         object.__setattr__(self, "beta", float(_reduce_beta(float(self.beta))))
 
@@ -80,7 +85,12 @@ class Spinor:
 
 
 def require_normalized(spin: Spinor) -> None:
-    """DomainError unless `spin` is normalized."""
+    """DomainError unless `spin` is a Spinor of two numbers, real or complex
+    (Python or numpy scalars, or 0-d arrays; no bool, string or array of
+    them), with |spin|^2 = 1 to UNIT_TOL."""
+    if not isinstance(spin, Spinor) or not all(
+            np.ndim(x) == 0 and np.asarray(x).dtype.kind in "iufc" for x in (spin.up, spin.down)):
+        raise DomainError(f"spin must be a Spinor of two numbers, got {spin!r}")
     if not spin.is_normalized():
         raise DomainError(f"spin must be normalized, |spin|^2 = {spin.norm_sq()}")
 
@@ -192,14 +202,18 @@ def unitary_coin(coin) -> CoinOperator:
 def binary_entropy(lam):
     """Binary entropy -p log2 p - (1-p) log2 (1-p) in bits, with 0 log 0 = 0.
 
-    Accepts a float or an ndarray of eigenvalues in [0, 1].
+    Accepts a float or an ndarray of eigenvalues in [0, 1]; NaN propagates,
+    and a bool, string, complex or object value raises DomainError.
     """
-    return _fresh_buffers(_binary_entropy_into, lam)
+    return _fresh_buffers(_binary_entropy_into, lam, "lam")
 
 
-def _fresh_buffers(kernel, x):
+def _fresh_buffers(kernel, x, name: str):
     """kernel(x, out, work) on a float copy of x and new buffers; a float for a
-    scalar x, else the out array."""
+    scalar x, else the out array.  x must hold real numbers: a bool, string,
+    complex or object value raises DomainError naming `name`."""
+    if np.asarray(x).dtype.kind not in "iuf":
+        raise DomainError(f"{name} must be real numbers, got {x!r}")
     x = np.array(x, dtype=float)  # a copy: the kernel overwrites it
     out = np.empty_like(x)
     kernel(x, out, np.empty_like(x))
@@ -344,10 +358,10 @@ def entropy_from_delta(delta):
     """Asymptotic entanglement entropy from the characteristic function delta.
 
     lambda_pm = (1 +- sqrt(delta))/2.  delta may be a scalar (a float is
-    returned) or an array (an array is); it is checked and clamped as in
-    `delta_from_moments`.
+    returned) or an array (an array is) of real numbers; it is checked and
+    clamped as in `delta_from_moments`.
     """
-    return _fresh_buffers(_entropy_into, delta)
+    return _fresh_buffers(_entropy_into, delta, "delta")
 
 
 def _entropy_into(delta, out, work) -> None:
@@ -369,12 +383,16 @@ def delta_from_moments(m: CoinMoments):
 
     Algebraically 1 - 4[A(1-A) - |B|^2], so delta <= 1 for physical moments.
     It is clamped to [0, 1]; an excursion beyond CLAMP_TOL (unphysical
-    moments) or a NaN raises DomainError.  Squared by np.square, which
-    multiplies, for scalars and arrays alike: `** 2` on a scalar calls the C
-    library's pow(), which is not correctly rounded for every input, so the
-    same moments would differ as a scalar and in an array.
+    moments) or a NaN raises DomainError, as does an A that is not real or a
+    B that is not a number (a bool, string or object).  Squared by np.square,
+    which multiplies, for scalars and arrays alike: `** 2` on a scalar calls
+    the C library's pow(), which is not correctly rounded for every input, so
+    the same moments would differ as a scalar and in an array.
     """
-    delta = 4.0 * (np.square(np.real(m.A) - 0.5) + np.square(np.abs(m.B)))  # numpy, any shape
+    a, b = np.asarray(m.A), np.asarray(m.B)
+    if a.dtype.kind not in "iuf" or b.dtype.kind not in "iufc":
+        raise DomainError(f"moments must be a real A and a real or complex B, got {m!r}")
+    delta = 4.0 * (np.square(a - 0.5) + np.square(np.abs(b)))  # numpy, any shape
     _check_delta(delta)
     delta = np.clip(delta, 0.0, 1.0)
     return float(delta) if delta.ndim == 0 else delta

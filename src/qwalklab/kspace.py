@@ -53,6 +53,7 @@ from .core import (
     CLAMP_TOL,
     COINS,
     UNIT_TOL,
+    BlochAngles,
     CoinMoments,
     CoinOperator,
     Spinor,
@@ -86,23 +87,21 @@ def _nodes(n: int) -> NDArray[np.float64]:
     return -math.pi + (2.0 * math.pi / n) * np.arange(n)
 
 
-#: Largest |<Phi_+|Phi_->| taken from eig as it is (the named coins reach 8e-16).
-_SKEW_TOL = 1e-14
-
-
 def _spectrum_at(c: CoinOperator, k: NDArray[np.float64]):
     """Eigenvalues (n, 2) and orthonormal eigenvector columns (n, 2, 2) of the
-    unitary U_k = S_k (C x 1).  Where its eigenvalues nearly coincide (a small
-    |c01|) eig's eigenvectors need not be orthogonal: there the second is
-    rebuilt as the first's orthogonal complement (eigenvalues stay accurate)."""
+    unitary U_k = S_k (C x 1).  The first column is eig's; the second is its
+    orthogonal complement (-conj Phi_+[1], conj Phi_+[0]) at every node, so
+    <Phi_+|Phi_-> is exactly 0.  U_k is normal, so the complement is the
+    eigenvector of lambda_-, even where the eigenvalues nearly coincide (a
+    small |c01|) and eig's own second column may be far from orthogonal."""
     u = np.empty(k.shape + (2, 2), dtype=np.complex128)
     u[:, 0] = np.exp(-1j * k)[:, None] * c[0]
     u[:, 1] = np.exp(1j * k)[:, None] * c[1]
     evals, evecs = np.linalg.eig(u)
     first = evecs[:, :, 0]
-    skew = np.abs(np.sum(np.conj(first) * evecs[:, :, 1], axis=-1)) > _SKEW_TOL
-    evecs[skew, :, 1] = np.stack((-np.conj(first[skew, 1]), np.conj(first[skew, 0])), axis=-1)
-    # eig returns unit-norm columns; verify the eigen-residual contract
+    evecs[:, :, 1] = np.stack((-np.conj(first[:, 1]), np.conj(first[:, 0])), axis=-1)
+    # eig returns unit-norm columns; verify the eigen-residual contract, which
+    # also checks that lambda_- belongs to the complement
     resid = np.abs(u @ evecs - evals[..., None, :] * evecs).max()
     if resid > 1e-10:
         raise NumericalError(f"eigen-residual {resid:.3e} exceeds 1e-10")
@@ -332,10 +331,9 @@ def max_entanglement_beta(alpha: float) -> float:
     vanishes on this band.  The Fourier walk has no such alpha-dependent band:
     its f tends to 1/4 and its delta to (sin a cos b)^2, so its band at high
     delocalization is cos beta = 0 (beta = +-pi/2) for every alpha.  alpha is
-    one angle (a 0-d array is one); an array of them raises DomainError."""
-    if np.ndim(alpha) != 0:
-        raise DomainError(f"alpha must be one angle, got {alpha!r}")
-    check_angles(alpha, 0.0)
+    one spin's angle, read by `core.BlochAngles`: an array of them raises
+    DomainError."""
+    BlochAngles(alpha, 0.0)
     cot = math.cos(alpha) / math.sin(alpha) if math.sin(alpha) != 0.0 else math.inf
     if abs(cot) > 1.0 + 1e-12:
         raise DomainError(f"|cot(alpha)| = {abs(cot)} > 1: no solution")

@@ -347,6 +347,22 @@ class TestFitPowerLaw:
         with pytest.raises(DomainError, match="must be finite"):
             fit_power_law([(1.0, value), (2.0, 0.5), (3.0, 0.3)], offset=offset)
 
+    @pytest.mark.parametrize("value, offset", [(True, None), ("1.0", None), (1 + 0j, None),
+                                               (10**400, None), (1.0, "0.1"), (1.0, False)],
+                             ids=lambda x: repr(x)[:8])
+    def test_values_and_offsets_that_are_no_real_numbers_rejected(self, value, offset):
+        # True was once read as 1.0; a string raised float()'s bare ValueError
+        with pytest.raises(DomainError, match="must be finite and real"):
+            fit_power_law([(1.0, value), (2.0, 0.5), (3.0, 0.3)], offset=offset)
+
+    @pytest.mark.parametrize("points", [[1.0, 2.0, 3.0], [(1.0, 1.0, 0.0), (2.0, 0.5), (3.0, 0.3)],
+                                        [(1.0,), (2.0, 0.5), (3.0, 0.3)]], ids=repr)
+    def test_points_that_are_no_pairs_rejected(self, points):
+        with pytest.raises(DomainError, match=r"must be a \(sigma0, value\) pair"):
+            fit_power_law(points)
+        rows = np.array([(1.0, 1.0), (2.0, 0.5), (4.0, 0.25)])  # an array's rows are pairs
+        assert fit_power_law(rows) == fit_power_law([tuple(r) for r in rows.tolist()])
+
     def test_degenerate_abscissae(self):
         with pytest.raises(FitError):
             fit_power_law([(2.0, 1.0), (2.0, 0.5), (2.0, 0.3)])

@@ -12,11 +12,14 @@ from qwalklab import (
     Local,
     Rectangular,
     Spinor,
+    asymptotic_moments,
     binary_entropy,
     delta_from_moments,
     entropy_from_delta,
     entropy_from_moments,
+    evolve,
     evolve_basis,
+    evolve_k_moments,
     fourier_coin,
     hadamard_coin,
     spin_from_angles,
@@ -223,6 +226,15 @@ class TestEntropyFromDelta:
         with pytest.raises(DomainError):
             entropy_from_delta(delta)
 
+    @pytest.mark.parametrize("delta", [True, "0.5", 0.5 + 0j, np.array([0.5, True], dtype=object),
+                                       np.array([0.5, 0.25], dtype=complex), np.array([True])],
+                             ids=repr)
+    def test_values_that_are_no_real_numbers_rejected(self, delta):
+        # True once gave 0.0 and "0.5" 0.6009 (binary_entropy("0.5"): 1.0)
+        for call in (entropy_from_delta, binary_entropy):
+            with pytest.raises(DomainError, match="must be real numbers"):
+                call(delta)
+
     def test_broadcasts_like_entropy_from_moments(self):
         deltas = np.array([[0.0, 0.25], [0.5, 1.0 + 1e-12]])
         values = entropy_from_delta(deltas)
@@ -243,6 +255,16 @@ class TestDeltaFromMoments:
             delta_from_moments(CoinMoments(0.5, complex(0.5 + 1e-6, 0.0)))
         with pytest.raises(DomainError):
             delta_from_moments(CoinMoments(np.array([0.5, 0.5]), np.array([0j, 0.5 + 1e-6])))
+
+    @pytest.mark.parametrize("m", [CoinMoments("a", 0), CoinMoments(True, 0.0),
+                                   CoinMoments(0.5 + 0j, 0.0), CoinMoments(0.5, "x"),
+                                   CoinMoments(0.5, False),
+                                   CoinMoments(np.array([0.5], dtype=object), 0.0)], ids=repr)
+    def test_moments_that_are_no_numbers_rejected(self, m):
+        # CoinMoments("a", 0) once raised numpy's bare UFuncTypeError
+        for call in (delta_from_moments, entropy_from_moments):
+            with pytest.raises(DomainError, match="moments must be"):
+                call(m)
 
     def test_one_array_call_equals_the_scalar_calls_bit_for_bit(self):
         # moments given as arrays once raised a bare TypeError (float() of an array)
@@ -457,6 +479,28 @@ class TestSpinor:
     def test_not_normalized(self):
         assert not Spinor(1.0, 1.0).is_normalized()
 
+    @pytest.mark.parametrize("spin", [Spinor("a", 0), Spinor(None, 1), Spinor(True, 0),
+                                      Spinor(1.0, False), Spinor(np.array([1.0, 0.0]), 0.0),
+                                      "a"], ids=repr)
+    def test_amplitudes_that_are_no_numbers_rejected(self, spin):
+        # each once raised a bare TypeError, ValueError or AttributeError, or
+        # (True) was walked as spin up
+        for call in (lambda: walk(Local(), (spin,), "hadamard", 2),
+                     lambda: evolve(Local(), spin, "hadamard", 2),
+                     lambda: evolve_k_moments(Local(), spin, "hadamard", 2),
+                     lambda: asymptotic_moments(Local(), spin, "hadamard")):
+            with pytest.raises(DomainError, match="spin must be a Spinor of two numbers"):
+                call()
+        with pytest.raises(DomainError):
+            walk(Local(), "ab", "hadamard", 2)
+
+    def test_numpy_scalar_amplitudes_walk_as_python_numbers(self):
+        spins = [Spinor(0.6, 0.8j), Spinor(np.float64(0.6), np.complex128(0.8j)),
+                 Spinor(np.array(0.6), np.array(0.8j))]
+        walks = [evolve(Gaussian(1.0), spin, "hadamard", 8) for spin in spins]
+        assert walks[1] == walks[0] and walks[2] == walks[0]
+        assert len({asymptotic_moments(Local(), spin, "fourier") for spin in spins}) == 1
+
 
 class TestAsTime:
     @pytest.mark.parametrize("value", [3, 3.0, np.int64(3), np.float64(3.0)])
@@ -500,6 +544,8 @@ _BAD_ALPHA = _NOT_NUMBERS + [math.nextafter(0.0, -1.0), math.nextafter(math.pi, 
 _BAD_SIGMA = _NOT_NUMBERS + [0.0, -1.0, 10**400]  # 10**400: no double holds it
 _BAD_COUNT = _NOT_NUMBERS + [-1, 2.5]
 _TINY_SIGMA, _FLOAT32_SIGMA = 5e-324, np.float32(2.0)
+#: Two angles where a spin's record holds one.
+_TWO_ANGLES = np.array([0.1, 0.2])
 
 
 def _closed(alpha, beta):
@@ -518,11 +564,13 @@ def _counted(call):
 #: with a thunk of the output it must give (an exception class: the error it
 #: must raise).  `tests/test_tooling.py` checks that no entry point is missing.
 INPUT_READERS = [
-    ("BlochAngles", "alpha", lambda f, x: f(x, 0.0), _BAD_ALPHA,
+    ("BlochAngles", "alpha", lambda f, x: f(x, 0.0), _BAD_ALPHA + [_TWO_ANGLES],
      [(0.0, lambda: "BlochAngles(alpha=0.0, beta=0.0)"),
-      (math.pi, lambda: f"BlochAngles(alpha={math.pi!r}, beta=0.0)")]),
-    ("BlochAngles", "beta", lambda f, x: f(1.0, x), _NOT_NUMBERS,
-     [(_BETA_WRAP, lambda: "BlochAngles(alpha=1.0, beta=0.5)")]),
+      (math.pi, lambda: f"BlochAngles(alpha={math.pi!r}, beta=0.0)"),
+      (np.array(0.0), lambda: f"BlochAngles(alpha={np.array(0.0)!r}, beta=0.0)")]),
+    ("BlochAngles", "beta", lambda f, x: f(1.0, x), _NOT_NUMBERS + [_TWO_ANGLES],
+     [(_BETA_WRAP, lambda: "BlochAngles(alpha=1.0, beta=0.5)"),
+      (np.array(_BETA_WRAP), lambda: "BlochAngles(alpha=1.0, beta=0.5)")]),
     ("spin_amplitudes", "alpha", lambda f, x: f(x, 0.0), _BAD_ALPHA,
      [(0.0, lambda: (np.complex128(1.0), np.complex128(0.0))),
       (math.pi, lambda: (np.complex128(np.cos(math.pi / 2.0)), np.complex128(1.0)))]),

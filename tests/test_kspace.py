@@ -207,12 +207,24 @@ class TestCoinSpectrum:
         for lam in evals[0]:
             assert min(abs(lam - e) for e in expected) < 1e-12
 
-    @pytest.mark.parametrize("coin", ["hadamard", "fourier"])
-    def test_unit_modulus_and_orthonormal(self, coin):
-        evals, v = _spectrum_at(_coin_op(coin), np.linspace(-math.pi, math.pi, 41))
+    @pytest.mark.parametrize("nodes", [256, 4096])
+    @pytest.mark.parametrize("coin", [
+        hadamard_coin(), fourier_coin(),
+        *(_general_coin(*angles) for angles in np.random.default_rng(7).uniform(-3, 3, (4, 4))),
+        *(_general_coin(theta, 0.0, 0.0, 0.0) for theta in (1e-100, 1e-16, 1e-12, 1e-8)),
+    ], ids=["hadamard", "fourier", *(f"random{i}" for i in range(4)),
+            *(f"theta={theta}" for theta in (1e-100, 1e-16, 1e-12, 1e-8))])
+    def test_unit_modulus_and_orthonormal(self, coin, nodes):
+        evals, v = _spectrum_at(coin, _nodes(nodes))
         assert np.max(np.abs(np.abs(evals) - 1.0)) < 1e-12
         gram = np.conj(np.swapaxes(v, -1, -2)) @ v
         assert np.max(np.abs(gram - np.eye(2))) < 1e-12
+        # Phi_- is Phi_+'s complement: orthogonal exactly, and the branch parts
+        # P_pm[x, s] = Phi_pm[x] conj(Phi_pm[s]) sum to |Phi_+|^2 times 1
+        assert np.all(np.sum(np.conj(v[:, :, 0]) * v[:, :, 1], axis=-1) == 0)
+        parts = np.sum(v[:, :, None, :] * np.conj(v[:, None, :, :]), axis=-1)
+        norm_sq = np.sum(np.real(v[:, :, 0] * np.conj(v[:, :, 0])), axis=-1)
+        assert np.max(np.abs(parts - norm_sq[:, None, None] * np.eye(2))) <= 2 * EPS
 
     def test_unknown_coin_rejected(self):
         for coin in ("grover", np.eye(2)):
@@ -809,6 +821,19 @@ class TestOneCoinRule:
         run = walk(Gaussian(1.0), (UP,), coin, 100, times=(100,))
         mk = evolve_k_moments(Gaussian(1.0), UP, coin, 100)
         assert abs(mk.A - run.cross[0, 0, 0, 0].real) <= 1e-12
+
+    @pytest.mark.parametrize("make", [lambda theta: _phase_coin(0.0, 0.0, theta, 0.0),
+                                      lambda theta: _general_coin(theta, 0.9, -1.7, 0.3)],
+                             ids=["bare", "phased"])
+    def test_served_node_counts(self, make):
+        # the counts README lists, for R(theta) and for the phased coin above;
+        # a numerically diagonal coin is served like a diagonal one, so a
+        # refusal predicted from |c01| alone must spare it
+        for c01, nodes in [(0.5, 256), (0.3, 256), (0.25, 512), (0.2, 512), (0.02, 4096),
+                           (0.01, 8192), (0.0, 256), (1e-20, 256), (1e-300, 256)]:
+            coin = make(math.asin(c01))
+            asymptotic_moments(Local(), UP, coin)
+            assert _coefficients(coin.tobytes(), None).shape == (7, nodes - 1), c01
 
     def test_tiny_off_diagonal_is_served_at_65536_nodes(self, fresh_tables):
         # at |c01| = 1e-3 both edges of the table only roughly halve at each
