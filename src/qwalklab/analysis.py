@@ -139,7 +139,8 @@ def sweep_simulated(
 
     The walk is linear in the initial spin, so the seven basis sums at
     t = steps serve the whole grid; `lattice.basis_sums` takes them from the
-    cached lag table of one Local walk per (coin, steps).  The result equals
+    cached lag table of the Local walk per (coin, steps), composed from the
+    walk of a quarter of the steps.  The result equals
     (to roundoff) evolving each grid point from the profile independently.
     """
     return _sweep(grid, delta_form(basis_sums(profile, coin, steps)))

@@ -45,10 +45,10 @@ BASIS_SUMS = ((0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 0, 0), (1, 0, 1), (1, 1, 0), 
 class BlochAngles:
     """Polar (alpha) and azimuthal (beta) angles of a pure spin state.
 
-    Each is one number (a 0-d array is one; an array of them raises
-    DomainError); alpha lies in [0, pi] and beta is finite (`check_angles`);
-    beta is canonicalized into [-pi, pi) by `_reduce_beta`, so any finite beta
-    is accepted.
+    Each is one number (a 0-d array is one; an array of them, or a ragged
+    sequence, raises DomainError); alpha lies in [0, pi] and beta is finite
+    (`check_angles`); beta is canonicalized into [-pi, pi) by `_reduce_beta`,
+    so any finite beta is accepted.
     """
 
     alpha: float
@@ -56,10 +56,19 @@ class BlochAngles:
 
     def __post_init__(self) -> None:
         for name, angle in (("alpha", self.alpha), ("beta", self.beta)):
-            if np.ndim(angle) != 0:
+            if _as_array(angle).ndim != 0:
                 raise DomainError(f"{name} must be one angle, got {angle!r}")
         check_angles(self.alpha, self.beta)
         object.__setattr__(self, "beta", float(_reduce_beta(float(self.beta))))
+
+
+def _as_array(x) -> np.ndarray:
+    """np.asarray(x); a ragged sequence, which numpy refuses to read as an
+    array, is read as one object, which every rule on numbers refuses."""
+    try:
+        return np.asarray(x)
+    except ValueError:
+        return np.array(None, dtype=object)
 
 
 def _reduce_beta(beta):
@@ -86,10 +95,10 @@ class Spinor:
 
 def require_normalized(spin: Spinor) -> None:
     """DomainError unless `spin` is a Spinor of two numbers, real or complex
-    (Python or numpy scalars, or 0-d arrays; no bool, string or array of
-    them), with |spin|^2 = 1 to UNIT_TOL."""
+    (Python or numpy scalars, or 0-d arrays; no bool, string, array of them
+    or ragged sequence), with |spin|^2 = 1 to UNIT_TOL."""
     if not isinstance(spin, Spinor) or not all(
-            np.ndim(x) == 0 and np.asarray(x).dtype.kind in "iufc" for x in (spin.up, spin.down)):
+            (a := _as_array(x)).ndim == 0 and a.dtype.kind in "iufc" for x in (spin.up, spin.down)):
         raise DomainError(f"spin must be a Spinor of two numbers, got {spin!r}")
     if not spin.is_normalized():
         raise DomainError(f"spin must be normalized, |spin|^2 = {spin.norm_sq()}")
@@ -139,7 +148,7 @@ def as_positive(value, name: str):
 
 def check_angles(alpha, beta) -> None:
     """DomainError unless every alpha is in [0, pi] and every beta finite, each read on its own."""
-    a, b = np.asarray(alpha), np.asarray(beta)
+    a, b = _as_array(alpha), _as_array(beta)
     if a.dtype.kind not in "iuf" or not np.all((a >= 0.0) & (a <= math.pi)):
         raise DomainError(f"alpha must be in [0, pi], got {alpha!r}")
     if b.dtype.kind not in "iuf" or not np.all(np.isfinite(b)):
@@ -209,12 +218,17 @@ def binary_entropy(lam):
 
 
 def _fresh_buffers(kernel, x, name: str):
-    """kernel(x, out, work) on a float copy of x and new buffers; a float for a
-    scalar x, else the out array.  x must hold real numbers: a bool, string,
-    complex or object value raises DomainError naming `name`."""
-    if np.asarray(x).dtype.kind not in "iuf":
+    """kernel(x, out, work) on a float copy of x and new buffers (`_new_buffers`).
+    x must hold real numbers: a bool, string, complex or object value, or a
+    ragged sequence, raises DomainError naming `name`."""
+    if _as_array(x).dtype.kind not in "iuf":
         raise DomainError(f"{name} must be real numbers, got {x!r}")
-    x = np.array(x, dtype=float)  # a copy: the kernel overwrites it
+    return _new_buffers(kernel, np.array(x, dtype=float))  # a copy: the kernel overwrites it
+
+
+def _new_buffers(kernel, x):
+    """kernel(x, out, work) with new out and work buffers of the float array x's
+    shape, which the kernel may overwrite: a float for a 0-d x, else out."""
     out = np.empty_like(x)
     kernel(x, out, np.empty_like(x))
     if out.ndim == 0:
@@ -339,9 +353,12 @@ def delta_at(form, alpha, beta):
 def entropy_from_moments(m: CoinMoments):
     """Entanglement entropy of the reduced coin state with moments (A, B), scalars
     or arrays: `entropy_from_delta` of `delta_from_moments`, so inconsistent
-    (delta > 1 + CLAMP_TOL) or non-finite moments raise DomainError.
+    (delta > 1 + CLAMP_TOL) or non-finite moments raise DomainError.  The
+    delta that `delta_from_moments` checked and clamped, a new array, goes to
+    the kernel as it is (`_clamped_entropy_into`); clamping is idempotent,
+    so the entropies are those of `entropy_from_delta` bit for bit.
     """
-    return entropy_from_delta(delta_from_moments(m))
+    return _new_buffers(_clamped_entropy_into, np.asarray(delta_from_moments(m), dtype=float))
 
 
 def _check_delta(delta) -> None:
@@ -370,8 +387,15 @@ def _entropy_into(delta, out, work) -> None:
     work, of delta's shape, is scratch, so a caller that reduces many blocks
     of one shape allocates its buffers once."""
     _check_delta(delta)
-    lam = np.clip(delta, 0.0, 1.0, out=delta)
-    np.sqrt(lam, out=lam)
+    np.clip(delta, 0.0, 1.0, out=delta)
+    _clamped_entropy_into(delta, out, work)
+
+
+def _clamped_entropy_into(delta, out, work) -> None:
+    """`_entropy_into` of a delta already checked and clamped to [0, 1], as
+    `delta_from_moments` returns it: delta is overwritten, with no second
+    check or clip."""
+    lam = np.sqrt(delta, out=delta)
     np.add(1.0, lam, out=lam)
     np.divide(lam, 2.0, out=lam)
     _binary_entropy_into(lam, out, work)
@@ -389,7 +413,7 @@ def delta_from_moments(m: CoinMoments):
     the C library's pow(), which is not correctly rounded for every input, so
     the same moments would differ as a scalar and in an array.
     """
-    a, b = np.asarray(m.A), np.asarray(m.B)
+    a, b = _as_array(m.A), _as_array(m.B)
     if a.dtype.kind not in "iuf" or b.dtype.kind not in "iufc":
         raise DomainError(f"moments must be a real A and a real or complex B, got {m!r}")
     delta = 4.0 * (np.square(a - 0.5) + np.square(np.abs(b)))  # numpy, any shape

@@ -25,7 +25,7 @@ from qwalklab import (
     spin_from_angles,
 )
 import qwalklab
-from qwalklab import kspace
+from qwalklab import core, kspace
 from qwalklab.core import (
     COINS,
     _entropy_into,
@@ -200,6 +200,23 @@ class TestEntropyFromMoments:
         # delta_from_moments squares by the same rule as the array path
         deltas = [delta_from_moments(CoinMoments(float(x), complex(y))) for x, y in zip(a, b)]
         assert np.array_equal(np.array(deltas), 4.0 * ((a - 0.5) ** 2 + np.abs(b) ** 2))
+
+    @pytest.mark.parametrize("source", ["random", "walk"])
+    def test_delta_checked_once_with_the_entropies_of_entropy_from_delta(self, monkeypatch,
+                                                                         source):
+        # 20,000 random (A, B), or a Local, T = 4,000 Hadamard walk's at every t
+        if source == "random":
+            a, b = _random_moments()
+        else:
+            run = walk(Local(), (Spinor(1.0, 0.0),), "hadamard", 4000)
+            a, b = run.cross[0, 0, 0].real, run.cross[1, 0, 0]
+        moments = CoinMoments(a, b)
+        expected = entropy_from_delta(delta_from_moments(moments))
+        checked = []
+        check = core._check_delta
+        monkeypatch.setattr(core, "_check_delta", lambda d: checked.append(d.shape) or check(d))
+        assert entropy_from_moments(moments).tobytes() == expected.tobytes()
+        assert checked == [a.shape]
 
 
 class TestEntropyFromDelta:
@@ -546,10 +563,23 @@ _BAD_COUNT = _NOT_NUMBERS + [-1, 2.5]
 _TINY_SIGMA, _FLOAT32_SIGMA = 5e-324, np.float32(2.0)
 #: Two angles where a spin's record holds one.
 _TWO_ANGLES = np.array([0.1, 0.2])
+#: A ragged sequence, which numpy refuses to read as an array.
+_RAGGED = [0.1, [0.2]]
+#: Spins no walk may start from: no Spinor, amplitudes that are no numbers
+#: (a ragged sequence, an array, a bool, a string) and an unnormalized one.
+_BAD_SPINS = [(1.0, 0.0), Spinor([1.0, [0.0]], 0.0), Spinor(_TWO_ANGLES, 0.0),
+              Spinor(True, 0.0), Spinor("1", 0.0), Spinor(1.0, 1.0), Spinor(math.nan, 0.0)]
 
 
 def _closed(alpha, beta):
     return delta_at(kspace._closed_form("hadamard", _LOCAL_F), alpha, beta)
+
+
+def _spin_edges(call):
+    """Edges of the spin rule: a numpy scalar and a 0-d array amplitude give
+    the output of the Python float."""
+    return [(Spinor(np.float64(1.0), 0.0), lambda: call(_UP)),
+            (Spinor(np.array(1.0), 0.0), lambda: call(_UP))]
 
 
 def _counted(call):
@@ -557,18 +587,19 @@ def _counted(call):
     return [(np.int64(2), lambda: call(2)), (0, lambda: call(0))]
 
 
-#: Every public entry point that reads an input rule (`core.check_angles`,
-#: `core.as_positive`, `core.as_time`, `lattice.FAMILIES`), one row per input:
+#: Every public entry point that reads an input rule (`core.require_normalized`,
+#: `core.check_angles`, `core.as_positive`, `core.as_time`, `lattice.FAMILIES`,
+#: the clamp rule of delta), one row per input:
 #: its name in `qwalklab.__all__`, the input, a call of the reader on a value
 #: of it, the values it must refuse with DomainError and in-domain edges, each
 #: with a thunk of the output it must give (an exception class: the error it
 #: must raise).  `tests/test_tooling.py` checks that no entry point is missing.
 INPUT_READERS = [
-    ("BlochAngles", "alpha", lambda f, x: f(x, 0.0), _BAD_ALPHA + [_TWO_ANGLES],
+    ("BlochAngles", "alpha", lambda f, x: f(x, 0.0), _BAD_ALPHA + [_TWO_ANGLES, _RAGGED],
      [(0.0, lambda: "BlochAngles(alpha=0.0, beta=0.0)"),
       (math.pi, lambda: f"BlochAngles(alpha={math.pi!r}, beta=0.0)"),
       (np.array(0.0), lambda: f"BlochAngles(alpha={np.array(0.0)!r}, beta=0.0)")]),
-    ("BlochAngles", "beta", lambda f, x: f(1.0, x), _NOT_NUMBERS + [_TWO_ANGLES],
+    ("BlochAngles", "beta", lambda f, x: f(1.0, x), _NOT_NUMBERS + [_TWO_ANGLES, _RAGGED],
      [(_BETA_WRAP, lambda: "BlochAngles(alpha=1.0, beta=0.5)"),
       (np.array(_BETA_WRAP), lambda: "BlochAngles(alpha=1.0, beta=0.5)")]),
     ("spin_amplitudes", "alpha", lambda f, x: f(x, 0.0), _BAD_ALPHA,
@@ -609,6 +640,16 @@ INPUT_READERS = [
      [(np.int64(3), lambda: "Rectangular(a=3)"), (0, lambda: "Rectangular(a=0)")]),
     ("evolve", "steps", lambda f, x: f(Local(), _UP, "hadamard", x), _BAD_COUNT,
      _counted(lambda x: qwalklab.evolve(Local(), _UP, "hadamard", x))),
+    ("evolve", "spin", lambda f, x: f(Local(), x, "hadamard", 2), _BAD_SPINS,
+     _spin_edges(lambda x: qwalklab.evolve(Local(), x, "hadamard", 2))),
+    ("evolve_k_moments", "spin", lambda f, x: f(Local(), x, "hadamard", 2), _BAD_SPINS,
+     _spin_edges(lambda x: qwalklab.evolve_k_moments(Local(), x, "hadamard", 2))),
+    ("asymptotic_moments", "spin", lambda f, x: f(Local(), x, "hadamard"), _BAD_SPINS,
+     _spin_edges(lambda x: qwalklab.asymptotic_moments(Local(), x, "hadamard"))),
+    ("entropy_from_delta", "delta", lambda f, x: f(x),
+     _NOT_NUMBERS + [_RAGGED, 1.0 + 2e-9, -2e-9, 1j],
+     [(0.0, lambda: 1.0), (1.0, lambda: 0.0),
+      (np.array(0.25), lambda: qwalklab.entropy_from_delta(0.25))]),
     ("evolve_basis", "steps", lambda f, x: f(Local(), "hadamard", x).sums, _BAD_COUNT,
      _counted(lambda x: qwalklab.evolve_basis(Local(), "hadamard", x).sums)),
     ("basis_sums", "steps", lambda f, x: f(Local(), "hadamard", x), _BAD_COUNT,

@@ -626,6 +626,96 @@ class TestBasisSums:
             basis_sums(Local(), hadamard_coin(), -1)
 
 
+def _lag_table(sites, steps):
+    """The (7, 4 steps + 1) lag table of final amplitudes sites[y, s] on the
+    2 steps + 1 sites, by the zero-padded FFT of `lattice._local_table`, in
+    the sites' own precision (np.fft keeps a long double a long double)."""
+    size = 1 << (4 * steps).bit_length()
+    f = np.fft.fft(sites, size)
+    lags = -np.arange(-2 * steps, 2 * steps + 1) % size
+    return np.array([np.fft.ifft(f[0, s] * np.conj(f[y, r]))[lags]
+                     for y, s, r in lattice.BASIS_SUMS])
+
+
+def _walked_table(coin, steps):
+    """The lag table from one walk of all `steps` steps: the reference the
+    composed `lattice._local_table` is held to."""
+    final = lattice.walk(Local(), lattice._BASIS, coin, steps, times=(steps,)).final
+    return _lag_table(np.array([[s.a for s in final], [s.b for s in final]]), steps)
+
+
+def _longdouble_table(coin, steps):
+    """The lag table of the Local basis-pair walk stepped in np.clongdouble."""
+    c = np.asarray(coin).astype(np.clongdouble)
+    sites = np.zeros((2, 2, 2 * steps + 1), dtype=np.clongdouble)
+    for s in range(2):
+        # slot f holds site -t + 2f: an up-amplitude moves one slot up per step
+        a, b = np.zeros((2, steps + 1), dtype=np.clongdouble)
+        (a, b)[s][0] = 1.0
+        for _ in range(steps):
+            a, b = np.roll(c[0, 0] * a + c[0, 1] * b, 1), c[1, 0] * a + c[1, 1] * b
+        sites[0, s, ::2], sites[1, s, ::2] = a, b
+    return _lag_table(sites, steps)
+
+
+_EPS = np.finfo(float).eps
+
+
+def _composition_bound(steps, walked=True):
+    """Rounding allowed between the composed table and the exact one, plus,
+    when `walked`, the T-step walk's own.
+
+    A t-step walk rounds each step; in a table entry, an inner product of two
+    unit states, those errors add to about eps * sqrt(t) (as a random walk
+    of t roundings).  The composed table carries four copies of the quarter
+    walk's, 4 eps sqrt(q), the walk of the last r = T - 4q steps, eps sqrt(r),
+    and one rounding of each of its (up to) three compositions, 3 eps.
+    """
+    q, r = divmod(steps, 4)
+    bound = 4.0 * math.sqrt(q) + math.sqrt(r) + 3.0
+    return _EPS * (bound + math.sqrt(steps) if walked else bound)
+
+
+_COMPOSED_COINS = {"hadamard": hadamard_coin(), "fourier": fourier_coin(),
+                   "general": _general_coin(0.7, 0.3, -1.1, 0.4)}
+
+
+class TestComposedTable:
+    """`_local_table`: a quarter walk's propagator composed with itself twice."""
+
+    # 4,100: the quarter walk (1,025 steps) drops its ends at the floor
+    @pytest.mark.parametrize("steps", [0, 1, 2, 3, 4, 5, 7, 64, 257, 1000, 1003, 4100])
+    @pytest.mark.parametrize("name", _COMPOSED_COINS)
+    def test_matches_the_table_of_one_full_walk(self, name, steps):
+        # measured worst case: 6.5 eps (general coin, T = 257), 8.0x inside the
+        # bound; the least headroom is 7.6x (1.5 eps at T = 7, Hadamard and
+        # Fourier).  T <= 3 composes with the identity and is exact
+        coin = _COMPOSED_COINS[name]
+        got = lattice._local_table(coin.tobytes(), steps)
+        diff = np.max(np.abs(got - _walked_table(coin, steps)))
+        assert diff <= _composition_bound(steps)
+        if steps < 4:
+            assert diff == 0.0
+
+    def test_quarter_walk_of_the_longest_case_drops_its_ends(self):
+        taps = lattice._propagator(hadamard_coin(), 4100 // 4)
+        assert not taps[..., 0].any() and not taps[..., -1].any()
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= _EPS,
+                        reason="long double is no wider than double here")
+    @pytest.mark.parametrize("name", _COMPOSED_COINS)
+    def test_against_a_long_double_walk(self, name):
+        # measured at T = 1000: 1.23e-15 (Hadamard, Fourier) and 7.0e-16
+        # (general) off, 12x and 21x inside the bound; the T-step walk's
+        # table is 5.3e-16 off, so the composed one is 2.34x and 1.35x of it
+        steps, coin = 1000, _COMPOSED_COINS[name]
+        exact = _longdouble_table(coin, steps)
+        composed = np.max(np.abs(lattice._local_table(coin.tobytes(), steps) - exact))
+        walked = np.max(np.abs(_walked_table(coin, steps) - exact))
+        assert composed <= _composition_bound(steps, walked=False)
+        assert composed <= 2.5 * walked
+
+
 class TestIntegerTime:
     """walk, evolve_basis and basis_sums read an integral step count as an int."""
 

@@ -166,8 +166,10 @@ def test_benchmark_ops_run_on_the_library(monkeypatch, tmp_path):
             sys.modules.pop(name, None)
 
 
-#: Parameters that carry a spin's angles, a dispersion, a grid step or a count.
-RULED_PARAMETERS = {"alpha", "beta", "alphas", "betas", "sigma0", "a", "step", "steps", "t"}
+#: Parameters that carry a spin, its angles, a dispersion, a grid step, a
+#: count or a delta.
+RULED_PARAMETERS = {"spin", "alpha", "beta", "alphas", "betas", "sigma0", "a", "step", "steps",
+                    "t", "delta"}
 
 #: Result records: they hold a value an entry point has already read.
 RECORDS = {"ComparisonReport", "EntanglementRecord", "WalkerState"}
