@@ -211,10 +211,20 @@ def unitary_coin(coin) -> CoinOperator:
 def binary_entropy(lam):
     """Binary entropy -p log2 p - (1-p) log2 (1-p) in bits, with 0 log 0 = 0.
 
-    Accepts a float or an ndarray of eigenvalues in [0, 1]; NaN propagates,
-    and a bool, string, complex or object value raises DomainError.
+    Accepts a float or an ndarray of eigenvalues in [0, 1], clipped to it; a
+    value beyond it by more than CLAMP_TOL (+-inf among them), or a bool,
+    string, complex or object value, raises DomainError, and NaN propagates.
     """
-    return _fresh_buffers(_binary_entropy_into, lam, "lam")
+    return _fresh_buffers(_checked_binary_entropy_into, lam, "lam")
+
+
+def _checked_binary_entropy_into(lam, out, work) -> None:
+    """`_binary_entropy_into` of eigenvalues checked to lie in [0, 1] to
+    CLAMP_TOL; every comparison with NaN is False, so NaN passes."""
+    if np.any((lam < -CLAMP_TOL) | (lam > 1.0 + CLAMP_TOL)):
+        raise DomainError(f"lam must lie in [0, 1], got values in "
+                          f"[{np.nanmin(lam)}, {np.nanmax(lam)}]")
+    _binary_entropy_into(lam, out, work)
 
 
 def _fresh_buffers(kernel, x, name: str):

@@ -25,11 +25,9 @@ sum_n r(n) C_i(n) with the Fourier coefficients C_i(n) of K_i
 (`_coefficients`).  At time t, K_i is a trigonometric polynomial of degree
 <= 2t, so a table on more than 4t nodes is exact: the lattice's table from
 the Local walk (`lattice._local_table`).  The time averages
-(`_asymptotic_kernels`, t = None) drop the oscillating cross terms between
-the two branches; that K_i is analytic, its coefficients decay exponentially
-(Trefethen & Weideman, SIAM Rev. 56 (2014)), and a table whose edge
-coefficients are checked to lie below 1e-15 holds them: 256 nodes for the
-named coins, doubled as the gap of U_k's eigenphases closes with |c01|.
+(`_asymptotic_kernels`) drop the oscillating cross terms between the two
+branches, and their coefficients are a closed form with one pole per coin
+(`_averaged_rows`): past lag +-2, each row is one geometric series.
 
 The closed form is the time-averaged map in Bloch form (`core.delta_form`):
 delta = n^T G(f) n with G(f) = (1/2)(1 - 4f)^2 u u^T + (4f)^2 v v^T, one pair
@@ -68,7 +66,7 @@ from .core import (
     unitary_coin,
 )
 from .errors import CapacityError, DomainError, NumericalError
-from .lattice import InitialProfile, profile_weights, table_sums
+from .lattice import _AMPLITUDE_FLOOR, InitialProfile, _autocorrelation, profile_weights, table_sums
 
 SQRT2 = math.sqrt(2.0)
 
@@ -116,87 +114,50 @@ def _spectrum_at(c: CoinOperator, k: NDArray[np.float64]):
 #: Fewest nodes of a table at an integer time.
 _MIN_NODES = 64
 
-#: Nodes the time-averaged table starts at; it doubles until its edge decays.
-_AVERAGE_NODES = 256
-
-#: Coefficients at the edge of the time-averaged table must lie below this.
-_EDGE_TOL = 1e-15
-
 #: Most nodes a table may sample: integer times up to 2**18 - 1.
 _MAX_NODES = 2**20
 
 
 @functools.lru_cache(maxsize=8)
-def _coefficients(coin: bytes, t: int | None) -> NDArray[np.complex128]:
-    """Fourier coefficients C(n) of the seven spin-independent integrands.
+def _coefficients(coin: bytes, t: int) -> NDArray[np.complex128]:
+    """Fourier coefficients C(n) of the seven spin-independent integrands at t.
 
-    Row i, column M + n holds C_i(n) = int dk/2pi K_i(k) e^{-ikn}, |n| <= M,
-    so that basis sum i of a profile is sum_n r(n) C_i(n).  At time t, K_i is
-    a trigonometric polynomial of degree <= 2t, whose coefficients one FFT on
-    more than 4t nodes gives exactly (M = 2t).  With t = None the products
-    are taken within a branch, since the cross terms of the two branches
-    average to zero in time; that integrand is analytic, so its coefficients
-    decay exponentially.  Its table starts at _AVERAGE_NODES nodes, keeping
-    |n| < nodes / 2, and doubles until its edge has decayed below _EDGE_TOL;
-    past _MAX_NODES it raises NumericalError.  The decay slows as the gap of
-    U_k's eigenphases closes, that is as |c01| falls: the named coins hold at
-    256 nodes, |c01| = 0.1 needs 1,024 and 0.001 65,536.  The table is shared
-    by every caller of one (coin, t), so it is read-only; eight entries hold
-    both coins' averaged tables and three times each (448 KB at t = 1000).
-    `coin` is the matrix as bytes, the key of `lattice._local_table`.
+    Row i, column 2t + n holds C_i(n) = int dk/2pi K_i(k) e^{-ikn}, |n| <= 2t,
+    so that basis sum i of a profile is sum_n r(n) C_i(n).  K_i is a
+    trigonometric polynomial of degree <= 2t, whose coefficients one FFT on
+    more than 4t nodes gives exactly.  Shared by every caller of one (coin,
+    t), the table is read-only; eight entries hold four times of each named
+    coin (448 KB a table at t = 1000).  `coin` is the matrix as bytes.
     """
-    matrix = np.frombuffer(coin, dtype=np.complex128).reshape(2, 2)
-    if t is not None:
-        n = max(_MIN_NODES, 1 << (4 * t).bit_length())
-        if n > _MAX_NODES:
-            raise CapacityError(f"a table at t = {t} needs {n} nodes, above {_MAX_NODES}")
-        table = _table(matrix, t, n, 2 * t)
-    else:
-        n = _AVERAGE_NODES
-        while True:
-            table = _table(matrix, None, n, n // 2 - 1)
-            # the last two lags on each side: every K_i has period pi (the sites a
-            # walk from one site reaches at one time share a parity), so its odd
-            # coefficients vanish and the edge is read at an even lag too
-            edge = np.abs(table[:, [0, 1, -2, -1]]).max()
-            if edge < _EDGE_TOL:
-                break
-            if 2 * n > _MAX_NODES:
-                raise NumericalError(
-                    f"time-averaged coefficients at |n| >= {n // 2 - 2} reach {edge:.3e}"
-                    f" at {n} nodes, not below {_EDGE_TOL}"
-                )
-            n *= 2
+    n = max(_MIN_NODES, 1 << (4 * t).bit_length())
+    if n > _MAX_NODES:
+        raise CapacityError(f"a table at t = {t} needs {n} nodes, above {_MAX_NODES}")
+    table = _table(np.frombuffer(coin, dtype=np.complex128).reshape(2, 2), t, n)
     table.flags.writeable = False
     return table
 
 
-def _table(matrix: CoinOperator, t: int | None, n: int, m: int) -> NDArray[np.complex128]:
-    """The coefficients C_i(n) for |n| <= m of `_coefficients` from n nodes.
-
-    At each node the branch parts P_pm[x, s] = <x|Phi_pm><Phi_pm|s> give
-    U^t = sum_pm lambda_pm^t P_pm, and K_i is a product of two entries of U^t,
-    or of each branch's P_pm for t = None.
-    """
+def _table(matrix: CoinOperator, t: int, n: int) -> NDArray[np.complex128]:
+    """The coefficients C_i(n), |n| <= 2t, of `_coefficients` from n nodes: at
+    each node the branch parts P_pm[x, s] = <x|Phi_pm><Phi_pm|s> give
+    U^t = sum_pm lambda_pm^t P_pm, and K_i is a product of two entries of U^t."""
     evals, evecs = _spectrum_at(matrix, _nodes(n))
     vec = np.ascontiguousarray(evecs.transpose(2, 1, 0))  # [branch, x, node]
     parts = vec[:, :, None] * np.conj(vec[:, None])  # [branch, x, s, node]
+    u_t = parts[0] * evals[:, 0] ** t + parts[1] * evals[:, 1] ** t
     # K_i of sum i = (y, s, r) of BASIS_SUMS is U^t[0, s] conj(U^t[y, r])
     y, s, r = np.array(BASIS_SUMS).T
-    if t is None:  # the products within each branch, summed
-        integrand = np.sum(parts[:, 0, s] * np.conj(parts[:, y, r]), axis=0)
-    else:
-        u_t = parts[0] * evals[:, 0] ** t + parts[1] * evals[:, 1] ** t
-        integrand = u_t[0, s] * np.conj(u_t[y, r])
+    integrand = u_t[0, s] * np.conj(u_t[y, r])
     # nodes k_j = -pi + 2 pi j / n, so e^{-i k_j l} = (-1)^l e^{-2 pi i j l / n}
-    lags = np.arange(-m, m + 1)
+    lags = np.arange(-2 * t, 2 * t + 1)
     spectrum = np.fft.fft(integrand, axis=-1)
     return spectrum[:, lags % n] * (np.where(lags % 2 == 0, 1.0, -1.0) / n)
 
 
-def _basis_sums(coin: bytes, profile: InitialProfile, t: int | None):
-    """The seven basis sums of `core.spin_moments`: the integrals of |g|^2 K_i,
-    that is `lattice.table_sums` of the profile against the (coin, t) table."""
+def _basis_sums(coin: bytes, profile: InitialProfile, t: int):
+    """The seven basis sums of `core.spin_moments` at time t: the integrals of
+    |g|^2 K_i, that is `lattice.table_sums` of the profile against the
+    (coin, t) table."""
     _, w = profile_weights(profile)
     return table_sums(_coefficients(coin, t), w)
 
@@ -218,9 +179,47 @@ def evolve_k_moments(
     return CoinMoments(A=float(a), B=complex(b))
 
 
+@functools.lru_cache(maxsize=8)
+def _averaged_rows(coin: bytes):
+    """The time-averaged coefficients of the seven integrands, in closed form.
+
+    Returns (rows, q): row i holds C_i(0), C_i(2), C_i(-2), and C_i(2m) =
+    C_i(2) q^(m-1), C_i(-2m) = C_i(-2) conj(q)^(m-1) for m >= 1; odd lags are
+    0.  Averaged over time, K_i is a polynomial in e^{ik} over
+    4 - |tr U_k|^2 = 2(1 + s^2) - 2 c^2 cos(2k - chi), s = |c01|, whose one
+    pole inside the unit circle gives the rows (README, physics).  They are
+    written from the coin's entries, as Python complex numbers, so none loses
+    digits as s falls or overflows at a subnormal s; the one branch is s = 0,
+    where the coin never mixes its spins and every row but auu is 0.
+    """
+    c00, c01, c10, c11 = map(complex, np.frombuffer(coin, dtype=np.complex128))
+    s = abs(c01)
+    h, q = s / 2.0, c00.conjugate() * c11 / (1.0 + s) ** 2
+    a0 = c00 * c01.conjugate() / (2.0 * (1.0 + s))  # aud(0)
+    a2 = -c11 * c01.conjugate() / (2.0 * (1.0 + s))  # aud(2)
+    b = c01 / (2.0 * s) * c10.conjugate() if s > 0.0 else 0j  # bdu(-2)
+    mixed, u0, u2 = h * np.array([1.0, q, q.conjugate()]), a0.conjugate(), a2.conjugate()
+    # rows in BASIS_SUMS order; buu(n) = conj(aud(-n)) and bdd = -buu
+    rows = np.array([[1.0, 0.0, 0.0] - mixed, [a0, a2, a0 * q.conjugate()], mixed,
+                     [u0, u0 * q, u2], mixed, [b * q, b * q * q, b], [-u0, -u0 * q, -u2]])
+    rows.flags.writeable = False
+    return rows, q
+
+
 def _asymptotic_kernels(coin: bytes, profile: InitialProfile):
-    """The time-averaged basis sums of one (coin bytes, profile)."""
-    return _basis_sums(coin, profile, None)
+    """The time-averaged basis sums of one (coin bytes, profile): with the rows
+    and q of `_averaged_rows`, C_i(0) r(0) + C_i(2) Psi + C_i(-2) conj(Psi) for
+    real weights, Psi = sum_{m>=1} r(2m) q^(m-1).  Psi is one dot product over
+    the even lags, stopped where |q|^(m-1) falls below the walk's floor
+    2**-511, so its cost depends on the profile and not on |c01|."""
+    rows, q = _averaged_rows(coin)
+    _, w = profile_weights(profile)
+    terms = (w.shape[0] - 1) // 2  # the even lags 2, 4, ..., 2 terms
+    if 0.0 < abs(q) < 1.0:
+        terms = min(terms, 1 + int(math.log(_AMPLITUDE_FLOOR) / math.log(abs(q))))
+    r = _autocorrelation(w, 2 * terms)[2 * terms :]  # lags 0, 1, ..., 2 terms
+    psi = np.sum(r[2::2] * np.power(q, np.arange(terms)))
+    return tuple(rows[:, 0] * r[0] + rows[:, 1] * psi + rows[:, 2] * np.conj(psi))
 
 
 def asymptotic_moments(profile: InitialProfile, spin: Spinor, coin) -> CoinMoments:
@@ -272,7 +271,7 @@ def closed_delta(coin, f: float, alpha, beta):
     (Fourier: Hadamard's turned by -pi/2 about z, the beta shift).  Hadamard:
     (1/2)(1-4f)^2 (cos a + sin a cos b)^2 + (4f)^2 (sin a sin b)^2.  At the
     f that `extract_f` gives, G(f) is the time-averaged Bloch form of the
-    k-space engine (`core.delta_form` of its sums) to ~2e-15 per coefficient.
+    k-space engine (`core.delta_form` of its sums) to 1.8e-15 per coefficient.
     delta vanishes at the spins +-u x v for 0 < f < 1/4, on the great circle
     u . n = 0 at f = 0 (Hadamard's large-dispersion limit) and on v . n = 0
     at f = 1/4 (Fourier's).  The local state is f = LOCAL_F, where

@@ -315,6 +315,18 @@ class TestBinaryEntropy:
 
     def test_nan_propagates(self):
         assert math.isnan(binary_entropy(math.nan))
+        values = binary_entropy(np.array([math.nan, 0.5]))
+        assert math.isnan(values[0]) and values[1] == 1.0
+
+    @pytest.mark.parametrize("lam", [2.0, -1.0, 1.000001, math.inf, -math.inf,
+                                     np.array([0.5, math.nan, 1.0 + 2e-9])], ids=repr)
+    def test_eigenvalues_out_of_range_rejected(self, lam):
+        # each of these once gave 0.0, clipped without a word
+        with pytest.raises(DomainError, match="must lie in"):
+            binary_entropy(lam)
+
+    def test_eigenvalues_within_the_clamp_tolerance_are_clipped(self):
+        assert binary_entropy(np.array([-1e-12, 1.0 + 1e-12])).tolist() == [0.0, 0.0]
 
 
 class TestEntropyKernel:

@@ -13,7 +13,6 @@ from qwalklab import (
     DomainError,
     Gaussian,
     Local,
-    NumericalError,
     Rectangular,
     Spinor,
     asymptotic_moments,
@@ -36,10 +35,11 @@ from qwalklab import (
     sweep_simulated,
 )
 from qwalklab import kspace
-from qwalklab.core import delta_form, fourier_coin, hadamard_coin
+from qwalklab.core import BASIS_SUMS, delta_form, fourier_coin, hadamard_coin, unitary_coin
 from qwalklab.kspace import (
     LOCAL_F,
     _asymptotic_kernels,
+    _averaged_rows,
     _basis_sums,
     _coefficients,
     _nodes,
@@ -75,32 +75,17 @@ def _key(coin):
 class TestCoefficients:
     """The (coin, t) tables of Fourier coefficients behind every basis sum."""
 
-    def test_small_averaged_table_raises(self, monkeypatch, fresh_tables):
-        # 16 nodes keep |n| < 8, where the coefficients at |n| = 6 are still
-        # 4.3e-3; the table doubles while its edge has not decayed, and a cap
-        # of 64 nodes stops it there
-        monkeypatch.setattr(kspace, "_AVERAGE_NODES", 16)
-        monkeypatch.setattr(kspace, "_MAX_NODES", 64)
-        with pytest.raises(NumericalError, match="at 64 nodes"):
-            asymptotic_moments(Local(), UP, "hadamard")
-
     @pytest.mark.parametrize("coin", ["hadamard", "fourier"])
-    @pytest.mark.parametrize("t", [None, 0, 1, 15, 64])
+    @pytest.mark.parametrize("t", [0, 1, 15, 64])
     def test_table_agrees_at_twice_the_nodes(self, monkeypatch, fresh_tables, coin, t):
         table = _coefficients(_key(coin), t).copy()
-        if t is None:
-            monkeypatch.setattr(kspace, "_AVERAGE_NODES", 2 * kspace._AVERAGE_NODES)
-        else:
-            nodes = max(kspace._MIN_NODES, 1 << (4 * t).bit_length())
-            monkeypatch.setattr(kspace, "_MIN_NODES", 2 * nodes)
+        nodes = max(kspace._MIN_NODES, 1 << (4 * t).bit_length())
+        monkeypatch.setattr(kspace, "_MIN_NODES", 2 * nodes)
         _coefficients.cache_clear()
         doubled = _coefficients(_key(coin), t)
         # the rounding of lambda^t grows with t: 2.2e-15 at t = 64
-        mid, half = doubled.shape[1] // 2, table.shape[1] // 2
-        assert np.max(np.abs(doubled[:, mid - half : mid + half + 1] - table)) <= 1e-14
-        # only the averaged table gains lags, and they lie below its edge tolerance
-        assert np.max(np.abs(doubled[:, : mid - half]), initial=0.0) <= 1e-15
-        assert np.max(np.abs(doubled[:, mid + half + 1 :]), initial=0.0) <= 1e-15
+        assert doubled.shape == table.shape
+        assert np.max(np.abs(doubled - table)) <= 1e-14
 
     def test_cache_is_bounded_and_read_only(self, fresh_tables):
         info = _coefficients.cache_info()
@@ -556,7 +541,7 @@ class TestClosedFormIsTheBlochForm:
     @pytest.mark.parametrize("profile", _CLOSED_FORM_PROFILES, ids=str)
     def test_extracted_f_gives_the_time_averaged_form(self, coin, profile):
         # the closed form at the extracted f is k-space's time-averaged G, not
-        # an approximation of it: the worst coefficient was 1.7e-15
+        # an approximation of it: the worst coefficient was 1.8e-15
         form = kspace._closed_form(coin, extract_f(coin, profile).f)
         averaged = delta_form(_asymptotic_kernels(_key(coin), profile))
         assert np.max(np.abs(form - averaged)) <= 4e-15
@@ -678,6 +663,137 @@ def _phase_coin(gamma, phi, theta, psi):
     d_phi, d_psi = (np.diag([cmath.exp(1j * x), cmath.exp(-1j * x)]) for x in (phi, psi))
     c, s = math.cos(theta), math.sin(theta)
     return cmath.exp(1j * gamma) * d_phi @ np.array([[c, s], [s, -c]]) @ d_psi
+
+
+def _averaged_table(coin, nodes):
+    """The time-averaged coefficients C_i(l), |l| < nodes / 2, sampled: the
+    products within each branch of U_k's eigenprojectors on `nodes` nodes,
+    by one FFT, as k-space tabulated them before the closed form.  Where
+    U_k's eigenphase gap is open the samples converge exponentially; the
+    test oracle of `kspace._averaged_rows`."""
+    evals, evecs = _spectrum_at(coin, _nodes(nodes))
+    vec = np.ascontiguousarray(evecs.transpose(2, 1, 0))  # [branch, x, node]
+    parts = vec[:, :, None] * np.conj(vec[:, None])  # [branch, x, s, node]
+    y, s, r = np.array(BASIS_SUMS).T
+    integrand = np.sum(parts[:, 0, s] * np.conj(parts[:, y, r]), axis=0)
+    lags = np.arange(1 - nodes // 2, nodes // 2)
+    spectrum = np.fft.fft(integrand, axis=-1)
+    return spectrum[:, lags % nodes] * (np.where(lags % 2 == 0, 1.0, -1.0) / nodes)
+
+
+def _closed_table(coin, m):
+    """The closed-form coefficients C_i(l), |l| <= m, of `kspace._averaged_rows`."""
+    rows, q = _averaged_rows(np.asarray(coin, dtype=np.complex128).tobytes())
+    table = np.zeros((7, 2 * m + 1), dtype=np.complex128)
+    powers = np.power(q, np.arange(m // 2))
+    table[:, m] = rows[:, 0]
+    table[:, m + 2 :: 2] = rows[:, 1:2] * powers
+    table[:, m - 2 :: -2] = rows[:, 2:3] * np.conj(powers)
+    return table
+
+
+def _haar_coins(count, seed):
+    """Haar-random U(2) coins: the QR of a complex Gaussian matrix, phases fixed."""
+    rng = np.random.default_rng(seed)
+    coins = []
+    for _ in range(count):
+        q, r = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+        coins.append(q * (np.diag(r) / np.abs(np.diag(r))))
+    return coins
+
+
+#: Twelve Haar coins, |c01| from 0.31 to 0.93, each held at 256 nodes.
+_HAAR_COINS = _haar_coins(12, 27)
+
+#: The closed-form coefficients against the sampled table: at most 3.3e-16 over
+#: 420 coins (400 Haar draws with |c01| >= 0.1, the named coins, R(theta) with
+#: phases at |c01| from 0.1 to 0.01), and sum i at most 2.2e-16 per unit of
+#: sum_n |r(n)|; the bound is six times the worst case.
+_ROWS_TOL = 2e-15
+
+
+def _oracle_nodes(coin):
+    """The fewest nodes, 256 and up, on which `_averaged_table` holds the
+    coefficients: the folded tail |c01| |q|^(nodes / 4) lies below 1e-17."""
+    s = abs(coin[0, 1])
+    nodes = 256
+    while s * ((1.0 - s) / (1.0 + s)) ** (nodes // 4) > 1e-17:
+        nodes *= 2
+    return nodes
+
+
+class TestAveragedRows:
+    """The time-averaged coefficients in closed form (`kspace._averaged_rows`),
+    against the eig + FFT table they replace (`_averaged_table`)."""
+
+    @pytest.mark.parametrize("coin", [hadamard_coin(), fourier_coin(), *_HAAR_COINS,
+                                      _phase_coin(0.4, 1.1, math.asin(0.25), -0.7),
+                                      _phase_coin(0.0, 0.0, math.asin(0.1), 0.0),
+                                      _phase_coin(0.4, 1.1, math.asin(0.1), -0.7),
+                                      _phase_coin(0.0, 0.0, math.asin(0.01), 0.0)],
+                             ids=lambda c: f"c01={abs(c[0, 1]):.3f}")
+    def test_rows_match_the_sampled_table(self, coin):
+        nodes = _oracle_nodes(coin)
+        assert nodes <= (1024 if abs(coin[0, 1]) >= 0.1 else 8192)
+        sampled = _averaged_table(coin, nodes)
+        closed = _closed_table(coin, nodes // 2 - 1)
+        assert np.max(np.abs(closed - sampled)) <= _ROWS_TOL
+
+    @pytest.mark.parametrize("coin", [hadamard_coin(), fourier_coin(), *_HAAR_COINS[:4]],
+                             ids=lambda c: f"c01={abs(c[0, 1]):.3f}")
+    @pytest.mark.parametrize("profile", [Local(), Gaussian(0.5), Gaussian(2.0), Gaussian(10.0),
+                                         Rectangular(5), Rectangular(200)], ids=str)
+    def test_sums_match_the_sampled_table(self, coin, profile):
+        # sum_n |r(n)| <= 2a + 1 for a rectangle, so the bound scales with it
+        _, w = profile_weights(profile)
+        want = lattice.table_sums(_averaged_table(coin, _oracle_nodes(coin)), w)
+        got = _asymptotic_kernels(coin.tobytes(), profile)
+        r = _autocorrelation(w, w.shape[0] - 1)
+        assert np.max(np.abs(np.subtract(got, want))) <= _ROWS_TOL * np.sum(np.abs(r))
+
+    def test_hadamard_rows_are_exact_constants(self):
+        # every entry lies in Q(sqrt2), with ratio q = -(3 - 2 sqrt2)
+        with mpmath.workdps(30):
+            r2 = mpmath.sqrt(2)
+            rho, h, a = 3 - 2 * r2, 1 / (2 * r2), (2 - r2) / 4
+            exact = [[1 - h, h * rho, h * rho], [a, a, -a * rho], [h, -h * rho, -h * rho],
+                     [a, -a * rho, a], [h, -h * rho, -h * rho], [-h * rho, h * rho**2, h],
+                     [-a, a * rho, -a]]
+            exact = np.array([[float(x) for x in row] for row in exact])
+            minus_rho = float(-rho)
+        rows, q = _averaged_rows(_key("hadamard"))
+        assert abs(q - minus_rho) <= EPS
+        assert np.max(np.abs(rows - exact)) <= 2 * EPS
+        # Fourier is the boost k0 = pi/2 of the same R(pi/4): its ratio is +rho
+        assert abs(_averaged_rows(_key("fourier"))[1] + minus_rho) <= EPS
+
+    def test_rows_are_cached_read_only(self):
+        rows, _ = _averaged_rows(_key("hadamard"))
+        assert _averaged_rows(_key("hadamard"))[0] is rows and not rows.flags.writeable
+        with pytest.raises(ValueError):
+            rows[0, 0] = 0.0
+
+    @pytest.mark.parametrize("coin", [_DIAGONAL, np.array([[0.0, 1.0], [1.0, 0.0]]),
+                                      *(np.array([[math.sqrt(1.0 - s * s), s],
+                                                  [-s, math.sqrt(1.0 - s * s)]])
+                                        for s in (1e-3, 1e-6, 1e-20, 1e-300))],
+                             ids=["diagonal", "sigma_x", "rot1e-3", "rot1e-6", "rot1e-20",
+                                  "rot1e-300"])
+    def test_edge_coins_are_served(self, coin):
+        # the sampled table needed 65,536 nodes at |c01| = 1e-3, and raised
+        # NumericalError at 1e-6 and for this rotation at 1e-20 (after 8.6 s);
+        # the closed form costs the same for every coin.  A diagonal coin never
+        # mixes its spins, and the rotation departs from it by at most |c01|.
+        s = abs(coin[0, 1])
+        for profile in (Local(), Gaussian(2.0)):
+            m = asymptotic_moments(profile, spin_from_angles(BlochAngles(0.7, 1.1)), coin)
+            assert 0.0 <= delta_from_moments(m) <= 1.0
+        sums = _asymptotic_kernels(unitary_coin(coin).tobytes(), Local())
+        if s < 1.0:
+            assert np.max(np.abs(np.subtract(sums, (1.0, 0, 0, 0, 0, 0, 0)))) <= s
+        else:  # sigma_x has a gap at every k: the sampled table holds it
+            want = lattice.table_sums(_averaged_table(unitary_coin(coin), 256), np.ones(1))
+            assert np.max(np.abs(np.subtract(sums, want))) <= _ROWS_TOL
 
 
 class TestOneCoinRule:
@@ -804,17 +920,15 @@ class TestOneCoinRule:
         assert abs(m.A - np.mean(run.cross[0, 0, 0].real)) <= 1e-3
         assert abs(m.B - np.mean(run.cross[1, 0, 0])) <= 1e-3
 
-    @pytest.mark.parametrize("c01, nodes", [(0.1, 1024), (0.05, 2048)])
+    @pytest.mark.parametrize("c01", [0.1, 0.05])
     @pytest.mark.parametrize("profile", [Local(), Gaussian(1.0)], ids=str)
-    def test_small_off_diagonal_doubles_the_table(self, profile, c01, nodes):
-        # the eigenphase gap of U_k closes to ~2 c01, so the time-averaged
-        # coefficients decay more slowly, and the table doubles from 256 nodes
-        # until its edge lies below 1e-15
+    def test_small_off_diagonal_is_the_lattice_time_average(self, profile, c01):
+        # the eigenphase gap of U_k closes to ~2 c01, and the walk's mean over
+        # t <= 2000 still meets the asymptote
         coin = _general_coin(math.asin(c01), 0.9, -1.7, 0.3)
         spin = spin_from_angles(BlochAngles(0.7, 1.1))
         run = walk(profile, (spin,), coin, 2000)
         m = asymptotic_moments(profile, spin, coin)
-        assert _coefficients(coin.tobytes(), None).shape[1] == nodes - 1
         assert abs(m.A - np.mean(run.cross[0, 0, 0].real)) <= 1e-3
         assert abs(m.B - np.mean(run.cross[1, 0, 0])) <= 1e-3
         # the exact tables at integer t hold for it all the same
@@ -825,24 +939,24 @@ class TestOneCoinRule:
     @pytest.mark.parametrize("make", [lambda theta: _phase_coin(0.0, 0.0, theta, 0.0),
                                       lambda theta: _general_coin(theta, 0.9, -1.7, 0.3)],
                              ids=["bare", "phased"])
-    def test_served_node_counts(self, make):
-        # the counts README lists, for R(theta) and for the phased coin above;
-        # a numerically diagonal coin is served like a diagonal one, so a
-        # refusal predicted from |c01| alone must spare it
-        for c01, nodes in [(0.5, 256), (0.3, 256), (0.25, 512), (0.2, 512), (0.02, 4096),
-                           (0.01, 8192), (0.0, 256), (1e-20, 256), (1e-300, 256)]:
+    def test_served_coins_match_the_sampled_table(self, make):
+        # the sampled table served these at 256 to 8,192 nodes; a numerically
+        # diagonal coin is served like a diagonal one
+        for c01 in (0.5, 0.3, 0.25, 0.2, 0.02, 0.01, 0.0, 1e-20, 1e-300):
             coin = make(math.asin(c01))
-            asymptotic_moments(Local(), UP, coin)
-            assert _coefficients(coin.tobytes(), None).shape == (7, nodes - 1), c01
+            m = asymptotic_moments(Local(), UP, coin)
+            assert 0.0 <= delta_from_moments(m) <= 1.0
+            nodes = _oracle_nodes(coin)
+            sampled = _averaged_table(coin, nodes)
+            assert np.max(np.abs(_closed_table(coin, nodes // 2 - 1) - sampled)) <= _ROWS_TOL, c01
 
-    def test_tiny_off_diagonal_is_served_at_65536_nodes(self, fresh_tables):
-        # at |c01| = 1e-3 both edges of the table only roughly halve at each
-        # doubling from 256 to 2,048 nodes (3.9e-3 to 4.1e-4), as they do at
-        # 1e-6, which is never served; the edge then falls to 1.3e-17, so a
-        # test of the decay rate at those node counts would refuse this coin
+    def test_tiny_off_diagonal_matches_the_sampled_table(self):
+        # at |c01| = 1e-3 the sampled table holds the rows only from 65,536 nodes on
         coin = _phase_coin(0.0, 0.0, math.asin(1e-3), 0.0)
+        assert _oracle_nodes(coin) == 65536
+        sampled = _averaged_table(coin, 65536)
+        assert np.max(np.abs(_closed_table(coin, 32767) - sampled)) <= _ROWS_TOL
         m = asymptotic_moments(Local(), spin_from_angles(BlochAngles(0.7, 1.1)), coin)
-        assert _coefficients(coin.tobytes(), None).shape == (7, 65535)
         assert 0.0 <= delta_from_moments(m) <= 1.0
 
     @settings(max_examples=40, deadline=None)
@@ -877,12 +991,11 @@ class TestOneCoinRule:
             d = [delta_from_moments(evolve_k_moments(Local(), s, c, t))
                  for s, c in ((spin, coin), (framed, reduced))]
             assert abs(d[0] - d[1]) <= 16 * EPS * (t + 1), t
-        # the averaged table needs 65,536 nodes at |c01| = 1e-3; |sin theta| >=
-        # 0.25 keeps it at 256-512 (1,000 draws: at most 8.9e-16 = 4 eps apart)
-        if abs(math.sin(theta)) >= 0.25:
-            d = [delta_from_moments(asymptotic_moments(Local(), s, c))
-                 for s, c in ((spin, coin), (framed, reduced))]
-            assert abs(d[0] - d[1]) <= 16 * EPS
+        # the time average at every theta (3,000 draws, a third of them with
+        # |sin theta| in {0, 1e-20, 1e-8, 1e-3} or near 1: at most 8.9e-16 = 4 eps apart)
+        d = [delta_from_moments(asymptotic_moments(Local(), s, c))
+             for s, c in ((spin, coin), (framed, reduced))]
+        assert abs(d[0] - d[1]) <= 16 * EPS
 
     @pytest.mark.parametrize("alpha, beta", [(0.7, 1.1), (2.9, -3.0), (math.pi / 4, 0.0)])
     def test_fourier_is_hadamard_turned_a_quarter_in_beta(self, alpha, beta):

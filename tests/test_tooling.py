@@ -102,7 +102,9 @@ def test_benchmark_tracer_finds_the_names_it_pins():
     # kspace._asymptotic_kernels by name.  Its install looks up moments_arrays
     # and raises, failing a traced benchmark run, if it is gone, though
     # average_trace no longer calls it; without _asymptotic_kernels the
-    # kspace.kernels.* metrics just read 0
+    # kspace.kernels.* metrics just read 0.  _asymptotic_kernels does the whole
+    # time-averaged sum (the closed-form rows and one dot product over the
+    # profile's even lags), so those metrics time all of it
     spec = importlib.util.spec_from_file_location("_perfbench_tracer",
                                                   ROOT / "perfbench" / "tracer.py")
     tracer_module = importlib.util.module_from_spec(spec)
