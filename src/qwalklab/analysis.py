@@ -24,6 +24,7 @@ from numpy.typing import NDArray
 
 from .core import (
     _entropy_into,
+    as_list,
     as_positive,
     as_time,
     bloch_monomials,
@@ -46,7 +47,7 @@ from .lattice import (
 
 @dataclass(frozen=True)
 class SweepGrid:
-    """Strictly increasing alpha and beta sample angles (radians), read by `core.check_angles`."""
+    """Strictly increasing 1-D alpha and beta axes (radians), read by `core.check_angles`."""
 
     alphas: NDArray[np.float64]
     betas: NDArray[np.float64]
@@ -55,8 +56,8 @@ class SweepGrid:
         check_angles(self.alphas, self.betas)
         for name, arr in (("alphas", self.alphas), ("betas", self.betas)):
             arr = np.asarray(arr, dtype=float)
-            if arr.size == 0 or np.any(np.diff(arr) <= 0):
-                raise DomainError(f"{name} must be non-empty and strictly increasing")
+            if arr.ndim != 1 or arr.size == 0 or np.any(np.diff(arr) <= 0):
+                raise DomainError(f"{name} must be one non-empty, strictly increasing axis")
             object.__setattr__(self, name, arr)
 
     @property
@@ -205,7 +206,7 @@ def compare(
     """<S_E(steps)> vs <S_bar_E> per dispersion, with percentage difference."""
     if as_time(steps, "steps") < 1:
         raise DomainError(f"steps must be >= 1, got {steps}")
-    sigmas = list(sigma_list)  # read once: an array or a generator is a list of sigma0
+    sigmas = as_list(sigma_list, "sigma list")
     if not sigmas:
         raise DomainError("sigma list must be non-empty")
     reports = []
@@ -263,7 +264,7 @@ def fit_power_law(points, offset: float | None = None) -> PowerLawFit:
     reference offsets are themselves asymptotic values, and a 2-parameter
     log-linear fit is reproducible.
     """
-    pts = [_fit_point(point) for point in points]
+    pts = [_fit_point(point) for point in as_list(points, "points")]
     if len(pts) < 3:
         raise DomainError(f"need at least 3 points, got {len(pts)}")
     d = 0.0 if offset is None else _finite(offset, "offset")

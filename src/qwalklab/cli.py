@@ -195,6 +195,13 @@ def _angles(cfg: dict) -> BlochAngles:
         raise ConfigError(f"--alpha/--beta: {exc}")
 
 
+def _at_least(cfg: dict, key: str, least: int):
+    """Option `key` (None if unset), or ConfigError naming its flag if it is below `least`."""
+    if cfg[key] is not None and cfg[key] < least:
+        raise ConfigError(f"--{key.replace('_', '-')}: must be >= {least}, got {cfg[key]}")
+    return cfg[key]
+
+
 def _write_text(path: str | None, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
@@ -226,11 +233,10 @@ def _write_table(path: str | None, header: str, rows, axes=(), footer=None) -> N
 def cmd_evolve(cfg: dict) -> int:
     if not cfg.get("out"):
         raise ConfigError("evolve requires --out (records and .dist distribution)")
-    if cfg["max_window"] is not None and cfg["max_window"] < 1:
-        raise ConfigError(f"--max-window: must be >= 1, got {cfg['max_window']}")
+    steps, max_sites = _at_least(cfg, "steps", 0), _at_least(cfg, "max_window", 1)
     profile = _profile(cfg)
     spin = spin_from_angles(_angles(cfg))
-    run = walk(profile, (spin,), cfg["coin"], cfg["steps"], max_sites=cfg["max_window"])
+    run = walk(profile, (spin,), cfg["coin"], steps, max_sites=max_sites)
     _write_table(cfg["out"], "t,A,B_re,B_im,entropy",
                  ((r.t, r.moments.A, r.moments.B.real, r.moments.B.imag, r.entropy)
                   for r in run.records()))
@@ -277,7 +283,7 @@ def cmd_sweep(cfg: dict) -> int:
     if cfg["mode"] == "asymptotic":
         result = analysis.sweep_asymptotic(cfg["coin"], profile, grid)
     else:
-        result = analysis.sweep_simulated(cfg["coin"], profile, grid, cfg["steps"])
+        result = analysis.sweep_simulated(cfg["coin"], profile, grid, _at_least(cfg, "steps", 0))
     _write_table(cfg.get("out"), "alpha,beta,entropy", zip(result.values.ravel().tolist()),
                  axes=(grid.alphas, grid.betas),
                  footer=("# mean={} min={} max={} argmin=({},{}) argmax=({},{})",
@@ -288,7 +294,7 @@ def cmd_sweep(cfg: dict) -> int:
 def cmd_compare(cfg: dict) -> int:
     sigmas = _family_sigmas(cfg)
     reports = analysis.compare(
-        cfg["coin"], cfg["profile"], sigmas, _grid(cfg), cfg["steps"]
+        cfg["coin"], cfg["profile"], sigmas, _grid(cfg), _at_least(cfg, "steps", 1)
     )
     _write_table(cfg.get("out"), "sigma0,mean_sim,mean_asym,delta_pct",
                  ((r.sigma0, r.mean_simulated, r.mean_asymptotic, r.delta_pct) for r in reports))

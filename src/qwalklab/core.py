@@ -137,6 +137,15 @@ def as_time(value, name: str) -> int:
     return number
 
 
+def as_list(value, name: str) -> list:
+    """The items of a sequence, read once, or DomainError naming `name` if it is not iterable."""
+    try:
+        items = iter(value)
+    except TypeError:
+        raise DomainError(f"{name} must be a sequence, got {value!r}") from None
+    return list(items)
+
+
 def as_positive(value, name: str):
     """A sigma0 or grid step `value`, a real > 0 and at most the largest double
     (no bool, and no int a double cannot hold), as it is; else DomainError."""

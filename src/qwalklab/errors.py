@@ -10,7 +10,7 @@ class DomainError(QwalkError):
 
 
 class NumericalError(QwalkError):
-    """A numerical routine produced results outside its accuracy contract."""
+    """A result outside its accuracy contract; no routine of qwalklab raises it at present."""
 
 
 class CapacityError(QwalkError):

@@ -38,10 +38,10 @@ amplitudes a propagator, M_T(j) = <j|U^T|0>, with M_(a+b) = M_a * M_b, a
 convolution in position: the table walks T // 4 steps and composes that
 propagator with itself twice (and with the last T mod 4 steps), by direct
 convolution, so it is built from walked amplitudes only and stays
-independent of k-space, which makes the same table from the coin's spectrum
-(`kspace._coefficients`).  At T = 1000 the table is 1.2e-15 off a
-long-double walk's (5.3e-16 when walked for all T steps), and is built in
-about a third of the time.
+independent of k-space, which makes the same table from powers of the step
+(`kspace._coefficients`) through the same FFT reader (`_lag_table`).  At
+T = 1000 the table is 1.2e-15 off a long-double walk's (5.3e-16 when walked
+for all T steps), and is built in about a third of the time.
 """
 
 from __future__ import annotations
@@ -59,6 +59,7 @@ from .core import (
     CoinMoments,
     CoinOperator,
     Spinor,
+    as_list,
     as_positive,
     as_time,
     entropy_from_moments,
@@ -326,6 +327,7 @@ class Walk(NamedTuple):
 def _recorded_times(steps: int, times) -> tuple[int, ...]:
     if times is None:
         return tuple(range(steps + 1))
+    times = as_list(times, "times")
     if len(times) == 0 or any(as_time(t, "times") > steps for t in times):
         raise DomainError(f"times must be integers in [0, {steps}], got {times!r}")
     return tuple(sorted({int(t) for t in times}))
@@ -351,7 +353,7 @@ def walk(
     The one walk loop of the package.  Each walker starts in the product state
     (profile weights) x (spin) on the profile's L sites; every spin must be
     normalized and the coin a name or unitary 2x2 matrix (`core.unitary_coin`).
-    Cross sums are recorded at `times` (every t in [0, steps] when None).
+    Cross sums are recorded at `times`, read once (every t in [0, steps] when None).
     `final` holds each walker on the L + 2 * steps sites it can reach, from
     j_min - steps on; that window is checked against max_sites first.
     max_sites is a count (`core.as_time`): a bool, a fraction, NaN, an
@@ -377,6 +379,7 @@ def walk(
             raise DomainError(f"max_sites must be >= 1, got {max_sites}")
     steps = as_time(steps, "steps")
     times = _recorded_times(steps, times)
+    spins = as_list(spins, "spins")
     for spin in spins:
         require_normalized(spin)
     coin = unitary_coin(coin)
@@ -522,9 +525,8 @@ def _local_table(coin: bytes, steps: int) -> NDArray[np.complex128]:
 
     Row i, column 2 * steps + n holds C_i(n) = sum_j a_s(j) conj(x_r(j + n))
     for the final amplitudes of sum i = (y, s, r) of `core.BASIS_SUMS`, as in
-    `kspace._coefficients`, all from one zero-padded FFT.  `coin` is the coin
-    matrix as bytes, for the cache key; the shared table is read-only
-    (448 KB at steps = 1000).
+    `kspace._coefficients`, all from one zero-padded FFT (`_lag_table`).
+    `coin` is the coin matrix as bytes, for the cache key; 448 KB at T = 1000.
 
     The final amplitudes are the walk's propagator M_T(j) = <j|U^T|0>, and
     U^(a + b) = U^a U^b with U translation invariant gives M_(a+b) = M_a * M_b,
@@ -532,9 +534,9 @@ def _local_table(coin: bytes, steps: int) -> NDArray[np.complex128]:
     a sixteenth of the T-step walk's site updates; M_q is composed with
     itself twice, to M_2q and M_4q, and then with the walk of the last
     T - 4q <= 3 steps.  Each composition is a product of walked propagators,
-    with no eigenvector and no sampled k in it, so the table stays
-    independent of k-space's.  At T = 1000 the table is built in 5 ms
-    instead of the T-step walk's 15 ms, and is 1.2e-15 off a
+    with no sampled k in it, so the table stays independent of k-space's,
+    16 times further off for the named coins.  At T = 1000 the table is
+    built in 5 ms instead of the T-step walk's 15 ms, and is 1.2e-15 off a
     long-double walk's table, against 5.3e-16 for the T-step walk: the four
     copies of M_q carry four times its rounding, which grows as the root
     of the steps, so about twice the T-step walk's.  One composition builds
@@ -550,11 +552,17 @@ def _local_table(coin: bytes, steps: int) -> NDArray[np.complex128]:
     sites = np.zeros((2, 2, 2 * steps + 1), dtype=np.complex128)  # [y, s, j + steps]
     sites[..., ::2] = taps  # sites with j + steps odd stay empty
     size = 1 << (4 * steps).bit_length()  # 2 steps + 1 sites: no wrap reaches a kept lag
-    f = np.fft.fft(sites, size)
+    return _lag_table(np.fft.fft(sites, size), steps)
+
+
+def _lag_table(u: NDArray[np.complex128], t: int) -> NDArray[np.complex128]:
+    """Both engines' read-only (7, 4t + 1) lag table of U^t on n > 4t nodes
+    k_m = 2 pi m / n: u[x, s, m] = sum_j <j, x|U^t|0, s> e^{-i k_m (j + j0)},
+    where the phase of any offset j0 (a window's first site) cancels."""
     # ifft(X conj(Y)) at lag m is sum_j x(j + m) conj(y(j)), C_i at n = -m;
-    # row by row, so no (7, size) temporaries outlive one row
-    lags = -np.arange(-2 * steps, 2 * steps + 1) % size
-    table = np.array([np.fft.ifft(f[0, s] * np.conj(f[y, r]))[lags] for y, s, r in BASIS_SUMS])
+    # row by row, so no (7, n) temporaries outlive one row
+    lags = -np.arange(-2 * t, 2 * t + 1) % u.shape[-1]
+    table = np.array([np.fft.ifft(u[0, s] * np.conj(u[y, r]))[lags] for y, s, r in BASIS_SUMS])
     table.flags.writeable = False
     return table
 

@@ -76,6 +76,16 @@ class TestGrids:
         with pytest.raises(DomainError):
             SweepGrid(alphas=np.array([]), betas=np.array([0.0]))
 
+    @pytest.mark.parametrize("alphas, betas", [
+        ([[0.1, 0.2], [0.3, 0.4]], [0.1, 0.5]),  # once a grid of 8 points
+        ([[0.1, 0.2], [0.05, 0.4]], [0.1, 0.5]),  # once checked along its rows only
+        ([0.1, 0.2], [[0.1, 0.5]]),
+        (0.1, [0.1, 0.5]),  # once numpy's bare ValueError from np.diff
+    ], ids=repr)
+    def test_axes_that_are_not_1d_rejected(self, alphas, betas):
+        with pytest.raises(DomainError, match="one non-empty, strictly increasing axis"):
+            SweepGrid(alphas, betas)
+
     @pytest.mark.parametrize("step", [1e-3, 1e-9, 1e-300, 5e-324])
     def test_grid_above_the_cap_refused_before_it_is_built(self, step):
         # 1e-9 would be a 3.1e9 x 6.3e9 grid; 5e-324 makes pi / step infinite
@@ -279,6 +289,12 @@ class TestCompare:
         with pytest.raises(DomainError, match="non-empty"):
             compare("hadamard", "gaussian", (s for s in ()), grid_from_step(1.0), 10)
 
+    @pytest.mark.parametrize("sigma_list", [3, 2.0, None, np.float64(1.0)], ids=repr)
+    def test_sigma_list_that_is_not_iterable_rejected(self, sigma_list):
+        # once list()'s bare TypeError
+        with pytest.raises(DomainError, match="sigma list must be a sequence"):
+            compare("hadamard", "gaussian", sigma_list, grid_from_step(1.0), 10)
+
     def test_sigma_list_read_once_as_a_list(self):
         # an array once raised numpy's bare ValueError from `if not sigma_list`
         grid = grid_from_step(1.0)
@@ -362,6 +378,14 @@ class TestFitPowerLaw:
             fit_power_law(points)
         rows = np.array([(1.0, 1.0), (2.0, 0.5), (4.0, 0.25)])  # an array's rows are pairs
         assert fit_power_law(rows) == fit_power_law([tuple(r) for r in rows.tolist()])
+
+    @pytest.mark.parametrize("points", [5, 2.5, None, np.array(1.0)], ids=repr)
+    def test_points_that_are_not_iterable_rejected(self, points):
+        # once the bare TypeError of iterating them
+        with pytest.raises(DomainError, match="points must be a sequence"):
+            fit_power_law(points)
+        pairs = ((s, 2.0 / s) for s in (1.0, 2.0, 4.0))  # a generator is read once
+        assert fit_power_law(pairs) == fit_power_law([(1.0, 2.0), (2.0, 1.0), (4.0, 0.5)])
 
     def test_degenerate_abscissae(self):
         with pytest.raises(FitError):

@@ -446,14 +446,21 @@ class TestOptions:
             "command", "coin", "profile", "sigmas", "grid_step", "quantity", "out"}
 
 
-@pytest.mark.parametrize("argv", [
-    ["evolve", "--steps", "-1", "--out", "{tmp}/run.csv"],
-    ["sweep", "--mode", "simulated", "--steps", "-1", "--grid-step", "1.0"],
-    ["compare", "--profile", "gaussian", "--sigmas", "1", "--steps", "0"],
+@pytest.mark.parametrize("argv, least", [
+    (["evolve", "--steps", "-1", "--out", "{tmp}/run.csv"], 0),
+    (["sweep", "--mode", "simulated", "--steps", "-1", "--grid-step", "1.0"], 0),
+    (["compare", "--profile", "gaussian", "--sigmas", "1", "--steps", "0"], 1),
+    (["compare", "--profile", "gaussian", "--sigmas", "1", "--steps", "-1"], 1),
 ])
-def test_steps_below_the_walks_minimum_exit_2(argv, tmp_path, capsys):
+def test_steps_below_the_walks_minimum_exit_2(argv, least, tmp_path, monkeypatch, capsys):
+    # the error names the --steps flag, as --a, --grid-step and --max-window
+    # errors name theirs, before any sweep runs
+    monkeypatch.setattr(analysis, "sweep_simulated", _no_sweep)
+    monkeypatch.setattr(analysis, "sweep_asymptotic", _no_sweep)
     code, out, err = run([arg.format(tmp=tmp_path) for arg in argv], capsys)
-    assert code == 2 and out == "" and "steps must be" in err
+    assert code == 2 and out == ""
+    steps = argv[argv.index("--steps") + 1]
+    assert err.splitlines()[-1] == f"error: --steps: must be >= {least}, got {steps}"
     assert not (tmp_path / "run.csv").exists()
 
 

@@ -624,10 +624,10 @@ INPUT_READERS = [
      [(0.0, lambda: _closed(0.0, 0.0)), (math.pi, lambda: _closed(math.pi, 0.0))]),
     ("closed_delta", "beta", lambda f, x: f("hadamard", _LOCAL_F, 1.0, x), _NOT_NUMBERS,
      [(_BETA_WRAP, lambda: _closed(1.0, _BETA_WRAP))]),
-    ("SweepGrid", "alphas", lambda f, x: _axes(f([x], [0.0])), _BAD_ALPHA,
+    ("SweepGrid", "alphas", lambda f, x: _axes(f([x], [0.0])), _BAD_ALPHA + [_TWO_ANGLES],
      [(0.0, lambda: (np.array([0.0]), np.array([0.0]))),
       (math.pi, lambda: (np.array([math.pi]), np.array([0.0])))]),
-    ("SweepGrid", "betas", lambda f, x: _axes(f([0.0], [x])), _NOT_NUMBERS,
+    ("SweepGrid", "betas", lambda f, x: _axes(f([0.0], [x])), _NOT_NUMBERS + [_TWO_ANGLES],
      [(_BETA_WRAP, lambda: (np.array([0.0]), np.array([_BETA_WRAP])))]),
     ("max_entanglement_beta", "alpha", lambda f, x: f(x), _BAD_ALPHA,
      [(0.0, DomainError), (math.pi, DomainError),  # |cot alpha| > 1: no band there

@@ -42,13 +42,12 @@ from qwalklab.kspace import (
     _averaged_rows,
     _basis_sums,
     _coefficients,
-    _nodes,
-    _spectrum_at,
+    _step_powers,
     coin_tag,
 )
 from qwalklab import lattice
 from qwalklab.lattice import _autocorrelation, profile_weights, walk
-from test_lattice import _general_coin
+from test_lattice import _general_coin, _longdouble_table
 
 SQRT2 = math.sqrt(2.0)
 UP = Spinor(1.0, 0.0)
@@ -83,7 +82,7 @@ class TestCoefficients:
         monkeypatch.setattr(kspace, "_MIN_NODES", 2 * nodes)
         _coefficients.cache_clear()
         doubled = _coefficients(_key(coin), t)
-        # the rounding of lambda^t grows with t: 2.2e-15 at t = 64
+        # the rounding of U_k^t grows with t: 1.2e-15 at t = 64
         assert doubled.shape == table.shape
         assert np.max(np.abs(doubled - table)) <= 1e-14
 
@@ -102,10 +101,10 @@ class TestCoefficients:
         class Sampled(Exception):
             pass
 
-        def refuse(n):
+        def refuse(matrix, t, n):
             raise Sampled(n)
 
-        monkeypatch.setattr(kspace, "_nodes", refuse)
+        monkeypatch.setattr(kspace, "_step_powers", refuse)
         # t = 2**18 - 1 needs 2**20 nodes, the most a table may sample
         with pytest.raises(Sampled):
             _coefficients(_key("hadamard"), 262_143)
@@ -168,28 +167,51 @@ _OMEGA = {"hadamard": lambda k: np.arcsin(np.sin(k) / math.sqrt(2.0)),
           "fourier": lambda k: np.arccos(np.cos(k) / math.sqrt(2.0))}
 
 
+def _step_eigenvalues(coin, nodes):
+    """The eigenvalues (n, 2) of U_k at the FFT nodes k_m = 2 pi m / n, from
+    the one-step power `_step_powers(coin, 1, n)`."""
+    return np.linalg.eigvals(np.moveaxis(_step_powers(coin, 1, nodes), -1, 0))
+
+
 class TestDispersion:
     @pytest.mark.parametrize("coin", ["hadamard", "fourier"])
     def test_eigenphase_consistency(self, coin):
         # at every k one eigenvalue of U_k is +-e^{-i omega_k}
-        k = np.linspace(-math.pi, math.pi, 81)
-        evals, _ = _spectrum_at(_coin_op(coin), k)
+        k = 2.0 * math.pi * np.arange(80) / 80
+        evals = _step_eigenvalues(_coin_op(coin), 80)
         e = np.exp(-1j * _OMEGA[coin](k))[:, None]
         assert np.max(np.min(np.minimum(np.abs(evals - e), np.abs(evals + e)), axis=1)) < 1e-12
 
 
+def _power_bound(t):
+    """How far rounding may move U_k^t, or a table from it, off the exact one:
+    c (t + 1) eps with c = 26, counted for `kspace._step_powers`.
+
+    With u = eps / 2, the step rounds its node k = 2 pi m / n by at most
+    2u |k| < 2 pi eps, which moves U_k^t by t times as much (|dU_k/dk| = 1),
+    and its entries by (2 + sqrt5) u sqrt2 < 3 eps in norm (the phase and one
+    complex product).  Each 2x2 product rounds by (sqrt5 + 1) u per entry of
+    unit rows and columns, < 3.3 eps in norm, and a squaring doubles the error
+    it inherits, so U_k^t carries t - 1 products' worth: in all
+    (2 pi + 3 + 3.3) t eps < 12.6 t eps.  An integrand is a product of two
+    entries, so a table is off by less than 25.2 t eps, and the rest of the
+    bound holds the FFT's rounding of unit samples.
+    """
+    return 26.0 * (t + 1) * EPS
+
+
 class TestCoinSpectrum:
-    """The batched eigenpairs of U_k that every k-space table is built from."""
+    """U_k and its powers, which every k-space table is built from."""
 
     def test_hadamard_center(self):
-        evals, _ = _spectrum_at(_coin_op("hadamard"), np.array([0.0]))
-        assert sorted(np.round(evals[0].real, 12)) == [-1.0, 1.0]
-        assert np.max(np.abs(evals[0].imag)) < 1e-12
+        evals = _step_eigenvalues(_coin_op("hadamard"), 64)[0]
+        assert sorted(np.round(evals.real, 12)) == [-1.0, 1.0]
+        assert np.max(np.abs(evals.imag)) < 1e-12
 
     def test_fourier_center(self):
-        evals, _ = _spectrum_at(_coin_op("fourier"), np.array([0.0]))
+        evals = _step_eigenvalues(_coin_op("fourier"), 64)[0]
         expected = {cmath.exp(-1j * math.pi / 4), cmath.exp(1j * math.pi / 4)}
-        for lam in evals[0]:
+        for lam in evals:
             assert min(abs(lam - e) for e in expected) < 1e-12
 
     @pytest.mark.parametrize("nodes", [256, 4096])
@@ -199,17 +221,15 @@ class TestCoinSpectrum:
         *(_general_coin(theta, 0.0, 0.0, 0.0) for theta in (1e-100, 1e-16, 1e-12, 1e-8)),
     ], ids=["hadamard", "fourier", *(f"random{i}" for i in range(4)),
             *(f"theta={theta}" for theta in (1e-100, 1e-16, 1e-12, 1e-8))])
-    def test_unit_modulus_and_orthonormal(self, coin, nodes):
-        evals, v = _spectrum_at(coin, _nodes(nodes))
-        assert np.max(np.abs(np.abs(evals) - 1.0)) < 1e-12
-        gram = np.conj(np.swapaxes(v, -1, -2)) @ v
-        assert np.max(np.abs(gram - np.eye(2))) < 1e-12
-        # Phi_- is Phi_+'s complement: orthogonal exactly, and the branch parts
-        # P_pm[x, s] = Phi_pm[x] conj(Phi_pm[s]) sum to |Phi_+|^2 times 1
-        assert np.all(np.sum(np.conj(v[:, :, 0]) * v[:, :, 1], axis=-1) == 0)
-        parts = np.sum(v[:, :, None, :] * np.conj(v[:, None, :, :]), axis=-1)
-        norm_sq = np.sum(np.real(v[:, :, 0] * np.conj(v[:, :, 0])), axis=-1)
-        assert np.max(np.abs(parts - norm_sq[:, None, None] * np.eye(2))) <= 2 * EPS
+    def test_powers_are_unitary_at_every_node(self, coin, nodes):
+        # the rotations' eigenvalues nearly coincide at k = 0 and pi, which
+        # squaring does not see.  Measured worst case: 2.54 (t + 1) eps at
+        # t = 4000, 10x inside the bound; t = 0 is the identity, exactly
+        assert np.array_equal(_step_powers(coin, 0, nodes), np.eye(2)[:, :, None] * np.ones(nodes))
+        for t in (1, 2, 3, 7, 64, 1000, 4000):
+            power = _step_powers(coin, t, nodes)
+            gram = np.einsum("xsm,xrm->srm", np.conj(power), power)
+            assert np.max(np.abs(gram - np.eye(2)[:, :, None])) <= _power_bound(t), t
 
     def test_unknown_coin_rejected(self):
         for coin in ("grover", np.eye(2)):
@@ -341,7 +361,7 @@ class TestExactEnvelope:
         m = np.arange(-lags, lags + 1)
         direct = [np.dot(w[abs(l):], w[: w.shape[0] - abs(l)]) for l in m]
         assert np.max(np.abs(r - direct)) <= 1e-15
-        k = _nodes(n)
+        k = 2.0 * math.pi * np.arange(n) / n
         g = np.exp(-1j * np.multiply.outer(k, j_min + np.arange(w.shape[0]))) @ w
         g2 = np.abs(g) ** 2
         nodal = (g2 * np.exp(1j * np.multiply.outer(m, k))).mean(axis=1)
@@ -371,31 +391,45 @@ class TestExactEnvelope:
         assert abs(ka1 - float(exact)) <= 1e-13
 
 
+#: The coins both engines tabulate: the named coins (held to 1e-13, as
+#: before), a general U(2) coin, and one with |c01| = 0.01 (held to
+#: `_power_bound`, whose c (t + 1) eps the k-space table dominates).
+_ORACLE_COINS = {"hadamard": hadamard_coin(), "fourier": fourier_coin(),
+                 "general": _general_coin(0.7, 0.3, -1.1, 0.4),
+                 "c01=0.01": _general_coin(math.asin(0.01), 0.9, -1.7, 0.3)}
+
+
 class TestTableOracle:
     """Both engines make one lag table per (coin, t) and share `table_sums`:
     when the tables agree, every profile's sums agree."""
 
     @pytest.mark.parametrize("t", [0, 1, 2, 3, 17, 64, 500, 1000, 2000])
-    @pytest.mark.parametrize("coin", ["hadamard", "fourier"])
-    def test_lattice_table_matches_kspace_table(self, coin, t):
-        walked = lattice._local_table(_coin_op(coin).tobytes(), t)
-        sampled = _coefficients(_key(coin), t)
+    @pytest.mark.parametrize("name", _ORACLE_COINS)
+    def test_lattice_table_matches_kspace_table(self, name, t):
+        # measured worst case of the unnamed coins: 0.45 (t + 1) eps (general,
+        # t = 1) and 1.10 (t + 1) eps (c01 = 0.01, t = 64), 23x inside the bound
+        coin = _ORACLE_COINS[name]
+        walked = lattice._local_table(coin.tobytes(), t)
+        sampled = _coefficients(coin.tobytes(), t)
         assert walked.shape == sampled.shape == (7, 4 * t + 1)
-        assert np.max(np.abs(walked - sampled)) <= 1e-13
+        bound = 1e-13 if name in ("hadamard", "fourier") else _power_bound(t)
+        assert np.max(np.abs(walked - sampled)) <= bound
 
     @pytest.mark.parametrize("t", [0, 1, 64, 1000])
-    @pytest.mark.parametrize("coin", ["hadamard", "fourier"])
-    def test_sums_differ_by_at_most_the_table_bound(self, coin, t):
+    @pytest.mark.parametrize("name", _ORACLE_COINS)
+    def test_sums_differ_by_at_most_the_table_bound(self, name, t):
         # |sum_n r(n) dC(n)| <= max_n |dC(n)| * sum_n |r(n)|, plus the rounding
         # of the two sums: a few ulps per unit of sum_n |r(n)|, since |C| <= 1
-        walked = lattice._local_table(_coin_op(coin).tobytes(), t)
-        gap = np.max(np.abs(walked - _coefficients(_key(coin), t)))
+        coin = _ORACLE_COINS[name]
+        walked = lattice._local_table(coin.tobytes(), t)
+        gap = np.max(np.abs(walked - _coefficients(coin.tobytes(), t)))
+        assert gap <= _power_bound(t)
         for profile in (Local(), Gaussian(0.3), Gaussian(2.0), Gaussian(30.0),
                         Rectangular(0), Rectangular(17)):
             _, w = profile_weights(profile)
             r = _autocorrelation(w, min(2 * t, w.shape[0] - 1))
-            diff = np.subtract(basis_sums(profile, _coin_op(coin), t),
-                               _basis_sums(_key(coin), profile, t))
+            diff = np.subtract(basis_sums(profile, coin, t),
+                               _basis_sums(coin.tobytes(), profile, t))
             assert np.max(np.abs(diff)) <= (gap + 4 * EPS) * np.sum(np.abs(r)), profile
 
 
@@ -665,13 +699,31 @@ def _phase_coin(gamma, phi, theta, psi):
     return cmath.exp(1j * gamma) * d_phi @ np.array([[c, s], [s, -c]]) @ d_psi
 
 
+def _eig_spectrum(coin, nodes):
+    """Eigenvalues (n, 2) and orthonormal eigenvector columns (n, 2, 2) of
+    U_k = diag(e^{-ik}, e^{ik}) C at k = -pi + 2 pi m / n, by numpy's eig: the
+    first column is eig's, the second its orthogonal complement
+    (-conj Phi_+[1], conj Phi_+[0]), which U_k, unitary and so normal, keeps
+    as the eigenvector of lambda_- even where the eigenvalues nearly coincide
+    and eig's own second column may be far from orthogonal."""
+    k = -math.pi + (2.0 * math.pi / nodes) * np.arange(nodes)
+    u = np.empty(k.shape + (2, 2), dtype=np.complex128)
+    u[:, 0] = np.exp(-1j * k)[:, None] * coin[0]
+    u[:, 1] = np.exp(1j * k)[:, None] * coin[1]
+    evals, evecs = np.linalg.eig(u)
+    first = evecs[:, :, 0]
+    evecs[:, :, 1] = np.stack((-np.conj(first[:, 1]), np.conj(first[:, 0])), axis=-1)
+    assert np.abs(u @ evecs - evals[..., None, :] * evecs).max() <= 1e-10
+    return evals, evecs
+
+
 def _averaged_table(coin, nodes):
     """The time-averaged coefficients C_i(l), |l| < nodes / 2, sampled: the
     products within each branch of U_k's eigenprojectors on `nodes` nodes,
     by one FFT, as k-space tabulated them before the closed form.  Where
     U_k's eigenphase gap is open the samples converge exponentially; the
     test oracle of `kspace._averaged_rows`."""
-    evals, evecs = _spectrum_at(coin, _nodes(nodes))
+    evals, evecs = _eig_spectrum(coin, nodes)
     vec = np.ascontiguousarray(evecs.transpose(2, 1, 0))  # [branch, x, node]
     parts = vec[:, :, None] * np.conj(vec[:, None])  # [branch, x, s, node]
     y, s, r = np.array(BASIS_SUMS).T
@@ -796,6 +848,30 @@ class TestAveragedRows:
             assert np.max(np.abs(np.subtract(sums, want))) <= _ROWS_TOL
 
 
+#: Coins for the long-double oracle: the named coins, four Haar coins (|c01|
+#: from 0.18 to 0.97), and |c01| = 0.01 and 1e-8, where U_k's eigenvalues
+#: nearly coincide.
+_LONGDOUBLE_COINS = {"hadamard": hadamard_coin(), "fourier": fourier_coin(),
+                     **{f"haar{i}": c for i, c in enumerate(_haar_coins(4, 28))},
+                     "c01=0.01": _general_coin(math.asin(0.01), 0.9, -1.7, 0.3),
+                     "c01=1e-8": _general_coin(math.asin(1e-8), 0.9, -1.7, 0.3)}
+
+
+class TestTableAgainstLongDouble:
+    """The k-space table from U_k^t against the Local walk stepped in long double."""
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= EPS,
+                        reason="long double is no wider than double here")
+    @pytest.mark.parametrize("t", [0, 1, 3, 7, 64, 257, 1000, 4000])
+    @pytest.mark.parametrize("name", _LONGDOUBLE_COINS)
+    def test_table_within_the_power_bound(self, name, t):
+        # measured worst case: 1.10 (t + 1) eps (c01 = 1e-8, t = 4000), 23x
+        # inside the bound; the named coins stay below 0.36 (t + 1) eps
+        coin = _LONGDOUBLE_COINS[name]
+        exact = _longdouble_table(coin, t)
+        assert np.max(np.abs(_coefficients(coin.tobytes(), t) - exact)) <= _power_bound(t)
+
+
 class TestOneCoinRule:
     """Both engines read a coin by `core.unitary_coin`: a name or any finite
     unitary 2x2 matrix, walked and sampled as given."""
@@ -825,13 +901,12 @@ class TestOneCoinRule:
             assert abs(mk.B - records[t].moments.B) <= 1e-12, t
 
     @pytest.mark.parametrize("theta", [1e-100, 1e-16, 1e-12, 1e-8])
-    def test_near_degenerate_nodes_keep_orthonormal_eigenvectors(self, theta):
-        # with every phase 0, U_k's eigenvalues nearly coincide at the nodes
-        # k = 0 and -pi, where eig's eigenvectors were up to 0.58 from orthogonal
-        # and the t = 0 table missed the walk by 5.7e-3 (theta = 8.4e-100)
+    def test_near_degenerate_coins_match_the_walk(self, theta):
+        # with every phase 0, U_k's eigenvalues nearly coincide at k = 0 and
+        # pi, where an eigenbasis of eig was up to 0.58 from orthogonal and the
+        # t = 0 table missed the walk by 5.7e-3 (theta = 8.4e-100); U_k^t
+        # needs no eigenbasis
         coin = _general_coin(theta, 0.0, 0.0, 0.0)
-        _, v = _spectrum_at(coin, _nodes(64))
-        assert np.max(np.abs(np.conj(np.swapaxes(v, -1, -2)) @ v - np.eye(2))) <= 1e-15
         spin = spin_from_angles(BlochAngles(0.7, 1.1))
         records = walk(Gaussian(1.0), (spin,), coin, 64).records()
         for t in (0, 1, 64):

@@ -520,6 +520,25 @@ class TestBasisEvolution:
             with pytest.raises(DomainError):
                 lattice.walk(Local(), (UP,), hadamard_coin(), 10, times=times)
 
+    @pytest.mark.parametrize("times", [5, 2.5, np.int64(3), np.array(3)], ids=repr)
+    def test_times_that_are_not_iterable_rejected(self, times):
+        # once the bare TypeError of len()
+        with pytest.raises(DomainError, match="times must be a sequence"):
+            lattice.walk(Local(), (UP,), hadamard_coin(), 10, times=times)
+
+    def test_times_and_spins_read_once(self):
+        # a generator of times once failed on len()
+        want = lattice.walk(Gaussian(1.5), lattice._BASIS, hadamard_coin(), 10, times=[3, 10])
+        got = lattice.walk(Gaussian(1.5), iter(lattice._BASIS), hadamard_coin(), 10,
+                           times=(t for t in (3, 10)))
+        assert got.times == want.times and got.cross.tobytes() == want.cross.tobytes()
+
+    @pytest.mark.parametrize("spins", [UP, 1.0, None], ids=repr)
+    def test_spins_that_are_not_iterable_rejected(self, spins):
+        # a Spinor where the sequence of spins belongs was once a bare TypeError
+        with pytest.raises(DomainError, match="spins must be a sequence"):
+            lattice.walk(Local(), spins, hadamard_coin(), 10)
+
     def test_capacity_checked_before_walking(self, monkeypatch):
         # Local: 1 site, 21 after 10 steps
         for spins in ((UP,), lattice._BASIS):
