@@ -280,10 +280,11 @@ def _grid(cfg: dict) -> analysis.SweepGrid:
 def cmd_sweep(cfg: dict) -> int:
     grid = _grid(cfg)
     profile = _profile(cfg)
+    steps = _at_least(cfg, "steps", 0)  # checked in both modes; only the simulated one walks
     if cfg["mode"] == "asymptotic":
         result = analysis.sweep_asymptotic(cfg["coin"], profile, grid)
     else:
-        result = analysis.sweep_simulated(cfg["coin"], profile, grid, _at_least(cfg, "steps", 0))
+        result = analysis.sweep_simulated(cfg["coin"], profile, grid, steps)
     _write_table(cfg.get("out"), "alpha,beta,entropy", zip(result.values.ravel().tolist()),
                  axes=(grid.alphas, grid.betas),
                  footer=("# mean={} min={} max={} argmin=({},{}) argmax=({},{})",

@@ -260,11 +260,17 @@ def _binary_entropy_into(lam, out, work) -> None:
     beyond two masks; lam is clipped to [0, 1] and then overwritten, and work,
     of lam's shape, is scratch."""
     np.clip(lam, 0.0, 1.0, out=lam)
-    q = np.subtract(1.0, lam, out=work)
     # log2 is evaluated only where its argument is positive; the zero-filled
     # out= arrays make the skipped entries defined (0 log 0 = 0).
     out.fill(0.0)
     np.log2(lam, out=out, where=lam > 0.0)
+    _entropy_sum_into(lam, out, work)
+
+
+def _entropy_sum_into(lam, out, work) -> None:
+    """-lam log2 lam - q log2 q, q = 1 - lam, into out, which holds log2 lam
+    (0 where lam is 0) on entry; lam is overwritten, and work is scratch."""
+    q = np.subtract(1.0, lam, out=work)
     # The skipped logs are 0, so each product is already 0 where its factor is.
     np.multiply(lam, out, out=out)
     log_q = lam
@@ -413,11 +419,14 @@ def _entropy_into(delta, out, work) -> None:
 def _clamped_entropy_into(delta, out, work) -> None:
     """`_entropy_into` of a delta already checked and clamped to [0, 1], as
     `delta_from_moments` returns it: delta is overwritten, with no second
-    check or clip."""
+    check or clip.  lam = (1 + sqrt(delta))/2 lies in [1/2, 1], so it needs
+    neither `_binary_entropy_into`'s clip nor a mask on log2(lam); only
+    q = 1 - lam can be 0."""
     lam = np.sqrt(delta, out=delta)
     np.add(1.0, lam, out=lam)
     np.divide(lam, 2.0, out=lam)
-    _binary_entropy_into(lam, out, work)
+    np.log2(lam, out=out)
+    _entropy_sum_into(lam, out, work)
 
 
 def delta_from_moments(m: CoinMoments):

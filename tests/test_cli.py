@@ -449,6 +449,7 @@ class TestOptions:
 @pytest.mark.parametrize("argv, least", [
     (["evolve", "--steps", "-1", "--out", "{tmp}/run.csv"], 0),
     (["sweep", "--mode", "simulated", "--steps", "-1", "--grid-step", "1.0"], 0),
+    (["sweep", "--mode", "asymptotic", "--steps", "-5", "--grid-step", "1.0"], 0),
     (["compare", "--profile", "gaussian", "--sigmas", "1", "--steps", "0"], 1),
     (["compare", "--profile", "gaussian", "--sigmas", "1", "--steps", "-1"], 1),
 ])

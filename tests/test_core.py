@@ -329,6 +329,18 @@ class TestBinaryEntropy:
         assert binary_entropy(np.array([-1e-12, 1.0 + 1e-12])).tolist() == [0.0, 0.0]
 
 
+def _general_path_entropy(delta):
+    """entropy_from_delta by the general binary-entropy path: lam clipped to
+    [0, 1], and both logs evaluated only where their argument is positive."""
+    lam = np.clip((1.0 + np.sqrt(np.clip(delta, 0.0, 1.0))) / 2.0, 0.0, 1.0)
+    q = 1.0 - lam
+    log_lam = np.zeros_like(lam)
+    np.log2(lam, out=log_lam, where=lam > 0.0)
+    log_q = np.zeros_like(q)
+    np.log2(q, out=log_q, where=q > 0.0)
+    return 0.0 - (lam * log_lam + q * log_q)
+
+
 class TestEntropyKernel:
     """`_entropy_into`, the one entropy kernel, writing into caller buffers."""
 
@@ -353,6 +365,17 @@ class TestEntropyKernel:
             scratch = delta.copy()
             _entropy_into(scratch, out, work)
             assert out.tobytes() == expected.tobytes()
+
+    def test_lambda_of_a_half_or_more_needs_no_clip_or_mask(self):
+        # lam = (1 + sqrt(delta))/2 lies in [1/2, 1], so the kernel skips the
+        # general path's clip of lam and its mask on log2(lam), byte for byte
+        rng = np.random.default_rng(29)
+        edges = [0.0, 1.0, 1.0 - 2.0**-52, 2.0**-1074, 1e-300]
+        delta = np.concatenate((rng.uniform(0.0, 1.0, 10**6), edges))
+        assert entropy_from_delta(delta).tobytes() == _general_path_entropy(delta).tobytes()
+        moments = CoinMoments(A=0.5 + np.sqrt(delta) / 2.0, B=np.zeros_like(delta))
+        assert entropy_from_moments(moments).tobytes() == \
+            _general_path_entropy(delta_from_moments(moments)).tobytes()
 
     def test_scalars_keep_their_bytes(self):
         for d in (0.0, 1.0, 1.0 - 1e-16, 1e-300, 0.25, -1e-12, 1.0 + 1e-12):

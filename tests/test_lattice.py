@@ -17,6 +17,7 @@ from qwalklab import (
     Rectangular,
     Spinor,
     basis_sums,
+    entropy_from_moments,
     evolve,
     evolve_basis,
     fourier_coin,
@@ -271,6 +272,18 @@ class TestEvolve:
         with pytest.raises(DomainError):
             evolve(Local(), UP, hadamard_coin(), -1)
 
+    def test_records_hold_python_numbers_of_the_cross_sums(self):
+        spin = spin_from_angles(BlochAngles(0.7, 1.1))
+        run = lattice.walk(Gaussian(1.5), (spin,), fourier_coin(), 40)
+        recs = run.records()
+        assert [r.t for r in recs] == list(range(41))
+        for n, rec in enumerate(recs):
+            assert type(rec.t) is int and type(rec.entropy) is float
+            assert type(rec.moments.A) is float and type(rec.moments.B) is complex
+            assert rec.moments.A == float(run.cross[0, 0, 0, n].real)
+            assert rec.moments.B == complex(run.cross[1, 0, 0, n])
+            assert rec.entropy == entropy_from_moments(rec.moments)
+
 
 _SPINS = strategies.builds(
     lambda alpha, beta: spin_from_angles(BlochAngles(alpha, beta)),
@@ -450,6 +463,100 @@ class TestSiteLayoutOracle:
         assert nonzero[0] > 0 and nonzero[-1] < peak.size - 1  # a tail was dropped
 
 
+def _coin_shift(psi, lo, hi, c, coin, scratch):
+    """One step of the per-pair loop (`_per_pair_walk`), in place, on the live
+    slots [lo, hi) of psi (states x 2 x slots): new slices every step, numpy
+    scalar coin entries, and a's vacated slots cleared by assignment."""
+    n = hi - lo
+    a = psi[:, 0, lo:hi]
+    b = psi[:, 1, lo:hi]
+    up = scratch[0, :, :, :n]
+    down = scratch[1, :, :, :n]
+    np.multiply(coin[0, 0], a, out=up[:, 0])
+    np.multiply(coin[0, 1], b, out=up[:, 1])
+    np.multiply(coin[1, 0], a, out=down[:, 0])
+    np.multiply(coin[1, 1], b, out=down[:, 1])
+    np.add(up[:, 0], up[:, 1], out=psi[:, 0, lo + c : hi + c])
+    np.add(down[:, 0], down[:, 1], out=b)
+    psi[:, 0, lo : lo + c] = 0.0
+
+
+def _per_pair_walk(profile, spins, coin, steps, times=None):
+    """`walk`'s loop as it was before it stepped views made once per scan block
+    and recorded one np.vecdot per time: `_coin_shift` on the live range each
+    step, and one np.vdot per cross sum of each recorded time.  The same live
+    range, scans and floor as `walk`; returns (cross, final sites)."""
+    times = lattice._recorded_times(steps, times)
+    j_min, w = profile_weights(profile)
+    n0 = w.shape[0]
+    c = min(2, n0)
+    n_states = len(spins)
+    psi = np.zeros((n_states, 2, n0 + c * steps), dtype=np.complex128)
+    for s, spin in enumerate(spins):
+        psi[s, 0, :n0] = w * spin.up
+        psi[s, 1, :n0] = w * spin.down
+    scratch = np.empty((2, *psi.shape), dtype=np.complex128)
+    pairs = ([(1, s, r) for s in range(n_states) for r in range(n_states)]
+             + [(0, s, r) for s in range(n_states) for r in range(s, n_states)])
+    sums = np.empty((len(times), len(pairs)), dtype=np.complex128)
+    lo, hi = 0, n0
+    k = next_scan = 0
+    for t in range(steps + 1):
+        if t == next_scan:
+            lo, hi = lattice._live_range(psi, lo, hi)
+            next_scan = min(t + lattice._SCAN_EVERY, steps)
+        if k < len(times) and times[k] == t:
+            x = psi[:, :, lo:hi]
+            sums[k] = [np.vdot(x[r, y], x[s, 0]) for y, s, r in pairs]
+            k += 1
+        if t < steps:
+            _coin_shift(psi, lo, hi, c, coin, scratch)
+            hi += c
+    cross = np.empty((2, n_states, n_states, len(times)), dtype=np.complex128)
+    y, s, r = np.array(pairs).T
+    cross[y, s, r] = sums.T
+    upper = (y == 0) & (r > s)
+    cross[0, r[upper], s[upper]] = np.conj(cross[0, s[upper], r[upper]])
+    diagonal = np.arange(n_states)
+    cross[0, diagonal, diagonal] = cross[0, diagonal, diagonal].real
+    sites = np.zeros((n_states, 2, n0 + 2 * steps), dtype=np.complex128)
+    sites[..., :: 2 // c] = psi
+    return cross, sites
+
+
+class TestPerPairOracle:
+    """`walk` steps views made once per scan block, over the block's widest
+    range, and records each time by one np.vecdot; the per-pair loop
+    (`_per_pair_walk`) made fresh slices every step and one np.vdot per sum.
+    The products and adds on live slots are the same, and np.vecdot reaches
+    the same dot kernel over the same live slots, so `cross` keeps every
+    byte.  `final` does too for the named coins; a general coin's products of
+    the zero slots past the live range may be -0.0, so its `final` is
+    compared after adding +0.0."""
+
+    SPINS = (UP, Spinor(0.0, 1.0), spin_from_angles(BlochAngles(0.7, 1.1)))
+
+    @pytest.mark.parametrize("coin, named", [
+        (hadamard_coin(), True), (fourier_coin(), True),
+        (_general_coin(0.7, 0.4, -1.3, 0.2), False), (_general_coin(1.2, -2.0, 0.5, -0.7), False),
+        (_general_coin(0.1, 3.0, 1.0, 2.5), False)])
+    @pytest.mark.parametrize("profile", [
+        Local(), Gaussian(0.3), Gaussian(2.0), Rectangular(5), Gaussian(10.0)])
+    def test_walk_keeps_the_per_pair_loops_bytes(self, profile, coin, named):
+        for steps in (0, 1, 31, 32, 33, 64, 200):
+            runs = [(self.SPINS[:n], None) for n in (1, 2, 3)]
+            runs.append((self.SPINS, sorted({0, steps // 3, steps})))
+            for spins, times in runs:
+                want_cross, want_sites = _per_pair_walk(profile, spins, coin, steps, times)
+                run = lattice.walk(profile, spins, coin, steps, times=times)
+                assert run.cross.tobytes() == want_cross.tobytes()
+                got = np.array([(state.a, state.b) for state in run.final])
+                if named:
+                    assert got.tobytes() == want_sites.tobytes()
+                else:
+                    assert (got + 0.0).tobytes() == (want_sites + 0.0).tobytes()
+
+
 class TestInvariantsAndSymmetries:
     def test_light_cone_support(self):
         recs_t = 40
@@ -484,6 +591,14 @@ class TestPositionDistribution:
         assert len(dist) == 3
         for _, p in dist:
             assert p == pytest.approx(1 / 3)
+
+    def test_sites_and_probabilities_are_python_numbers(self):
+        st = _final(Gaussian(2.0), UP, fourier_coin(), 15)
+        p = np.abs(st.a) ** 2 + np.abs(st.b) ** 2
+        want = [(int(j), float(pj)) for j, pj in zip(st.positions(), p) if pj > 0.0]
+        got = position_distribution(st)
+        assert got == want
+        assert all(type(j) is int and type(pj) is float for j, pj in got)
 
 
 class TestBasisEvolution:
@@ -538,6 +653,12 @@ class TestBasisEvolution:
         # a Spinor where the sequence of spins belongs was once a bare TypeError
         with pytest.raises(DomainError, match="spins must be a sequence"):
             lattice.walk(Local(), spins, hadamard_coin(), 10)
+
+    @pytest.mark.parametrize("spins", [[], ()], ids=repr)
+    def test_no_spins_rejected(self, spins):
+        # once a cross of shape (2, 0, 0, 4), whose records() raised numpy's bare IndexError
+        with pytest.raises(DomainError, match="spins must hold at least one spin"):
+            lattice.walk(Local(), spins, "hadamard", 3)
 
     def test_capacity_checked_before_walking(self, monkeypatch):
         # Local: 1 site, 21 after 10 steps
